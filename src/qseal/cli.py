@@ -30,15 +30,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gentle, naive, qubit_seal, seal
-from .linalg import MAX_DENSE_DIM
+from .linalg import CapacityError
 from .rng import derive_rng
 
 _POPULATE_TOL = 1e-12
+_ACHIEVE_NOTE = ("note: p_dist_lower_paper and p_dist_lower_numeric follow "
+                 "different trace-norm conventions; both are reported, "
+                 "neither is asserted equal to the other")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int
+    seed: int = 0
     output_path: str | None = None
     tolerance: float = 1e-9
     trials: int = 100_000
@@ -88,16 +91,16 @@ class CsvTable:
 
 def _emit(table: CsvTable, config: RunConfig, summary_lines: list) -> None:
     text = table.render()
+    summary_file = sys.stdout
     if config.output_path is None:
         sys.stdout.write(text)
-        for line in summary_lines:
-            print(line, file=sys.stderr)
+        summary_file = sys.stderr
     else:
         with open(config.output_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         print(f"wrote {config.output_path} ({len(table.rows)} rows)")
-        for line in summary_lines:
-            print(line)
+    for line in summary_lines:
+        print(line, file=summary_file)
 
 
 def cmd_bounds_fig1(config: RunConfig) -> CsvTable:
@@ -117,19 +120,17 @@ def cmd_bounds_fig1(config: RunConfig) -> CsvTable:
 
 def cmd_bounds_fig2(config: RunConfig, m_list) -> CsvTable:
     """False-negative cap over p in [0, 1]; blank where p < 1/M."""
-    ms = []
-    for m in m_list:
-        if int(m) < 2:
-            raise ValueError(f"every M must be at least 2, got {m}")
-        if int(m) not in ms:
-            ms.append(int(m))
+    ms = list(dict.fromkeys(int(m) for m in m_list))
+    too_small = [m for m in ms if m < 2]
+    if too_small:
+        raise ValueError(f"every M must be at least 2, got {too_small[0]}")
     rows = []
     for raw_p in np.linspace(0.0, 1.0, config.grid_points):
-        p = min(max(float(raw_p), 0.0), 1.0)
+        p = seal.clamp_probability(raw_p)
         row = [p]
         for m in ms:
             if p >= 1.0 / m - _POPULATE_TOL:
-                row.append(seal.p_nfp_upper_bound(min(max(p, 1.0 / m), 1.0), m))
+                row.append(seal.p_nfp_upper_bound(seal.clamp_promise(p, m), m))
             else:
                 row.append(None)
         rows.append(row)
@@ -137,18 +138,14 @@ def cmd_bounds_fig2(config: RunConfig, m_list) -> CsvTable:
 
 
 def _serialize_instance(instance: gentle.GentleInstance) -> str:
-    def pairs(mat):
-        return [[float(z.real), float(z.imag)] for z in mat.reshape(-1)]
-
-    doc = {
+    return json.dumps({
         "dim": instance.rho.dim,
         "dominant_label": instance.dominant_label,
         "epsilon": instance.epsilon,
-        "rho": pairs(instance.rho.matrix),
-        "povm": [{"label": label, "matrix": pairs(element)}
+        "rho": seal.pairs_from_array(instance.rho.matrix),
+        "povm": [{"label": label, "matrix": seal.pairs_from_array(element)}
                  for label, element in instance.povm.elements],
-    }
-    return json.dumps(doc)
+    })
 
 
 def cmd_verify_gentle(config: RunConfig, dim: int, n_outcomes: int,
@@ -199,9 +196,10 @@ def cmd_simulate_naive(config: RunConfig, q: int) -> CsvTable:
     sigma = derive_rng(config.seed, "simulate-naive", q, "sigma")
     tau = derive_rng(config.seed, "simulate-naive", q, "tau")
     state_one, state_two = naive.build_message_states(q, sigma, tau)
-    nondisturbing = None
-    if 2 ** (3 * q) <= MAX_DENSE_DIM:
+    try:
         nondisturbing = naive.states_nondisturbing(state_one, state_two)
+    except CapacityError:  # too large for the dense check: left blank
+        nondisturbing = None
     exact = naive.mean_fidelity_exact(q)
     rows = []
     for state in (state_one, state_two):
@@ -214,8 +212,9 @@ def cmd_simulate_naive(config: RunConfig, q: int) -> CsvTable:
                      "mean_fidelity_exact", "detection_probability"], rows)
 
 
-def cmd_simulate_achieve(config: RunConfig, p: float) -> CsvTable:
-    """Promise, returned-state diagonals, both detection floors, phase spread."""
+def cmd_simulate_achieve(config: RunConfig, p: float) -> tuple:
+    """Promise, returned-state diagonals, both detection floors, phase spread;
+    returns (table, [convention note], 0)."""
     family = qubit_seal.QubitSealFamily(p)
     scheme = family.scheme()
     returned_one = family.returned_state(1).matrix
@@ -235,12 +234,7 @@ def cmd_simulate_achieve(config: RunConfig, p: float) -> CsvTable:
          "returned_m1_diag0", "returned_m1_diag1",
          "returned_m2_diag0", "returned_m2_diag1",
          "p_dist_lower_paper", "p_dist_lower_numeric", "phi_spread"],
-        [row])
-
-
-_ACHIEVE_NOTE = ("note: p_dist_lower_paper and p_dist_lower_numeric follow "
-                 "different trace-norm conventions; both are reported, "
-                 "neither is asserted equal to the other")
+        [row]), [_ACHIEVE_NOTE], 0
 
 
 def cmd_seal_eval(config: RunConfig, scheme_path: str) -> tuple:
@@ -273,106 +267,73 @@ def cmd_seal_eval(config: RunConfig, scheme_path: str) -> tuple:
     return CsvTable(header, rows), summary, (1 if violated else 0)
 
 
-def _config_from(args) -> RunConfig:
-    return RunConfig(seed=args.seed, output_path=args.out, tolerance=args.tol,
-                     trials=args.trials, grid_points=args.grid)
+# Option name -> (RunConfig field it sets, type, help).  The defaults are
+# read from RunConfig; each command takes only the options it names.
+_SETTINGS = {
+    "seed": ("seed", int, "master seed; sub-streams are derived per command"),
+    "out": ("output_path", str, "CSV output path (default: CSV on stdout)"),
+    "tol": ("tolerance", float, "violation tolerance (default %(default)s)"),
+    "trials": ("trials", int, "Monte Carlo trials (default %(default)s)"),
+    "grid": ("grid_points", int, "sweep grid points (default %(default)s)"),
+}
 
 
-def _run_bounds_dist(args) -> int:
-    config = _config_from(args)
-    _emit(cmd_bounds_fig1(config), config, [])
-    return 0
-
-
-def _run_bounds_nfp(args) -> int:
-    config = _config_from(args)
-    _emit(cmd_bounds_fig2(config, args.M), config, [])
-    return 0
-
-
-def _run_verify_gentle(args) -> int:
-    config = _config_from(args)
-    table, summary, code = cmd_verify_gentle(config, args.dim, args.outcomes,
-                                             args.instances)
-    _emit(table, config, summary)
-    return code
-
-
-def _run_simulate_naive(args) -> int:
-    config = _config_from(args)
-    _emit(cmd_simulate_naive(config, args.q), config, [])
-    return 0
-
-
-def _run_simulate_achieve(args) -> int:
-    config = _config_from(args)
-    _emit(cmd_simulate_achieve(config, args.p), config, [_ACHIEVE_NOTE])
-    return 0
-
-
-def _run_seal_eval(args) -> int:
-    config = _config_from(args)
-    table, summary, code = cmd_seal_eval(config, args.scheme)
-    _emit(table, config, summary)
-    return code
+def _add_command(group, name: str, help_text: str, run, settings=(),
+                 arguments=()) -> None:
+    """Subcommand ``name`` taking --seed, --out, the other ``settings`` and
+    the (option, add_argument keywords) ``arguments``, whose values ``main``
+    passes to ``run(config, ...)`` in order."""
+    cmd = group.add_parser(name, help=help_text)
+    settings = ("seed", "out") + tuple(settings)
+    for option in settings:
+        field, kind, text = _SETTINGS[option]
+        cmd.add_argument(f"--{option}", type=kind,
+                         default=getattr(RunConfig, field), help=text)
+    for option, keywords in arguments:
+        cmd.add_argument(f"--{option}", **keywords)
+    cmd.set_defaults(run=run, settings=settings,
+                     arguments=tuple(option for option, _ in arguments))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="master seed; sub-streams are derived per command")
-    common.add_argument("--out", default=None,
-                        help="CSV output path (default: CSV on stdout)")
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="violation tolerance (default 1e-9)")
-    common.add_argument("--trials", type=int, default=100_000,
-                        help="Monte Carlo trials (default 100000)")
-    common.add_argument("--grid", type=int, default=101,
-                        help="sweep grid points (default 101)")
-
     parser = argparse.ArgumentParser(
         prog="qseal",
         description="Quantum seal bound sweeps, verification runs, and scheme evaluation.")
     top = parser.add_subparsers(dest="command", required=True)
 
-    bounds = top.add_parser("bounds", help="closed-form bound sweeps as CSV")
-    bounds_sub = bounds.add_subparsers(dest="which", required=True)
-    dist = bounds_sub.add_parser("dist", parents=[common],
-                                 help="distinguishability cap and floors over p")
-    dist.set_defaults(func=_run_bounds_dist)
-    nfp = bounds_sub.add_parser("nfp", parents=[common],
-                                help="false-negative cap over p, one column per M")
-    nfp.add_argument("--M", action="append", type=int, default=None,
-                     help="message count (repeatable; default 2 4 16 256)")
-    nfp.set_defaults(func=_run_bounds_nfp)
+    def group(name: str, help_text: str):
+        return top.add_parser(name, help=help_text).add_subparsers(
+            dest="which", required=True)
 
-    verify = top.add_parser("verify", help="randomized inequality verification")
-    verify_sub = verify.add_subparsers(dest="which", required=True)
-    vg = verify_sub.add_parser("gentle", parents=[common],
-                               help="gentle-measurement disturbance bounds")
-    vg.add_argument("--dim", type=int, default=8, help="state dimension (2..64)")
-    vg.add_argument("--outcomes", type=int, default=4, help="POVM outcomes (>= 2)")
-    vg.add_argument("--instances", type=int, default=1000,
-                    help="random instances to draw")
-    vg.set_defaults(func=_run_verify_gentle)
+    bounds = group("bounds", "closed-form bound sweeps as CSV")
+    _add_command(bounds, "dist", "distinguishability cap and floors over p",
+                 cmd_bounds_fig1, settings=["grid"])
+    _add_command(bounds, "nfp", "false-negative cap over p, one column per M",
+                 cmd_bounds_fig2, settings=["grid"], arguments=[
+                     ("M", dict(action="append", type=int, default=None,
+                                help="message count (repeatable; default 2 4 16 256)"))])
 
-    simulate = top.add_parser("simulate", help="protocol simulations")
-    simulate_sub = simulate.add_subparsers(dest="which", required=True)
-    sn = simulate_sub.add_parser("naive", parents=[common],
-                                 help="permuted product-state protocol")
-    sn.add_argument("--q", type=int, default=2, help="padding registers per message")
-    sn.set_defaults(func=_run_simulate_naive)
-    sa = simulate_sub.add_parser("achieve", parents=[common],
-                                 help="two-message qubit family")
-    sa.add_argument("--p", type=float, default=0.75, help="promise level in (0.5, 1]")
-    sa.set_defaults(func=_run_simulate_achieve)
+    verify = group("verify", "randomized inequality verification")
+    _add_command(verify, "gentle", "gentle-measurement disturbance bounds",
+                 cmd_verify_gentle, settings=["tol"], arguments=[
+                     ("dim", dict(type=int, default=8, help="state dimension (2..64)")),
+                     ("outcomes", dict(type=int, default=4, help="POVM outcomes (>= 2)")),
+                     ("instances", dict(type=int, default=1000,
+                                        help="random instances to draw"))])
 
-    seal_cmd = top.add_parser("seal", help="scheme-file operations")
-    seal_sub = seal_cmd.add_subparsers(dest="which", required=True)
-    se = seal_sub.add_parser("eval", parents=[common],
-                             help="evaluate detection metrics of a scheme file")
-    se.add_argument("--scheme", required=True, help="scheme JSON file")
-    se.set_defaults(func=_run_seal_eval)
+    simulate = group("simulate", "protocol simulations")
+    _add_command(simulate, "naive", "permuted product-state protocol",
+                 cmd_simulate_naive, settings=["trials"], arguments=[
+                     ("q", dict(type=int, default=2, help="padding registers per message"))])
+    _add_command(simulate, "achieve", "two-message qubit family",
+                 cmd_simulate_achieve, arguments=[
+                     ("p", dict(type=float, default=0.75,
+                                help="promise level in (0.5, 1]"))])
+
+    seal_cmd = group("seal", "scheme-file operations")
+    _add_command(seal_cmd, "eval", "evaluate detection metrics of a scheme file",
+                 cmd_seal_eval, settings=["tol"], arguments=[
+                     ("scheme", dict(required=True, help="scheme JSON file"))])
 
     return parser
 
@@ -382,11 +343,13 @@ def main(argv=None) -> int:
     if getattr(args, "M", "missing") is None:
         args.M = [2, 4, 16, 256]
     try:
-        return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        config = RunConfig(**{_SETTINGS[option][0]: getattr(args, option)
+                              for option in args.settings})
+        result = args.run(config, *(getattr(args, name) for name in args.arguments))
+        table, summary, code = result if isinstance(result, tuple) else (result, [], 0)
+        _emit(table, config, summary)
+        return code
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

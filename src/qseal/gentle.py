@@ -58,16 +58,14 @@ class GentleInstance:
     def __post_init__(self):
         # raises KeyError early if the label is absent
         self.povm.element(self.dominant_label)
-        if self.rho.dim != self.povm.dim:
-            raise ValueError(
-                f"dimension mismatch: state {self.rho.dim}, POVM {self.povm.dim}")
+        states.require_same_dim(self.rho, self.povm)
 
     @property
     def epsilon(self) -> float:
         """1 - tr(E_dominant rho), clamped to [0, 1]."""
-        element = self.povm.element(self.dominant_label)
-        kept = float(np.einsum("ab,ba->", element, self.rho.matrix).real)
-        return min(max(1.0 - kept, 0.0), 1.0)
+        kept = states.expectation(self.povm.element(self.dominant_label),
+                                  self.rho.matrix)
+        return states.clamp_probability(1.0 - kept)
 
 
 @dataclass(frozen=True)
@@ -98,14 +96,13 @@ def verify_instance(instance: GentleInstance, tol: float = VIOLATION_TOL) -> Gen
     off_prob = 0.0
     lhs_classic = math.nan
     for label, element in instance.povm.elements:
-        root = linalg.matrix_sqrt_psd(element)
-        branch = root @ rho @ root
+        branch = states.luders_branch(element, rho)
         unknown += branch
         if label == dominant:
             lhs_classic = linalg.trace_norm(rho - branch)
         else:
             off_norm_sum += linalg.trace_norm(branch)
-            off_prob += float(np.einsum("ab,ba->", element, rho).real)
+            off_prob += states.expectation(element, rho)
 
     lhs_unknown = linalg.trace_norm(rho - unknown)
     b_classic = classic_bound(eps)

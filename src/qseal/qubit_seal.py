@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, seal
-from .states import DensityMatrix, Povm, PureState, densify
+from . import seal
+from .states import DensityMatrix, Povm, PureState, densify, helstrom_probability
 
 _TWO_PI = 2.0 * math.pi
 
@@ -110,10 +110,8 @@ def p_dist_lower_paper(p: float) -> float:
 def p_dist_lower_numeric(p: float, phi: float = 0.0) -> float:
     """Detection floor evaluated numerically:
     1/2 + ||Z(p) - |psi_1><psi_1|||_1 / 4."""
-    p = _require_p(p, low_open=False)
-    psi_one, _ = state_pair(p, phi)
-    delta = z_state(p).matrix - densify(psi_one).matrix
-    return 0.5 + linalg.trace_norm(delta) / 4.0
+    psi_one, _ = state_pair(p, phi)  # validates p
+    return helstrom_probability(z_state(p), densify(psi_one))
 
 
 def phi_invariance_spread(p: float, n_phi: int = 64) -> float:

@@ -17,6 +17,8 @@ import numpy as np
 
 def derive_rng(master_seed: int, *labels: object) -> np.random.Generator:
     """Generator for the stream addressed by ``labels`` under ``master_seed``."""
+    # a numpy scalar label addresses the stream of the builtin value it holds
+    labels = tuple(x.item() if isinstance(x, np.generic) else x for x in labels)
     digest = hashlib.sha256(repr(labels).encode("utf-8")).digest()
     words = [int.from_bytes(digest[k:k + 4], "big") for k in range(0, 32, 4)]
     return np.random.default_rng(np.random.SeedSequence([int(master_seed)] + words))

@@ -26,21 +26,21 @@ package; pick your own weighting from ``per_message`` if you need one).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import linalg, states
-from .states import DensityMatrix, Povm, PureState, densify
+from . import gentle, linalg, states
+from .states import DensityMatrix, Povm, PureState, clamp_probability, densify
 
 PROMISE_TOL = 1e-9
 _MONOTONE_TOL = 1e-12
 
 
-def clamp_probability(x: float) -> float:
-    return min(max(float(x), 0.0), 1.0)
+def clamp_promise(p: float, n_messages: int) -> float:
+    """Clamp a promise level to [1/M, 1], where the false-negative cap is defined."""
+    return min(max(p, 1.0 / n_messages), 1.0)
 
 
 @dataclass(frozen=True)
@@ -99,23 +99,24 @@ class SealScheme:
         return self.joint_states[m - 1]
 
 
-def marginal(scheme: SealScheme, m: int) -> DensityMatrix:
-    """Bob's share of |psi_m>: trace out A."""
+def _bob_marginal(scheme: SealScheme, m: int) -> np.ndarray:
     amp = scheme.state(m).amplitudes
     joint = np.outer(amp, amp.conj())
-    return DensityMatrix(
-        linalg.partial_trace(joint, (scheme.dim_a, scheme.dim_b), "A"))
+    return linalg.partial_trace(joint, (scheme.dim_a, scheme.dim_b), "A")
+
+
+def marginal(scheme: SealScheme, m: int) -> DensityMatrix:
+    """Bob's share of |psi_m>: trace out A."""
+    return DensityMatrix(_bob_marginal(scheme, m))
 
 
 def promise_probability(scheme: SealScheme, m: int) -> float:
     """Probability that Bob's honest measurement reads message m from |psi_m>."""
-    amp = scheme.state(m).amplitudes
-    joint = np.outer(amp, amp.conj())
-    rho_b = linalg.partial_trace(joint, (scheme.dim_a, scheme.dim_b), "A")
+    rho_b = _bob_marginal(scheme, m)
     total = 0.0
     for label, element in scheme.bob_povm.elements:
         if label[0] == m:
-            total += float(np.einsum("ab,ba->", element, rho_b).real)
+            total += states.expectation(element, rho_b)
     return clamp_probability(total)
 
 
@@ -152,8 +153,7 @@ def p_dist_upper_bound(p: float) -> float:
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"promise probability must lie in [0, 1], got {p!r}")
-    eps = 1.0 - p
-    return 0.5 + (2.0 * math.sqrt(eps) + eps) / 4.0
+    return 0.5 + gentle.unknown_outcome_bound(1.0 - p) / 4.0
 
 
 def p_nfp_numeric(scheme: SealScheme, m: int) -> float:
@@ -227,7 +227,6 @@ def evaluate_scheme(scheme: SealScheme) -> DetectionReport:
     for m in range(1, scheme.n_messages + 1):
         q = promise_probability(scheme, m)
         raw = p_dist_upper_bound(q)
-        nfp_level = min(max(q, 1.0 / scheme.n_messages), 1.0)
         rows.append(MessageDetection(
             message=m,
             promise_probability=q,
@@ -235,7 +234,8 @@ def evaluate_scheme(scheme: SealScheme) -> DetectionReport:
             p_dist_upper=clamp_probability(raw),
             p_dist_upper_raw=raw,
             p_nfp_numeric=p_nfp_numeric(scheme, m),
-            p_nfp_upper=p_nfp_upper_bound(nfp_level, scheme.n_messages),
+            p_nfp_upper=p_nfp_upper_bound(clamp_promise(q, scheme.n_messages),
+                                          scheme.n_messages),
         ))
     return DetectionReport(
         per_message=tuple(rows),
@@ -251,8 +251,9 @@ def evaluate_scheme(scheme: SealScheme) -> DetectionReport:
 # Plain JSON: complex numbers as [re, im] pairs, matrices row-major, floats
 # written by repr (17 significant digits).
 
-def _pairs_from_vector(vector: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in vector]
+def pairs_from_array(array: np.ndarray) -> list:
+    """Row-major [re, im] pairs of a complex vector or matrix."""
+    return [[float(z.real), float(z.imag)] for z in array.reshape(-1)]
 
 
 def _vector_from_pairs(pairs, expected_len: int, what: str) -> np.ndarray:
@@ -263,7 +264,10 @@ def _vector_from_pairs(pairs, expected_len: int, what: str) -> np.ndarray:
         if (not isinstance(pair, list) or len(pair) != 2
                 or not all(isinstance(x, (int, float)) for x in pair)):
             raise ValueError(f"scheme file: {what}[{k}] is not a [re, im] pair")
-        out[k] = complex(pair[0], pair[1])
+        try:
+            out[k] = complex(pair[0], pair[1])
+        except OverflowError:
+            raise ValueError(f"scheme file: {what}[{k}] is too large for a float") from None
     return out
 
 
@@ -273,10 +277,9 @@ def save_scheme(scheme: SealScheme, path) -> None:
         "dimA": scheme.dim_a,
         "dimB": scheme.dim_b,
         "promised_p": scheme.promised_p,
-        "states": [_pairs_from_vector(s.amplitudes) for s in scheme.joint_states],
+        "states": [pairs_from_array(s.amplitudes) for s in scheme.joint_states],
         "povm": [
-            {"label": [label[0], label[1]],
-             "matrix": _pairs_from_vector(element.reshape(-1))}
+            {"label": [label[0], label[1]], "matrix": pairs_from_array(element)}
             for label, element in scheme.bob_povm.elements
         ],
     }
@@ -300,6 +303,10 @@ def load_scheme(path) -> SealScheme:
     if (isinstance(doc["promised_p"], bool)
             or not isinstance(doc["promised_p"], (int, float))):
         raise ValueError("scheme file: promised_p must be a number")
+    try:
+        promised_p = float(doc["promised_p"])
+    except OverflowError:
+        raise ValueError("scheme file: promised_p is too large for a float") from None
     if not isinstance(doc["states"], list) or len(doc["states"]) != m_count:
         raise ValueError(f"scheme file: states must list {m_count} vectors")
     joint = dim_a * dim_b
@@ -324,7 +331,7 @@ def load_scheme(path) -> SealScheme:
         n_messages=m_count,
         dim_a=dim_a,
         dim_b=dim_b,
-        promised_p=float(doc["promised_p"]),
+        promised_p=promised_p,
         joint_states=tuple(vectors),
         bob_povm=Povm(tuple(elements)),
     )

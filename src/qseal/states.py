@@ -38,6 +38,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def clamp_probability(x: float) -> float:
+    return min(max(float(x), 0.0), 1.0)
+
+
 def _check_psd(m: np.ndarray, name: str) -> None:
     """Reject matrices with an eigenvalue below -PSD_TOL.
 
@@ -75,9 +79,7 @@ class PureState:
                 raise ValueError(
                     f"dims {self.dims} incompatible with vector length {amp.size}")
             object.__setattr__(self, "dims", (int(dim_a), int(dim_b)))
-        amp = amp.copy()
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
+        object.__setattr__(self, "amplitudes", _freeze(amp))
 
     @property
     def dim(self) -> int:
@@ -192,19 +194,34 @@ def densify(state: PureState) -> DensityMatrix:
     return DensityMatrix(np.outer(amp, amp.conj()))
 
 
+def require_same_dim(rho: DensityMatrix, povm: Povm) -> None:
+    if rho.dim != povm.dim:
+        raise ValueError(f"dimension mismatch: state {rho.dim}, POVM {povm.dim}")
+
+
+def expectation(element: np.ndarray, rho: np.ndarray) -> float:
+    """Raw tr(E rho): no window check, no clamp."""
+    return float(np.einsum("ab,ba->", element, rho).real)
+
+
+def luders_branch(element: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Unnormalized post-measurement branch sqrt(E) rho sqrt(E)."""
+    root = linalg.matrix_sqrt_psd(element)
+    return root @ rho @ root
+
+
 def _born_probability(element: np.ndarray, rho: np.ndarray, label) -> float:
-    p = float(np.einsum("ab,ba->", element, rho).real)
+    p = expectation(element, rho)
     if p < -PROB_WINDOW_TOL or p > 1.0 + PROB_WINDOW_TOL:
         raise ValueError(
             f"outcome {label!r} probability {p!r} outside [-{PROB_WINDOW_TOL:.0e},"
             f" 1+{PROB_WINDOW_TOL:.0e}]")
-    return min(max(p, 0.0), 1.0)
+    return clamp_probability(p)
 
 
 def measure_probabilities(rho: DensityMatrix, povm: Povm) -> np.ndarray:
     """Born probabilities tr(E_i rho) in canonical label order, clamped to [0, 1]."""
-    if rho.dim != povm.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, POVM {povm.dim}")
+    require_same_dim(rho, povm)
     return np.array([_born_probability(m, rho.matrix, label)
                      for label, m in povm.elements])
 
@@ -215,16 +232,14 @@ def standard_implementation(rho: DensityMatrix, povm: Povm) -> list[MeasurementO
     Returns one ``MeasurementOutcome`` per element in canonical label order,
     with post state sqrt(E) rho sqrt(E) / tr(E rho).
     """
-    if rho.dim != povm.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, POVM {povm.dim}")
+    require_same_dim(rho, povm)
     outcomes = []
     for label, element in povm.elements:
         p = _born_probability(element, rho.matrix, label)
         if p <= ZERO_PROBABILITY:
             outcomes.append(MeasurementOutcome(label, p, None))
             continue
-        root = linalg.matrix_sqrt_psd(element)
-        post = root @ rho.matrix @ root / p
+        post = luders_branch(element, rho.matrix) / p
         outcomes.append(MeasurementOutcome(label, p, DensityMatrix(post)))
     return outcomes
 
@@ -232,12 +247,10 @@ def standard_implementation(rho: DensityMatrix, povm: Povm) -> list[MeasurementO
 def unknown_outcome_state(rho: DensityMatrix, povm: Povm) -> DensityMatrix:
     """Post-measurement state when the outcome is discarded:
     sum_i sqrt(E_i) rho sqrt(E_i)."""
-    if rho.dim != povm.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, POVM {povm.dim}")
+    require_same_dim(rho, povm)
     total = np.zeros((rho.dim, rho.dim), dtype=np.complex128)
     for _, element in povm.elements:
-        root = linalg.matrix_sqrt_psd(element)
-        total += root @ rho.matrix @ root
+        total += luders_branch(element, rho.matrix)
     return DensityMatrix(total)
 
 

@@ -254,6 +254,20 @@ class TestSealEval:
         assert code == 2
         assert "scheme file" in err
 
+    @pytest.mark.parametrize("where", ["promised_p", "state entry"])
+    def test_rejects_number_too_large_for_float(self, capsys, tmp_path,
+                                                family_file, where):
+        doc = json.loads(family_file.read_text())
+        if where == "promised_p":
+            doc["promised_p"] = 10 ** 400
+        else:
+            doc["states"][0][1][0] = 10 ** 400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "seal", "eval", "--scheme", str(path))
+        assert code == 2
+        assert "scheme file" in err
+
     def test_rejects_overclaimed_promise(self, capsys, tmp_path, family_file):
         doc = json.loads(family_file.read_text())
         doc["promised_p"] = 0.999
@@ -267,6 +281,42 @@ class TestSealEval:
         code, _, err = run(capsys, "seal", "eval", "--scheme",
                            str(tmp_path / "absent.json"))
         assert code == 2
+
+
+class TestOptions:
+    UNREAD = [
+        ["bounds", "dist", "--trials", "5"],
+        ["bounds", "nfp", "--tol", "1e-3"],
+        ["verify", "gentle", "--grid", "3"],
+        ["simulate", "naive", "--tol", "1e-3"],
+        ["simulate", "achieve", "--trials", "5"],
+        ["seal", "eval", "--scheme", "scheme.json", "--grid", "3"],
+    ]
+
+    @pytest.mark.parametrize("argv", UNREAD, ids=[" ".join(a) for a in UNREAD])
+    def test_option_the_command_ignores_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    SETTINGS = [
+        (["bounds", "dist"], "--grid", "grid_points"),
+        (["bounds", "nfp"], "--grid", "grid_points"),
+        (["verify", "gentle"], "--tol", "tolerance"),
+        (["simulate", "naive"], "--trials", "trials"),
+        (["seal", "eval"], "--tol", "tolerance"),
+    ]
+
+    @pytest.mark.parametrize("argv,option,field", SETTINGS,
+                             ids=[" ".join(a) for a, _, _ in SETTINGS])
+    def test_help_states_runconfig_default(self, capsys, argv, option, field):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"{option} " in text
+        assert f"(default {getattr(RunConfig, field)})" in text
 
 
 class TestDeterminism:
