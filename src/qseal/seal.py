@@ -18,6 +18,13 @@ two handles on that:
   rank-one test {|psi_m><psi_m|, I - |psi_m><psi_m|}, capped by
   ``p_nfp_upper_bound``.
 
+Both metrics depend only on the M+1 vectors psi_m and
+v_i = (I (x) sqrt(F_i)) psi_m, so they are read off their (M+1)x(M+1) Gram
+matrix; no operator on H_A (x) H_B is built.  Only Bob's dim_b x dim_b
+matrices are dense, which is why ``load_scheme`` caps dim_b, not the joint
+dimension.  ``coarse_cheat_state`` builds the returned state densely as the
+reference the tests compare against.
+
 Aggregate numbers in ``DetectionReport`` average the per-message values
 under a uniform prior over m (no other prior is specified anywhere in this
 package; pick your own weighting from ``per_message`` if you need one).
@@ -27,12 +34,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import gentle, linalg, states
-from .states import DensityMatrix, Povm, PureState, clamp_probability, densify
+from .linalg import MAX_DENSE_DIM, CapacityError
+from .states import (TRACE_TOL, DensityMatrix, Povm, PureState, clamp_probability,
+                     densify)
 
 PROMISE_TOL = 1e-9
 _MONOTONE_TOL = 1e-12
@@ -98,11 +108,27 @@ class SealScheme:
             raise ValueError(f"message index {m} outside 1..{self.n_messages}")
         return self.joint_states[m - 1]
 
+    @cached_property
+    def merged_roots(self) -> np.ndarray:
+        """sqrt(F_i) of the message-merged POVM, stacked in message order."""
+        coarse = states.coarse_grain(self.bob_povm)
+        return np.stack([linalg.matrix_sqrt_psd(element)
+                         for _, element in coarse.elements])
+
 
 def _bob_marginal(scheme: SealScheme, m: int) -> np.ndarray:
-    amp = scheme.state(m).amplitudes
-    joint = np.outer(amp, amp.conj())
-    return linalg.partial_trace(joint, (scheme.dim_a, scheme.dim_b), "A")
+    """Bob's reduced state sum_a x_a x_a^dag, x_a the rows of psi_m reshaped
+    to dim_a x dim_b.
+
+    Summed row by row from elementwise products, which gives the same bits
+    as ``linalg.partial_trace`` of |psi_m><psi_m| without building it.  A
+    matrix product rounds differently, and one ulp of read probability near
+    1 moves the p_dist cap by about 1e-8: its slope is infinite at p = 1.
+    """
+    rho_b = np.zeros((scheme.dim_b, scheme.dim_b), dtype=np.complex128)
+    for row in scheme.state(m).amplitudes.reshape(scheme.dim_a, scheme.dim_b):
+        rho_b += np.multiply.outer(row, row.conj())
+    return rho_b
 
 
 def marginal(scheme: SealScheme, m: int) -> DensityMatrix:
@@ -120,28 +146,51 @@ def promise_probability(scheme: SealScheme, m: int) -> float:
     return clamp_probability(total)
 
 
-def _lifted_roots(scheme: SealScheme) -> list:
-    """(i, I_A (x) sqrt(F_i)) for the message-merged POVM."""
-    coarse = states.coarse_grain(scheme.bob_povm)
-    eye_a = np.eye(scheme.dim_a)
-    return [(label, linalg.tensor_product(eye_a, linalg.matrix_sqrt_psd(element)))
-            for label, element in coarse.elements]
-
-
 def coarse_cheat_state(scheme: SealScheme, m: int) -> DensityMatrix:
-    """Joint state after Bob's merged measurement with the outcome discarded."""
-    amp = scheme.state(m).amplitudes
-    joint = np.outer(amp, amp.conj())
+    """Joint state after Bob's merged measurement with the outcome discarded,
+    sum_i (I (x) sqrt(F_i)) |psi_m><psi_m| (I (x) sqrt(F_i)), built densely.
+
+    The metrics never build it; it is the small-dimension reference that
+    tests compare them against.
+    """
+    joint = densify(scheme.state(m)).matrix
+    eye_a = np.eye(scheme.dim_a)
     total = np.zeros_like(joint)
-    for _, lifted_root in _lifted_roots(scheme):
+    for root in scheme.merged_roots:
+        lifted_root = linalg.tensor_product(eye_a, root)
         total += lifted_root @ joint @ lifted_root
     return DensityMatrix(total)
 
 
+def _cheat_gram(scheme: SealScheme, m: int) -> np.ndarray:
+    """Gram matrix G = W^dag W of W = [psi_m, v_1 .. v_k], v_i = (I (x) sqrt(F_i)) psi_m.
+
+    |psi_m><psi_m| - cheat state = W C W^dag with C = diag(1, -1, .., -1),
+    so both metrics are functions of G.  The diagonal holds the traces of
+    the two density matrices; each must be 1 within ``TRACE_TOL``.
+    """
+    amp = scheme.state(m).amplitudes
+    roots = scheme.merged_roots
+    shares = amp.reshape(scheme.dim_a, scheme.dim_b) @ roots.transpose(0, 2, 1)
+    w = np.vstack([amp, shares.reshape(len(roots), -1)])
+    gram = w.conj() @ w.T
+    diagonal = gram.diagonal().real
+    for trace in (diagonal[0], diagonal[1:].sum()):
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise ValueError(
+                f"density matrix trace {float(trace)!r} deviates from 1 by more"
+                f" than {TRACE_TOL:.1e}")
+    return gram
+
+
 def p_dist_numeric(scheme: SealScheme, m: int) -> float:
-    """Helstrom probability of telling the cheat state from |psi_m>."""
-    return states.helstrom_probability(densify(scheme.state(m)),
-                                       coarse_cheat_state(scheme, m))
+    """Helstrom probability of telling the cheat state from |psi_m>:
+    1/2 + ||W C W^dag||_1 / 4, where ||W C W^dag||_1 = ||G^1/2 C G^1/2||_1."""
+    gram = _cheat_gram(scheme, m)
+    root = linalg.matrix_sqrt_psd(gram)
+    signs = -np.ones(len(gram))
+    signs[0] = 1.0
+    return 0.5 + linalg.trace_norm(root @ (signs[:, None] * root)) / 4.0
 
 
 def p_dist_upper_bound(p: float) -> float:
@@ -158,12 +207,9 @@ def p_dist_upper_bound(p: float) -> float:
 
 def p_nfp_numeric(scheme: SealScheme, m: int) -> float:
     """Probability the cheat state fails Alice's rank-one test for |psi_m>:
-    1 - sum_i |<psi_m| I (x) sqrt(F_i) |psi_m>|^2."""
-    amp = scheme.state(m).amplitudes
-    total = 0.0
-    for _, lifted_root in _lifted_roots(scheme):
-        total += abs(np.vdot(amp, lifted_root @ amp)) ** 2
-    return clamp_probability(1.0 - total)
+    1 - sum_i |<psi_m| I (x) sqrt(F_i) |psi_m>|^2 = 1 - sum_i |G_0i|^2."""
+    overlaps = _cheat_gram(scheme, m)[0, 1:]
+    return clamp_probability(1.0 - float(np.sum(np.abs(overlaps) ** 2)))
 
 
 def p_nfp_upper_bound(p: float, n_messages: int) -> float:
@@ -262,7 +308,8 @@ def _vector_from_pairs(pairs, expected_len: int, what: str) -> np.ndarray:
     out = np.empty(expected_len, dtype=np.complex128)
     for k, pair in enumerate(pairs):
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)):
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                           for x in pair)):
             raise ValueError(f"scheme file: {what}[{k}] is not a [re, im] pair")
         try:
             out[k] = complex(pair[0], pair[1])
@@ -300,6 +347,9 @@ def load_scheme(path) -> SealScheme:
     if not all(isinstance(x, int) and not isinstance(x, bool)
                for x in (m_count, dim_a, dim_b)):
         raise ValueError("scheme file: M, dimA, dimB must be integers")
+    if dim_b > MAX_DENSE_DIM:
+        raise CapacityError(
+            f"scheme file: dimB {dim_b} is above the dense cap {MAX_DENSE_DIM}")
     if (isinstance(doc["promised_p"], bool)
             or not isinstance(doc["promised_p"], (int, float))):
         raise ValueError("scheme file: promised_p must be a number")

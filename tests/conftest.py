@@ -8,9 +8,16 @@ fixtures or oracles.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 
 from qseal.seal import SealScheme
 from qseal.states import DensityMatrix, Povm, PureState
+
+# Property tests draw the same examples on every run: no example database,
+# no wall-clock deadline, a derandomized search.
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("deterministic")
 
 # One line per acceptance criterion, filled in by test_acceptance.py and
 # echoed after the run so the verdicts survive pytest's output capture.
@@ -132,4 +139,43 @@ def random_scheme(rng: np.random.Generator, n_messages: int, dim_a: int,
         promised_p=min(min(promises) - 1e-12, 1.0),
         joint_states=tuple(states),
         bob_povm=Povm(tuple(elements)),
+    )
+
+
+def projector_scheme(rng: np.random.Generator, n_messages: int, dim_a: int,
+                     dim_b: int) -> SealScheme:
+    """Valid scheme read out by 0/1 diagonal projectors.
+
+    Bob's basis is split into M non-empty groups and F_m projects onto
+    group m, so every sqrt(F_m) is rank-deficient (rank one when
+    dim_b == M).  Message m puts weight 1 - beta on group m and beta on the
+    rest, with random amplitudes across A, so it is read with probability
+    exactly 1 - beta > 1/2 >= 1/M.
+    """
+    if n_messages > dim_b:
+        raise ValueError("generator needs dim_b >= n_messages")
+    groups = np.array_split(rng.permutation(dim_b), n_messages)
+    masks = []
+    for group in groups:
+        mask = np.zeros(dim_b)
+        mask[group] = 1.0
+        masks.append(mask)
+    states = []
+    reads = []
+    for mask in masks:
+        g = rng.normal(size=(dim_a, dim_b)) + 1j * rng.normal(size=(dim_a, dim_b))
+        inside, outside = g * mask, g * (1.0 - mask)
+        beta = rng.uniform(0.0, 0.4)
+        vec = (np.sqrt(1.0 - beta) * inside / np.linalg.norm(inside)
+               + np.sqrt(beta) * outside / np.linalg.norm(outside))
+        states.append(PureState(vec.reshape(-1), (dim_a, dim_b)))
+        reads.append(1.0 - beta)
+    return SealScheme(
+        n_messages=n_messages,
+        dim_a=dim_a,
+        dim_b=dim_b,
+        promised_p=min(reads) - 1e-12,
+        joint_states=tuple(states),
+        bob_povm=Povm(tuple(((m, 1), np.diag(mask))
+                            for m, mask in enumerate(masks, start=1))),
     )

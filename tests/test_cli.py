@@ -1,11 +1,14 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_scheme
 from qseal.cli import RunConfig, format_cell, main
-from qseal.seal import save_scheme
+from qseal.qubit_seal import QubitSealFamily
+from qseal.seal import SealScheme, save_scheme
+from qseal.states import PureState
 
 
 def run(capsys, *argv):
@@ -30,6 +33,9 @@ class TestRunConfig:
             RunConfig(seed=2 ** 64)
         with pytest.raises(ValueError):
             RunConfig(seed=0, tolerance=0.0)
+        for tolerance in (float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                RunConfig(seed=0, tolerance=tolerance)
         with pytest.raises(ValueError):
             RunConfig(seed=0, trials=0)
         with pytest.raises(ValueError):
@@ -219,7 +225,6 @@ class TestSimulateAchieve:
 class TestSealEval:
     @pytest.fixture()
     def family_file(self, tmp_path):
-        from qseal.qubit_seal import QubitSealFamily
         path = tmp_path / "family.json"
         save_scheme(QubitSealFamily(0.75).scheme(), path)
         return path
@@ -268,6 +273,57 @@ class TestSealEval:
         assert code == 2
         assert "scheme file" in err
 
+    def test_rejects_boolean_entries(self, capsys, tmp_path, family_file):
+        doc = json.loads(family_file.read_text())
+        doc["povm"][0]["matrix"][0] = [True, False]
+        path = tmp_path / "boolean.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "seal", "eval", "--scheme", str(path))
+        assert code == 2
+        assert "scheme file: povm[0].matrix[0]" in err
+
+    def test_rejects_dim_b_above_dense_cap(self, capsys, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"M": 2, "dimA": 1, "dimB": 5000,
+                                    "promised_p": 0.9, "states": [],
+                                    "povm": []}))
+        code, _, err = run(capsys, "seal", "eval", "--scheme", str(path))
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "dimB 5000 is above the dense cap 4096" in err
+
+    def test_joint_dimension_above_dense_cap(self, capsys, tmp_path):
+        # a (x) psi_m with dim_a = 2200: joint 4400, above the 4096 cap that
+        # binds dim_b, evaluates to the metrics of the dim_a = 1 scheme
+        small = QubitSealFamily(0.75, 0.3).scheme()
+        a = np.random.default_rng(229).normal(size=2200) + 0j
+        a /= np.linalg.norm(a)
+        padded = SealScheme(2, 2200, 2, small.promised_p,
+                            tuple(PureState(np.kron(a, s.amplitudes), (2200, 2))
+                                  for s in small.joint_states),
+                            small.bob_povm)
+        tables = []
+        for name, scheme in (("small", small), ("padded", padded)):
+            path = tmp_path / f"{name}.json"
+            save_scheme(scheme, path)
+            tracemalloc.start()
+            try:
+                code, out, _ = run(capsys, "seal", "eval", "--scheme", str(path))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            # one 4400 x 4400 complex matrix alone would be 310 MB
+            assert peak < 32 * 2 ** 20
+            tables.append(parse_csv(out))
+        (header, small_rows), (_, padded_rows) = tables
+        for small_row, padded_row in zip(small_rows, padded_rows):
+            for name, x, y in zip(header, small_row, padded_row):
+                if x == "":
+                    assert y == ""
+                else:
+                    assert float(y) == pytest.approx(float(x), abs=1e-12), name
+
     def test_rejects_overclaimed_promise(self, capsys, tmp_path, family_file):
         doc = json.loads(family_file.read_text())
         doc["promised_p"] = 0.999
@@ -299,6 +355,14 @@ class TestOptions:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["verify", "gentle"],
+                                      ["seal", "eval", "--scheme", "scheme.json"]],
+                             ids=["verify gentle", "seal eval"])
+    def test_infinite_tolerance_exits_two(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--tol", "inf")
+        assert code == 2
+        assert "tolerance must be finite" in err
 
     SETTINGS = [
         (["bounds", "dist"], "--grid", "grid_points"),
@@ -337,7 +401,6 @@ class TestDeterminism:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_seal_eval_byte_identical(self, tmp_path):
-        from qseal.qubit_seal import QubitSealFamily
         scheme_path = tmp_path / "scheme.json"
         save_scheme(QubitSealFamily(0.9).scheme(), scheme_path)
         paths = [tmp_path / f"eval-{i}.csv" for i in (0, 1)]

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_scheme
+from conftest import projector_scheme, random_scheme
 from qseal.linalg import tensor_product, trace_norm
 from qseal.naive import build_message_states, dense_state, majority_projector_povm
+from qseal.qubit_seal import QubitSealFamily
 from qseal.seal import (
     SealScheme,
     coarse_cheat_state,
@@ -182,6 +185,70 @@ class TestCheatState:
                 direct = unknown_outcome_state(rho, lifted)
                 np.testing.assert_allclose(coarse_cheat_state(scheme, m).matrix,
                                            direct.matrix, atol=1e-12)
+
+
+def dense_metrics(scheme, m):
+    """(p_dist, p_nfp) of message m from the dense joint-space cheat state."""
+    rho = densify(scheme.state(m))
+    cheat = coarse_cheat_state(scheme, m)
+    p_nfp = np.trace((np.eye(rho.dim) - rho.matrix) @ cheat.matrix).real
+    return helstrom_probability(rho, cheat), float(p_nfp)
+
+
+def assert_matches_dense(scheme):
+    for m in range(1, scheme.n_messages + 1):
+        p_dist, p_nfp = dense_metrics(scheme, m)
+        assert abs(p_dist_numeric(scheme, m) - p_dist) <= 1e-12
+        assert abs(p_nfp_numeric(scheme, m) - p_nfp) <= 1e-12
+
+
+# (M, dim_a, dim_b) with M <= 4, dim_a <= 3, M <= dim_b <= 8; dim_a = 1 and
+# dim_b = M gives a joint dimension below M + 1.
+SMALL_SHAPES = st.integers(2, 4).flatmap(lambda m_count: st.tuples(
+    st.just(m_count), st.integers(1, 3), st.integers(m_count, 8)))
+
+
+class TestLowRankMetrics:
+    """The Gram-matrix metrics against the dense joint-space reference."""
+
+    @settings(max_examples=100)
+    @given(shape=SMALL_SHAPES, seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_schemes_match_dense(self, shape, seed):
+        assert_matches_dense(random_scheme(np.random.default_rng(seed), *shape))
+
+    @settings(max_examples=50)
+    @given(shape=SMALL_SHAPES, seed=st.integers(0, 2 ** 32 - 1))
+    def test_projector_schemes_match_dense(self, shape, seed):
+        assert_matches_dense(projector_scheme(np.random.default_rng(seed), *shape))
+
+    def test_joint_below_message_count_plus_one(self):
+        rng = np.random.default_rng(173)
+        for generate in (random_scheme, projector_scheme):
+            scheme = generate(rng, 4, 1, 4)
+            assert scheme.dim_a * scheme.dim_b < scheme.n_messages + 1
+            assert_matches_dense(scheme)
+
+    def test_qubit_family_grid_matches_dense(self):
+        for p in [0.55 + 0.05 * i for i in range(10)]:
+            for phi in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False):
+                assert_matches_dense(QubitSealFamily(min(p, 1.0), phi).scheme())
+
+    @pytest.mark.parametrize("defect", ["state", "povm"])
+    def test_trace_defect_is_rejected_like_the_dense_path(self, defect):
+        # Inside the state-norm and POVM-sum tolerances, yet one of the two
+        # density matrices has trace 1 +- more than 1e-10.
+        norm = 1.0 + 0.9e-10 if defect == "state" else 1.0
+        f1 = np.diag([1.0 + (0.9e-9 if defect == "povm" else 0.0), 0.0])
+        scheme = SealScheme(
+            2, 1, 2, 0.9,
+            (PureState(np.array([norm, 0.0]), (1, 2)),
+             PureState(np.array([0.0, 1.0]), (1, 2))),
+            Povm((((1, 1), f1), ((2, 1), np.diag([0.0, 1.0])))))
+        with pytest.raises(ValueError, match="trace"):
+            dense_metrics(scheme, 1)
+        for metric in (p_dist_numeric, p_nfp_numeric):
+            with pytest.raises(ValueError, match="trace"):
+                metric(scheme, 1)
 
 
 class TestPDist:
