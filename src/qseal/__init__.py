@@ -2,8 +2,8 @@
 
 from .gentle import (GentleInstance, GentleReport, classic_bound,
                      random_instance, unknown_outcome_bound, verify_instance)
-from .linalg import (CapacityError, EigenDecomposition, hermitian_eigendecomp,
-                     matrix_sqrt_psd, partial_trace, tensor_product, trace_norm)
+from .linalg import (CapacityError, matrix_sqrt_psd, partial_trace,
+                     tensor_product, trace_norm)
 from .naive import (AttackResult, ProductState, build_message_states,
                     dense_state, majority_projector_povm, mean_fidelity_exact,
                     simulate_qubitwise_attack, verify_nondisturbing)
@@ -17,7 +17,7 @@ from .seal import (DetectionReport, MessageDetection, SealScheme,
                    save_scheme)
 from .states import (DensityMatrix, MeasurementOutcome, Povm, PureState,
                      coarse_grain, densify, helstrom_probability,
-                     measure_probabilities, sample_outcome,
-                     standard_implementation, unknown_outcome_state)
+                     measure_probabilities, standard_implementation,
+                     unknown_outcome_state)
 
 __version__ = "0.1.0"

@@ -31,10 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gentle, naive, qubit_seal, seal
-from .linalg import CapacityError
 from .rng import derive_rng
 
 _POPULATE_TOL = 1e-12
+# Largest --grid accepted; bounds the sweep's arrays and its Python loop.
+MAX_GRID_POINTS = 100_001
 _ACHIEVE_NOTE = ("note: p_dist_lower_paper and p_dist_lower_numeric follow "
                  "different trace-norm conventions; both are reported, "
                  "neither is asserted equal to the other")
@@ -57,8 +58,9 @@ class RunConfig:
                 f"tolerance must be finite and positive, got {self.tolerance}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if self.grid_points < 2:
-            raise ValueError(f"grid must have at least 2 points, got {self.grid_points}")
+        if not 2 <= self.grid_points <= MAX_GRID_POINTS:
+            raise ValueError(f"grid must have 2 to {MAX_GRID_POINTS} points, "
+                             f"got {self.grid_points}")
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "tolerance", float(self.tolerance))
         object.__setattr__(self, "trials", int(self.trials))
@@ -198,10 +200,7 @@ def cmd_simulate_naive(config: RunConfig, q: int) -> CsvTable:
     sigma = derive_rng(config.seed, "simulate-naive", q, "sigma")
     tau = derive_rng(config.seed, "simulate-naive", q, "tau")
     state_one, state_two = naive.build_message_states(q, sigma, tau)
-    try:
-        nondisturbing = naive.states_nondisturbing(state_one, state_two)
-    except CapacityError:  # too large for the dense check: left blank
-        nondisturbing = None
+    nondisturbing = naive.states_nondisturbing(state_one, state_two)
     exact = naive.mean_fidelity_exact(q)
     rows = []
     for state in (state_one, state_two):
@@ -223,8 +222,7 @@ def cmd_simulate_achieve(config: RunConfig, p: float) -> tuple:
     returned_two = family.returned_state(2).matrix
     row = [
         family.p,
-        seal.promise_probability(scheme, 1),
-        seal.promise_probability(scheme, 2),
+        *scheme.read_probabilities,
         returned_one[0, 0].real, returned_one[1, 1].real,
         returned_two[0, 0].real, returned_two[1, 1].real,
         qubit_seal.p_dist_lower_paper(family.p),

@@ -9,8 +9,6 @@ clamped to zero only when they sit inside ``-PSD_TOL``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Max |m - m^dag| entry admitted before a matrix is rejected as non-Hermitian.
@@ -93,29 +91,6 @@ def partial_trace(m, dims: tuple[int, int], traced: str) -> np.ndarray:
     if traced == "B":
         return np.einsum("abcb->ac", t)
     raise ValueError(f"traced must be 'A' or 'B', got {traced!r}")
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral decomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; column k of ``eigenvectors``
-    pairs with ``eigenvalues[k]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def hermitian_eigendecomp(m) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix (ascending eigenvalues)."""
-    m = require_hermitian(as_complex_matrix(m, "m"), "m")
-    vals, vecs = np.linalg.eigh(m)
-    return EigenDecomposition(vals, vecs)
 
 
 def clamp_psd_spectrum(vals: np.ndarray, name: str = "matrix") -> np.ndarray:

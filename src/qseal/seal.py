@@ -33,7 +33,7 @@ package; pick your own weighting from ``per_message`` if you need one).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -55,7 +55,11 @@ def clamp_promise(p: float, n_messages: int) -> float:
 
 @dataclass(frozen=True)
 class SealScheme:
-    """M joint states plus Bob's pair-labelled POVM and the promise level."""
+    """M joint states plus Bob's pair-labelled POVM and the promise level.
+
+    ``read_probabilities[m - 1]`` is ``promise_probability(self, m)``, taken
+    once while the promise is checked.
+    """
 
     n_messages: int
     dim_a: int
@@ -63,6 +67,7 @@ class SealScheme:
     promised_p: float
     joint_states: tuple
     bob_povm: Povm
+    read_probabilities: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m_count = int(self.n_messages)
@@ -96,12 +101,13 @@ class SealScheme:
         object.__setattr__(self, "dim_b", dim_b)
         object.__setattr__(self, "promised_p", p)
         object.__setattr__(self, "joint_states", anchored)
-        for m in range(1, m_count + 1):
-            realized = promise_probability(self, m)
-            if realized < p - PROMISE_TOL:
+        realized = tuple(promise_probability(self, m) for m in range(1, m_count + 1))
+        for m, value in enumerate(realized, 1):
+            if value < p - PROMISE_TOL:
                 raise ValueError(
                     f"promise violated for message {m}: read probability "
-                    f"{realized!r} < promised_p {p!r}")
+                    f"{value!r} < promised_p {p!r}")
+        object.__setattr__(self, "read_probabilities", realized)
 
     def state(self, m: int) -> PureState:
         if not 1 <= m <= self.n_messages:
@@ -183,14 +189,21 @@ def _cheat_gram(scheme: SealScheme, m: int) -> np.ndarray:
     return gram
 
 
-def p_dist_numeric(scheme: SealScheme, m: int) -> float:
-    """Helstrom probability of telling the cheat state from |psi_m>:
-    1/2 + ||W C W^dag||_1 / 4, where ||W C W^dag||_1 = ||G^1/2 C G^1/2||_1."""
-    gram = _cheat_gram(scheme, m)
+def _p_dist_from_gram(gram: np.ndarray) -> float:
     root = linalg.matrix_sqrt_psd(gram)
     signs = -np.ones(len(gram))
     signs[0] = 1.0
     return 0.5 + linalg.trace_norm(root @ (signs[:, None] * root)) / 4.0
+
+
+def _p_nfp_from_gram(gram: np.ndarray) -> float:
+    return clamp_probability(1.0 - float(np.sum(np.abs(gram[0, 1:]) ** 2)))
+
+
+def p_dist_numeric(scheme: SealScheme, m: int) -> float:
+    """Helstrom probability of telling the cheat state from |psi_m>:
+    1/2 + ||W C W^dag||_1 / 4, where ||W C W^dag||_1 = ||G^1/2 C G^1/2||_1."""
+    return _p_dist_from_gram(_cheat_gram(scheme, m))
 
 
 def p_dist_upper_bound(p: float) -> float:
@@ -208,8 +221,7 @@ def p_dist_upper_bound(p: float) -> float:
 def p_nfp_numeric(scheme: SealScheme, m: int) -> float:
     """Probability the cheat state fails Alice's rank-one test for |psi_m>:
     1 - sum_i |<psi_m| I (x) sqrt(F_i) |psi_m>|^2 = 1 - sum_i |G_0i|^2."""
-    overlaps = _cheat_gram(scheme, m)[0, 1:]
-    return clamp_probability(1.0 - float(np.sum(np.abs(overlaps) ** 2)))
+    return _p_nfp_from_gram(_cheat_gram(scheme, m))
 
 
 def p_nfp_upper_bound(p: float, n_messages: int) -> float:
@@ -267,19 +279,19 @@ def evaluate_scheme(scheme: SealScheme) -> DetectionReport:
 
     Upper bounds are evaluated at each message's realized read probability
     (never below the scheme-wide promise), which is the tightest level the
-    bounds are valid at.
+    bounds are valid at.  Both metrics of a message come from one Gram matrix.
     """
     rows = []
-    for m in range(1, scheme.n_messages + 1):
-        q = promise_probability(scheme, m)
+    for m, q in enumerate(scheme.read_probabilities, 1):
+        gram = _cheat_gram(scheme, m)
         raw = p_dist_upper_bound(q)
         rows.append(MessageDetection(
             message=m,
             promise_probability=q,
-            p_dist_numeric=p_dist_numeric(scheme, m),
+            p_dist_numeric=_p_dist_from_gram(gram),
             p_dist_upper=clamp_probability(raw),
             p_dist_upper_raw=raw,
-            p_nfp_numeric=p_nfp_numeric(scheme, m),
+            p_nfp_numeric=_p_nfp_from_gram(gram),
             p_nfp_upper=p_nfp_upper_bound(clamp_promise(q, scheme.n_messages),
                                           scheme.n_messages),
         ))

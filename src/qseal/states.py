@@ -280,21 +280,3 @@ def helstrom_probability(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     return 0.5 + linalg.trace_norm(rho.matrix - sigma.matrix) / 4.0
 
-
-def sample_outcome(rho: DensityMatrix, povm: Povm, rng: np.random.Generator,
-                   size: int | None = None):
-    """Draw outcome labels by inverse CDF over the canonical label order.
-
-    Callers pass an explicit ``numpy.random.Generator``; for parallel use,
-    derive one independent stream per batch (see ``qseal.rng.derive_rng``)
-    rather than sharing a generator across workers.
-    """
-    probs = measure_probabilities(rho, povm)
-    cdf = np.cumsum(probs)
-    u = rng.random() if size is None else rng.random(size)
-    idx = np.searchsorted(cdf, u * cdf[-1], side="right")
-    idx = np.minimum(idx, len(probs) - 1)
-    labels = povm.labels
-    if size is None:
-        return labels[int(idx)]
-    return [labels[int(k)] for k in np.atleast_1d(idx)]

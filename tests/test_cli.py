@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_scheme
-from qseal.cli import RunConfig, format_cell, main
+from qseal.cli import MAX_GRID_POINTS, RunConfig, format_cell, main
 from qseal.qubit_seal import QubitSealFamily
 from qseal.seal import SealScheme, save_scheme
 from qseal.states import PureState
@@ -38,8 +38,9 @@ class TestRunConfig:
                 RunConfig(seed=0, tolerance=tolerance)
         with pytest.raises(ValueError):
             RunConfig(seed=0, trials=0)
-        with pytest.raises(ValueError):
-            RunConfig(seed=0, grid_points=1)
+        for grid_points in (1, MAX_GRID_POINTS + 1):
+            with pytest.raises(ValueError):
+                RunConfig(seed=0, grid_points=grid_points)
 
 
 class TestFormatting:
@@ -174,17 +175,26 @@ class TestSimulateNaive:
             assert float(row[5]) == pytest.approx(1.0 - float(row[3]), abs=1e-15)
 
     def test_exact_value_at_q4(self, capsys):
-        code, out, _ = run(capsys, "simulate", "naive", "--q", "4",
-                           "--trials", "100")
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "simulate", "naive", "--q", "4",
+                               "--trials", "100")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # one 4096 x 4096 complex projector alone would be 268 MB
+        assert peak < 32 * 2 ** 20
         _, rows = parse_csv(out)
         assert float(rows[0][4]) == 0.31640625  # (3/4)^4 exactly
+        assert all(row[2] == "true" for row in rows)
 
-    def test_dense_check_skipped_above_capacity(self, capsys):
+    def test_nondisturbing_reported_above_dense_capacity(self, capsys):
         code, out, _ = run(capsys, "simulate", "naive", "--q", "5",
                            "--trials", "100")
         assert code == 0
         _, rows = parse_csv(out)
-        assert all(row[2] == "" for row in rows)
+        assert all(row[2] == "true" for row in rows)
 
     def test_rejects_bad_q(self, capsys):
         code, _, err = run(capsys, "simulate", "naive", "--q", "0")
@@ -363,6 +373,15 @@ class TestOptions:
         code, _, err = run(capsys, *argv, "--tol", "inf")
         assert code == 2
         assert "tolerance must be finite" in err
+
+    @pytest.mark.parametrize("argv", [["bounds", "dist"], ["bounds", "nfp"]],
+                             ids=["bounds dist", "bounds nfp"])
+    def test_grid_above_cap_exits_two(self, capsys, argv):
+        # rejected before any sweep array is allocated
+        code, out, err = run(capsys, *argv, "--grid", "100002")
+        assert code == 2
+        assert out == ""
+        assert err == "error: grid must have 2 to 100001 points, got 100002\n"
 
     SETTINGS = [
         (["bounds", "dist"], "--grid", "grid_points"),

@@ -5,7 +5,6 @@ from conftest import random_density_matrix, random_unitary
 from qseal.linalg import (
     CapacityError,
     MAX_DENSE_DIM,
-    hermitian_eigendecomp,
     matrix_sqrt_psd,
     partial_trace,
     tensor_product,
@@ -121,39 +120,6 @@ class TestPartialTrace:
             partial_trace(np.eye(4), (2, 2), "C")
 
 
-class TestEigendecomp:
-    def test_diagonal_sorted_ascending(self):
-        dec = hermitian_eigendecomp(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(dec.eigenvalues, [1.0, 3.0])
-
-    def test_pauli_x_spectrum(self):
-        sx = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-        dec = hermitian_eigendecomp(sx)
-        np.testing.assert_allclose(dec.eigenvalues, [-1.0, 1.0], atol=1e-15)
-        np.testing.assert_allclose(dec.reconstruct(), sx, atol=1e-14)
-
-    @pytest.mark.parametrize("dim", [2, 3, 8, 16])
-    def test_reconstruct_and_orthonormal(self, dim):
-        rng = np.random.default_rng(100 + dim)
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h = (g + g.conj().T) / 2.0
-        dec = hermitian_eigendecomp(h)
-        np.testing.assert_allclose(dec.reconstruct(), h, atol=1e-10)
-        gram = dec.eigenvectors.conj().T @ dec.eigenvectors
-        np.testing.assert_allclose(gram, np.eye(dim), atol=1e-10)
-        assert np.all(np.diff(dec.eigenvalues) >= -1e-15)
-
-    def test_rejects_clearly_nonhermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eigendecomp(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_symmetrizes_tiny_defect(self):
-        m = np.diag([1.0, 2.0]).astype(np.complex128)
-        m[0, 1] = 1e-12j  # below the hermiticity tolerance
-        dec = hermitian_eigendecomp(m)
-        np.testing.assert_allclose(dec.eigenvalues, [1.0, 2.0], atol=1e-11)
-
-
 class TestMatrixSqrt:
     def test_identity_and_diagonal(self):
         assert np.array_equal(matrix_sqrt_psd(np.eye(3)), np.eye(3))
@@ -183,6 +149,17 @@ class TestMatrixSqrt:
             matrix_sqrt_psd(np.diag([1.0, -1e-9]))
         with pytest.raises(ValueError):
             matrix_sqrt_psd(np.diag([1.0, -1.0]))
+
+    def test_rejects_clearly_nonhermitian(self):
+        with pytest.raises(ValueError):
+            matrix_sqrt_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_symmetrizes_tiny_defect(self):
+        m = np.diag([1.0, 4.0]).astype(np.complex128)
+        m[0, 1] = 1e-12j  # below the hermiticity tolerance
+        root = matrix_sqrt_psd(m)
+        np.testing.assert_allclose(root, root.conj().T, atol=1e-15)
+        np.testing.assert_allclose(root, np.diag([1.0, 2.0]), atol=1e-11)
 
 
 class TestTraceNorm:

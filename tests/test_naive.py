@@ -126,20 +126,31 @@ class TestMajorityProjector:
         assert np.max(np.abs(complement @ vec - vec)) > 0.1
 
 
+def dense_fixed(state, povm):
+    """Oracle: the message's dense projector leaves the dense ket unchanged."""
+    vec = dense_state(state).amplitudes
+    return np.max(np.abs(povm.element(state.message) @ vec - vec)) <= 1e-10
+
+
 class TestNondisturbing:
     def test_exhaustive_q1(self):
+        povm = majority_projector_povm(1)
         for perm1 in itertools.permutations(range(3)):
             s1 = ProductState(1, (ZERO, ZERO, PLUS), perm1)
             for perm2 in itertools.permutations(range(3)):
                 s2 = ProductState(1, (ONE, ONE, PLUS), perm2)
+                assert dense_fixed(s1, povm) and dense_fixed(s2, povm)
                 assert states_nondisturbing(s1, s2)
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_random_seed_pairs(self, q):
+        povm = majority_projector_povm(q)
         rng = np.random.default_rng(173 + q)
         for _ in range(10):
-            sigma, tau = rng.integers(0, 2 ** 31, size=2)
-            assert verify_nondisturbing(q, int(sigma), int(tau))
+            sigma, tau = (int(x) for x in rng.integers(0, 2 ** 31, size=2))
+            s1, s2 = build_message_states(q, sigma, tau)
+            assert dense_fixed(s1, povm) and dense_fixed(s2, povm)
+            assert verify_nondisturbing(q, sigma, tau)
 
     def test_rejects_mismatched_pair(self):
         with pytest.raises(ValueError):

@@ -399,6 +399,17 @@ class TestEvaluate:
             assert getattr(report, field) == pytest.approx(np.mean(rows),
                                                            abs=1e-15)
 
+    def test_rows_repeat_the_per_message_functions(self):
+        # values evaluate_scheme reuses must be the ones each function gives
+        rng = np.random.default_rng(157)
+        scheme = random_scheme(rng, 3, 2, 4)
+        for row in evaluate_scheme(scheme).per_message:
+            m = row.message
+            assert row.promise_probability == promise_probability(scheme, m)
+            assert row.p_dist_numeric == p_dist_numeric(scheme, m)
+            assert row.p_nfp_numeric == p_nfp_numeric(scheme, m)
+        assert len(set(scheme.read_probabilities)) == 3
+
     def test_reported_bounds_are_clamped(self):
         rng = np.random.default_rng(151)
         scheme = random_scheme(rng, 2, 1, 4)

@@ -10,7 +10,6 @@ from qseal.states import (
     densify,
     helstrom_probability,
     measure_probabilities,
-    sample_outcome,
     standard_implementation,
     unknown_outcome_state,
 )
@@ -278,33 +277,3 @@ class TestHelstrom:
         with pytest.raises(ValueError):
             helstrom_probability(z_diag(0.5), DensityMatrix(np.eye(3) / 3.0))
 
-
-class TestSampling:
-    def test_deterministic_state(self):
-        rng = np.random.default_rng(71)
-        rho = DensityMatrix(np.diag([1.0, 0.0]))
-        labels = [sample_outcome(rho, standard_basis_povm(), rng)
-                  for _ in range(50)]
-        assert set(labels) == {0}
-
-    def test_frequencies_track_born_rule(self):
-        rng = np.random.default_rng(73)
-        draws = sample_outcome(z_diag(0.3), standard_basis_povm(), rng,
-                               size=100_000)
-        freq = np.mean(np.asarray(draws) == 0)
-        assert abs(freq - 0.3) < 0.01
-
-    def test_seed_replay(self):
-        rho = z_diag(0.42)
-        povm = standard_basis_povm()
-        a = sample_outcome(rho, povm, np.random.default_rng(99), size=200)
-        b = sample_outcome(rho, povm, np.random.default_rng(99), size=200)
-        assert list(a) == list(b)
-
-    def test_pair_labels_come_back_intact(self):
-        rng = np.random.default_rng(79)
-        eye = np.eye(2, dtype=np.complex128)
-        povm = Povm((((1, 1), np.outer(eye[:, 0], eye[:, 0])),
-                     ((2, 1), np.outer(eye[:, 1], eye[:, 1]))))
-        label = sample_outcome(z_diag(1.0), povm, rng)
-        assert label == (1, 1)
