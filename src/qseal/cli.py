@@ -36,6 +36,8 @@ from .rng import derive_rng
 _POPULATE_TOL = 1e-12
 # Largest --grid accepted; bounds the sweep's arrays and its Python loop.
 MAX_GRID_POINTS = 100_001
+# Largest --q accepted; 0.75**q is still a normal float there.
+MAX_Q = 1_000
 _ACHIEVE_NOTE = ("note: p_dist_lower_paper and p_dist_lower_numeric follow "
                  "different trace-norm conventions; both are reported, "
                  "neither is asserted equal to the other")
@@ -195,8 +197,8 @@ def cmd_verify_gentle(config: RunConfig, dim: int, n_outcomes: int,
 
 def cmd_simulate_naive(config: RunConfig, q: int) -> CsvTable:
     """Non-disturbance of the projector read plus the repair-attack Monte Carlo."""
-    if q < 1:
-        raise ValueError(f"q must be at least 1, got {q}")
+    if not 1 <= q <= MAX_Q:
+        raise ValueError(f"q must lie in 1 to {MAX_Q}, got {q}")
     sigma = derive_rng(config.seed, "simulate-naive", q, "sigma")
     tau = derive_rng(config.seed, "simulate-naive", q, "tau")
     state_one, state_two = naive.build_message_states(q, sigma, tau)
@@ -324,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = group("simulate", "protocol simulations")
     _add_command(simulate, "naive", "permuted product-state protocol",
                  cmd_simulate_naive, settings=["trials"], arguments=[
-                     ("q", dict(type=int, default=2, help="padding registers per message"))])
+                     ("q", dict(type=int, default=2,
+                                help=f"padding registers per message (1 to {MAX_Q})"))])
     _add_command(simulate, "achieve", "two-message qubit family",
                  cmd_simulate_achieve, arguments=[
                      ("p", dict(type=float, default=0.75,

@@ -13,6 +13,8 @@ Neither hope survives:
   register, costing fidelity 1/2; k such "false zeros" leave fidelity
   (1/2)^k, for a mean of (3/4)^q.  Alice's detection probability is stuck
   at 1 - (3/4)^q per trial no matter what the permutation was.
+  ``simulate_qubitwise_attack`` samples this in fixed-size chunks and keeps
+  only a histogram, so its memory does not depend on the trial count.
 * Better: the two-outcome projector measurement {strings with more zeros
   than 3q/2, rest} reads the message with certainty and does not disturb
   either message state at all (``verify_nondisturbing``).
@@ -31,6 +33,10 @@ from .linalg import MAX_DENSE_DIM, CapacityError
 from .states import Povm, PureState
 
 ZERO, ONE, PLUS = "zero", "one", "plus"
+
+# Bits drawn per chunk of the attack Monte Carlo (rounded down to whole
+# trials, a multiple of 4 bits).
+_CHUNK_DRAWS = 1 << 20
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _AMPLITUDES = {
@@ -211,23 +217,41 @@ def simulate_qubitwise_attack(state: ProductState, trials: int,
     their own bit), so each trial draws q fair bits; the repaired state's
     fidelity with the original is (1/2)^k where k counts padding registers
     that collapsed onto the data bit.
+
+    Trials are drawn in chunks of ``rows`` trials, about ``_CHUNK_DRAWS``
+    bits, and only a (q+1)-bin histogram of the ones per trial is kept, so
+    memory does not depend on ``trials``.  numpy draws bounded uint8 values
+    four to a 32-bit word and ``rows * q`` is a multiple of 4, so the chunks
+    consume exactly the bits one ``(trials, q)`` draw would: the result does
+    not depend on the chunk size.  The mean is the histogram's exact
+    rational value, correctly rounded.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    bits = rng.integers(0, 2, size=(trials, state.q), dtype=np.uint8)
-    if state.message == 1:
-        false_data = np.sum(bits == 0, axis=1)  # padding read as 0
-        zero_counts = 2 * state.q + false_data
-    else:
-        false_data = np.sum(bits == 1, axis=1)  # padding read as 1
-        zero_counts = state.q - false_data
-    fidelities = 0.5 ** false_data.astype(np.float64)
-    histogram = {int(value): int(count)
-                 for value, count in zip(*np.unique(zero_counts, return_counts=True))}
-    mean = float(fidelities.mean())
+    q, trials = state.q, int(trials)
+    rows = max(4, (_CHUNK_DRAWS // q) // 4 * 4)
+    ones_histogram = np.zeros(q + 1, dtype=np.int64)
+    remaining = trials
+    while remaining:
+        size = min(rows, remaining)
+        bits = rng.integers(0, 2, size=(size, q), dtype=np.uint8)
+        ones = np.zeros(size, dtype=np.min_scalar_type(q))
+        for column in bits.T:  # np.sum(axis=1) is slow on narrow rows
+            ones += column
+        ones_histogram += np.bincount(ones, minlength=q + 1)
+        remaining -= size
+    counts = ones_histogram.tolist()  # counts[j]: trials with j ones
+    if state.message == 1:  # padding that read 0 passes for data
+        data_zeros, by_false_data = 2 * q, counts[::-1]
+    else:  # padding that read 1 passes for data
+        data_zeros, by_false_data = 0, counts
+    numerator = sum(count << (q - k) for k, count in enumerate(by_false_data))
+    mean = numerator / (trials << q)
+    histogram = {data_zeros + q - j: counts[j]
+                 for j in range(q, -1, -1) if counts[j]}
     return AttackResult(
         message=state.message,
-        trials=int(trials),
+        trials=trials,
         mean_fidelity=mean,
         detection_probability=1.0 - mean,
         zero_count_histogram=histogram,

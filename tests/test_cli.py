@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_scheme
-from qseal.cli import MAX_GRID_POINTS, RunConfig, format_cell, main
+from qseal.cli import MAX_GRID_POINTS, MAX_Q, RunConfig, format_cell, main
 from qseal.qubit_seal import QubitSealFamily
 from qseal.seal import SealScheme, save_scheme
 from qseal.states import PureState
@@ -189,6 +189,21 @@ class TestSimulateNaive:
         assert float(rows[0][4]) == 0.31640625  # (3/4)^4 exactly
         assert all(row[2] == "true" for row in rows)
 
+    def test_memory_does_not_grow_with_trials(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "simulate", "naive", "--q", "2",
+                               "--trials", "8000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # an all-at-once draw needs about 38 B per trial, 300 MB here
+        assert peak < 32 * 2 ** 20
+        _, rows = parse_csv(out)
+        sigma = ((0.625 ** 2 - 0.5625 ** 2) / 8_000_000) ** 0.5
+        assert all(abs(float(row[3]) - 0.5625) < 5.0 * sigma for row in rows)
+
     def test_nondisturbing_reported_above_dense_capacity(self, capsys):
         code, out, _ = run(capsys, "simulate", "naive", "--q", "5",
                            "--trials", "100")
@@ -199,6 +214,21 @@ class TestSimulateNaive:
     def test_rejects_bad_q(self, capsys):
         code, _, err = run(capsys, "simulate", "naive", "--q", "0")
         assert code == 2
+
+    def test_largest_q(self, capsys):
+        code, out, _ = run(capsys, "simulate", "naive", "--q", str(MAX_Q),
+                           "--trials", "1")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [row[:3] for row in rows] == [[str(MAX_Q), "1", "true"],
+                                             [str(MAX_Q), "2", "true"]]
+
+    def test_q_above_cap_exits_two(self, capsys):
+        # rejected before the 3q-register permutations are drawn
+        code, out, err = run(capsys, "simulate", "naive", "--q", str(MAX_Q + 1))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: q must lie in 1 to {MAX_Q}, got {MAX_Q + 1}\n"
 
 
 class TestSimulateAchieve:

@@ -1,9 +1,11 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qseal import naive
 from qseal.linalg import CapacityError
 from qseal.naive import (
     ONE,
@@ -250,3 +252,62 @@ class TestAttack:
                                       np.random.default_rng(1))
         with pytest.raises(ValueError):
             mean_fidelity_exact(0)
+
+
+def all_at_once_attack(state, trials, rng):
+    """Oracle: one (trials, q) draw, per-trial fidelities and np.unique."""
+    bits = rng.integers(0, 2, size=(trials, state.q), dtype=np.uint8)
+    if state.message == 1:
+        false_data = np.sum(bits == 0, axis=1)  # padding read as 0
+        zero_counts = 2 * state.q + false_data
+    else:
+        false_data = np.sum(bits == 1, axis=1)  # padding read as 1
+        zero_counts = state.q - false_data
+    fidelities = 0.5 ** false_data.astype(np.float64)
+    histogram = {int(value): int(count)
+                 for value, count in zip(*np.unique(zero_counts, return_counts=True))}
+    mean = float(fidelities.mean())
+    return mean, 1.0 - mean, histogram
+
+
+def assert_matches_oracle(state, trials, seed):
+    result = simulate_qubitwise_attack(state, trials, np.random.default_rng(seed))
+    mean, detection, histogram = all_at_once_attack(
+        state, trials, np.random.default_rng(seed))
+    assert result.trials == trials
+    assert result.mean_fidelity == mean
+    assert result.detection_probability == detection
+    assert result.zero_count_histogram == histogram
+    assert list(result.zero_count_histogram) == list(histogram)  # ascending keys
+
+
+class TestStreamedAttack:
+    """The chunked histogram equals the all-at-once draw bit for bit."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("message", [1, 2])
+    def test_chunk_edges_match_oracle(self, monkeypatch, q, message):
+        monkeypatch.setattr(naive, "_CHUNK_DRAWS", 64)
+        rows = max(4, (64 // q) // 4 * 4)
+        state = identity_state(q, message)
+        for trials in (1, rows - 1, rows, rows + 1, 3 * rows + 3, 5000):
+            assert_matches_oracle(state, trials, 211 + trials)
+
+    @pytest.mark.parametrize("message", [1, 2])
+    def test_several_default_chunks(self, message):
+        assert_matches_oracle(identity_state(1, message), 2 ** 20 + 3, 227)
+
+    @pytest.mark.parametrize("message", [1, 2])
+    def test_mean_is_the_correctly_rounded_histogram_value(self, message):
+        # about q/2 = 300 ones per trial overflow a uint8 counter, and with
+        # trials * 2^q above 2^53 a float sum of 2^-k terms is not exact
+        q, trials = 600, 20_000
+        state = identity_state(q, message)
+        result = simulate_qubitwise_attack(state, trials, np.random.default_rng(229))
+        _, _, histogram = all_at_once_attack(state, trials, np.random.default_rng(229))
+        assert result.zero_count_histogram == histogram
+        data_zeros = 2 * q if message == 1 else q  # zero count at k = 0
+        exact = sum(Fraction(count, 2 ** abs(zeros - data_zeros))
+                    for zeros, count in histogram.items()) / trials
+        assert result.mean_fidelity == float(exact)
+        assert result.detection_probability == 1.0 - float(exact)
