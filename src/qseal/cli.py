@@ -38,6 +38,9 @@ _POPULATE_TOL = 1e-12
 MAX_GRID_POINTS = 100_001
 # Largest --q accepted; 0.75**q is still a normal float there.
 MAX_Q = 1_000
+# Defaults of --grid (both bounds commands) and --M (bounds nfp).
+DEFAULT_GRID = 101
+DEFAULT_M = (2, 4, 16, 256)
 _ACHIEVE_NOTE = ("note: p_dist_lower_paper and p_dist_lower_numeric follow "
                  "different trace-norm conventions; both are reported, "
                  "neither is asserted equal to the other")
@@ -47,26 +50,22 @@ _ACHIEVE_NOTE = ("note: p_dist_lower_paper and p_dist_lower_numeric follow "
 class RunConfig:
     seed: int = 0
     output_path: str | None = None
-    tolerance: float = 1e-9
-    trials: int = 100_000
-    grid_points: int = 101
 
     def __post_init__(self):
         seed = int(self.seed)
         if not 0 <= seed < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError(
-                f"tolerance must be finite and positive, got {self.tolerance}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if not 2 <= self.grid_points <= MAX_GRID_POINTS:
-            raise ValueError(f"grid must have 2 to {MAX_GRID_POINTS} points, "
-                             f"got {self.grid_points}")
         object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "tolerance", float(self.tolerance))
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "grid_points", int(self.grid_points))
+
+
+def _require_grid(points: int) -> None:
+    if not 2 <= points <= MAX_GRID_POINTS:
+        raise ValueError(f"grid must have 2 to {MAX_GRID_POINTS} points, got {points}")
+
+
+def _require_tolerance(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
 
 def format_cell(value) -> str:
@@ -109,10 +108,11 @@ def _emit(table: CsvTable, config: RunConfig, summary_lines: list) -> None:
         print(line, file=summary_file)
 
 
-def cmd_bounds_fig1(config: RunConfig) -> CsvTable:
+def cmd_bounds_fig1(config: RunConfig, grid: int = DEFAULT_GRID) -> CsvTable:
     """Distinguishability cap and both detection floors over p in [0.5, 1]."""
+    _require_grid(grid)
     rows = []
-    for raw_p in np.linspace(0.5, 1.0, config.grid_points):
+    for raw_p in np.linspace(0.5, 1.0, grid):
         p = min(max(float(raw_p), 0.5), 1.0)
         rows.append([
             p,
@@ -124,14 +124,15 @@ def cmd_bounds_fig1(config: RunConfig) -> CsvTable:
         ["p", "p_dist_upper", "p_dist_lower_paper", "p_dist_lower_numeric"], rows)
 
 
-def cmd_bounds_fig2(config: RunConfig, m_list) -> CsvTable:
+def cmd_bounds_fig2(config: RunConfig, m_list=None, grid: int = DEFAULT_GRID) -> CsvTable:
     """False-negative cap over p in [0, 1]; blank where p < 1/M."""
-    ms = list(dict.fromkeys(int(m) for m in m_list))
+    _require_grid(grid)
+    ms = list(dict.fromkeys(int(m) for m in m_list or DEFAULT_M))
     too_small = [m for m in ms if m < 2]
     if too_small:
         raise ValueError(f"every M must be at least 2, got {too_small[0]}")
     rows = []
-    for raw_p in np.linspace(0.0, 1.0, config.grid_points):
+    for raw_p in np.linspace(0.0, 1.0, grid):
         p = seal.clamp_probability(raw_p)
         row = [p]
         for m in ms:
@@ -154,16 +155,17 @@ def _serialize_instance(instance: gentle.GentleInstance) -> str:
     })
 
 
-def cmd_verify_gentle(config: RunConfig, dim: int, n_outcomes: int,
+def cmd_verify_gentle(config: RunConfig, tol: float, dim: int, outcomes: int,
                       instances: int) -> tuple:
     """Randomized sweep of both disturbance inequalities.
 
     Returns (table, summary_lines, exit_code); exit code 1 when any instance
-    violates either bound beyond config.tolerance.
+    violates either bound beyond ``tol``.
     """
+    _require_tolerance(tol)
     if instances < 0:
         raise ValueError(f"instances must be non-negative, got {instances}")
-    rng = derive_rng(config.seed, "verify-gentle", dim, n_outcomes, instances)
+    rng = derive_rng(config.seed, "verify-gentle", dim, outcomes, instances)
     header = ["instance", "epsilon_target", "epsilon",
               "lhs_classic", "bound_classic", "slack_classic",
               "lhs_unknown", "bound_unknown", "slack_unknown", "satisfied"]
@@ -172,8 +174,7 @@ def cmd_verify_gentle(config: RunConfig, dim: int, n_outcomes: int,
     first_offender = None
     slacks = []
     for index, (target, instance, report) in enumerate(
-            gentle.sweep_instances(dim, n_outcomes, instances, rng,
-                                   config.tolerance)):
+            gentle.sweep_instances(dim, outcomes, instances, rng, tol)):
         slack_classic = report.bound_classic - report.lhs_classic
         slack_unknown = report.bound_unknown - report.lhs_unknown
         ok = report.satisfied_classic and report.satisfied_unknown
@@ -186,7 +187,7 @@ def cmd_verify_gentle(config: RunConfig, dim: int, n_outcomes: int,
                      report.lhs_classic, report.bound_classic, slack_classic,
                      report.lhs_unknown, report.bound_unknown, slack_unknown, ok])
     summary = [
-        f"instances={instances} dim={dim} outcomes={n_outcomes} violations={violations}",
+        f"instances={instances} dim={dim} outcomes={outcomes} violations={violations}",
         ("slack min=" + format_cell(min(slacks)) + " max=" + format_cell(max(slacks)))
         if slacks else "slack min= max=",
     ]
@@ -195,7 +196,7 @@ def cmd_verify_gentle(config: RunConfig, dim: int, n_outcomes: int,
     return CsvTable(header, rows), summary, (1 if violations else 0)
 
 
-def cmd_simulate_naive(config: RunConfig, q: int) -> CsvTable:
+def cmd_simulate_naive(config: RunConfig, trials: int, q: int) -> CsvTable:
     """Non-disturbance of the projector read plus the repair-attack Monte Carlo."""
     if not 1 <= q <= MAX_Q:
         raise ValueError(f"q must lie in 1 to {MAX_Q}, got {q}")
@@ -208,7 +209,7 @@ def cmd_simulate_naive(config: RunConfig, q: int) -> CsvTable:
     for state in (state_one, state_two):
         attack_rng = derive_rng(config.seed, "simulate-naive", q,
                                 "attack", state.message)
-        result = naive.simulate_qubitwise_attack(state, config.trials, attack_rng)
+        result = naive.simulate_qubitwise_attack(state, trials, attack_rng)
         rows.append([q, state.message, nondisturbing, result.mean_fidelity,
                      exact, result.detection_probability])
     return CsvTable(["q", "message", "nondisturbing", "mean_fidelity",
@@ -239,8 +240,9 @@ def cmd_simulate_achieve(config: RunConfig, p: float) -> tuple:
         [row]), [_ACHIEVE_NOTE], 0
 
 
-def cmd_seal_eval(config: RunConfig, scheme_path: str) -> tuple:
+def cmd_seal_eval(config: RunConfig, tol: float, scheme_path: str) -> tuple:
     """Detection metrics of a scheme file; exit 1 if a bound is violated."""
+    _require_tolerance(tol)
     scheme = seal.load_scheme(scheme_path)
     report = seal.evaluate_scheme(scheme)
     header = ["m", "promise_probability", "p_dist_numeric", "p_dist_upper",
@@ -252,8 +254,8 @@ def cmd_seal_eval(config: RunConfig, scheme_path: str) -> tuple:
                      entry.p_dist_numeric, entry.p_dist_upper,
                      entry.p_dist_upper_raw, entry.p_nfp_numeric,
                      entry.p_nfp_upper])
-        if (entry.p_dist_numeric > entry.p_dist_upper + config.tolerance
-                or entry.p_nfp_numeric > entry.p_nfp_upper + config.tolerance):
+        if (entry.p_dist_numeric > entry.p_dist_upper + tol
+                or entry.p_nfp_numeric > entry.p_nfp_upper + tol):
             violated = True
     rows.append([None, None, report.p_dist_numeric, report.p_dist_upper,
                  None, report.p_nfp_numeric, report.p_nfp_upper])
@@ -269,32 +271,23 @@ def cmd_seal_eval(config: RunConfig, scheme_path: str) -> tuple:
     return CsvTable(header, rows), summary, (1 if violated else 0)
 
 
-# Option name -> (RunConfig field it sets, type, help).  The defaults are
-# read from RunConfig; each command takes only the options it names.
-_SETTINGS = {
-    "seed": ("seed", int, "master seed; sub-streams are derived per command"),
-    "out": ("output_path", str, "CSV output path (default: CSV on stdout)"),
-    "tol": ("tolerance", float, "violation tolerance (default %(default)s)"),
-    "trials": ("trials", int, "Monte Carlo trials (default %(default)s)"),
-    "grid": ("grid_points", int, "sweep grid points (default %(default)s)"),
-}
+# Options read by more than one command: (option, add_argument keywords).
+_GRID = ("grid", dict(type=int, default=DEFAULT_GRID,
+                      help="sweep grid points (default %(default)s)"))
+_TOL = ("tol", dict(type=float, default=gentle.VIOLATION_TOL,
+                    help="violation tolerance (default %(default)s)"))
 
 
-def _add_command(group, name: str, help_text: str, run, settings=(),
-                 arguments=()) -> None:
-    """Subcommand ``name`` taking --seed, --out, the other ``settings`` and
-    the (option, add_argument keywords) ``arguments``, whose values ``main``
-    passes to ``run(config, ...)`` in order."""
+def _add_command(group, name: str, help_text: str, run, *arguments) -> None:
+    """Subcommand ``name`` taking --seed, --out and the (option, add_argument
+    keywords) ``arguments``, which ``main`` passes to ``run`` by ``dest``."""
     cmd = group.add_parser(name, help=help_text)
-    settings = ("seed", "out") + tuple(settings)
-    for option in settings:
-        field, kind, text = _SETTINGS[option]
-        cmd.add_argument(f"--{option}", type=kind,
-                         default=getattr(RunConfig, field), help=text)
-    for option, keywords in arguments:
-        cmd.add_argument(f"--{option}", **keywords)
-    cmd.set_defaults(run=run, settings=settings,
-                     arguments=tuple(option for option, _ in arguments))
+    cmd.add_argument("--seed", type=int, default=RunConfig.seed,
+                     help="master seed; sub-streams are derived per command")
+    cmd.add_argument("--out", help="CSV output path (default: CSV on stdout)")
+    dests = tuple(cmd.add_argument(f"--{option}", **keywords).dest
+                  for option, keywords in arguments)
+    cmd.set_defaults(run=run, arguments=dests)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,46 +302,46 @@ def build_parser() -> argparse.ArgumentParser:
 
     bounds = group("bounds", "closed-form bound sweeps as CSV")
     _add_command(bounds, "dist", "distinguishability cap and floors over p",
-                 cmd_bounds_fig1, settings=["grid"])
+                 cmd_bounds_fig1, _GRID)
     _add_command(bounds, "nfp", "false-negative cap over p, one column per M",
-                 cmd_bounds_fig2, settings=["grid"], arguments=[
-                     ("M", dict(action="append", type=int, default=None,
-                                help="message count (repeatable; default 2 4 16 256)"))])
+                 cmd_bounds_fig2, _GRID,
+                 ("M", dict(action="append", type=int, dest="m_list", metavar="M",
+                            help="message count (repeatable; default "
+                                 + " ".join(map(str, DEFAULT_M)) + ")")))
 
     verify = group("verify", "randomized inequality verification")
     _add_command(verify, "gentle", "gentle-measurement disturbance bounds",
-                 cmd_verify_gentle, settings=["tol"], arguments=[
-                     ("dim", dict(type=int, default=8, help="state dimension (2..64)")),
-                     ("outcomes", dict(type=int, default=4, help="POVM outcomes (>= 2)")),
-                     ("instances", dict(type=int, default=1000,
-                                        help="random instances to draw"))])
+                 cmd_verify_gentle, _TOL,
+                 ("dim", dict(type=int, default=8, help="state dimension (2..64)")),
+                 ("outcomes", dict(type=int, default=4, help="POVM outcomes (>= 2)")),
+                 ("instances", dict(type=int, default=1000,
+                                    help="random instances to draw")))
 
     simulate = group("simulate", "protocol simulations")
     _add_command(simulate, "naive", "permuted product-state protocol",
-                 cmd_simulate_naive, settings=["trials"], arguments=[
-                     ("q", dict(type=int, default=2,
-                                help=f"padding registers per message (1 to {MAX_Q})"))])
+                 cmd_simulate_naive,
+                 ("trials", dict(type=int, default=100_000,
+                                 help="Monte Carlo trials (default %(default)s)")),
+                 ("q", dict(type=int, default=2,
+                            help=f"padding registers per message (1 to {MAX_Q})")))
     _add_command(simulate, "achieve", "two-message qubit family",
-                 cmd_simulate_achieve, arguments=[
-                     ("p", dict(type=float, default=0.75,
-                                help="promise level in (0.5, 1]"))])
+                 cmd_simulate_achieve,
+                 ("p", dict(type=float, default=0.75, help="promise level in (0.5, 1]")))
 
     seal_cmd = group("seal", "scheme-file operations")
     _add_command(seal_cmd, "eval", "evaluate detection metrics of a scheme file",
-                 cmd_seal_eval, settings=["tol"], arguments=[
-                     ("scheme", dict(required=True, help="scheme JSON file"))])
+                 cmd_seal_eval, _TOL,
+                 ("scheme", dict(required=True, dest="scheme_path", metavar="SCHEME",
+                                 help="scheme JSON file")))
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "M", "missing") is None:
-        args.M = [2, 4, 16, 256]
     try:
-        config = RunConfig(**{_SETTINGS[option][0]: getattr(args, option)
-                              for option in args.settings})
-        result = args.run(config, *(getattr(args, name) for name in args.arguments))
+        config = RunConfig(args.seed, args.out)
+        result = args.run(config, **{dest: getattr(args, dest) for dest in args.arguments})
         table, summary, code = result if isinstance(result, tuple) else (result, [], 0)
         _emit(table, config, summary)
         return code

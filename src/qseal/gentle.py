@@ -16,7 +16,7 @@ sum_{i != j} ||sqrt(E_i) rho sqrt(E_i)||_1 = sum_{i != j} tr(E_i rho) <= eps;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,11 +27,13 @@ from .states import DensityMatrix, Povm
 VIOLATION_TOL = 1e-9
 # Eigenvalues above this are counted as support when building instances.
 _SUPPORT_TOL = 1e-12
+# Most outcomes a random instance may have; each is one dim x dim matrix.
+MAX_OUTCOMES = 256
 
 
 def _require_epsilon(epsilon: float) -> float:
     eps = float(epsilon)
-    if not 0.0 <= eps <= 1.0 or not math.isfinite(eps):
+    if not 0.0 <= eps <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon!r}")
     return eps
 
@@ -49,23 +51,21 @@ def unknown_outcome_bound(epsilon: float) -> float:
 
 @dataclass(frozen=True)
 class GentleInstance:
-    """A state, a POVM, and the label of its dominant element."""
+    """A state, a POVM, the canonical label of its dominant element, and
+    ``epsilon`` = 1 - tr(E_dominant rho) clamped to [0, 1]."""
 
     rho: DensityMatrix
     povm: Povm
     dominant_label: object
+    epsilon: float = field(init=False)
 
     def __post_init__(self):
-        # raises KeyError early if the label is absent
-        self.povm.element(self.dominant_label)
+        label = states.canonical_label(self.dominant_label)
+        dominant = self.povm.element(label)  # KeyError if the label is absent
         states.require_same_dim(self.rho, self.povm)
-
-    @property
-    def epsilon(self) -> float:
-        """1 - tr(E_dominant rho), clamped to [0, 1]."""
-        kept = states.expectation(self.povm.element(self.dominant_label),
-                                  self.rho.matrix)
-        return states.clamp_probability(1.0 - kept)
+        kept = states.expectation(dominant, self.rho.matrix)
+        object.__setattr__(self, "dominant_label", label)
+        object.__setattr__(self, "epsilon", states.clamp_probability(1.0 - kept))
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,6 @@ class GentleReport:
 def verify_instance(instance: GentleInstance, tol: float = VIOLATION_TOL) -> GentleReport:
     """Evaluate both disturbance inequalities and the branch-weight identities."""
     rho = instance.rho.matrix
-    eps = instance.epsilon
-    dominant = states._canonical_label(instance.dominant_label)
 
     unknown = np.zeros_like(rho)
     off_norm_sum = 0.0
@@ -98,17 +96,17 @@ def verify_instance(instance: GentleInstance, tol: float = VIOLATION_TOL) -> Gen
     for label, element in instance.povm.elements:
         branch = states.luders_branch(element, rho)
         unknown += branch
-        if label == dominant:
+        if label == instance.dominant_label:
             lhs_classic = linalg.trace_norm(rho - branch)
         else:
             off_norm_sum += linalg.trace_norm(branch)
             off_prob += states.expectation(element, rho)
 
     lhs_unknown = linalg.trace_norm(rho - unknown)
-    b_classic = classic_bound(eps)
-    b_unknown = unknown_outcome_bound(eps)
+    b_classic = classic_bound(instance.epsilon)
+    b_unknown = unknown_outcome_bound(instance.epsilon)
     return GentleReport(
-        epsilon=eps,
+        epsilon=instance.epsilon,
         lhs_classic=lhs_classic,
         bound_classic=b_classic,
         satisfied_classic=lhs_classic <= b_classic + tol,
@@ -142,6 +140,16 @@ def _inverse_sqrt_pd(m: np.ndarray) -> np.ndarray:
     return (vecs / np.sqrt(vals)) @ vecs.conj().T
 
 
+def _require_shape(dim: int, n_outcomes: int) -> None:
+    if not 2 <= dim <= 64:
+        raise ValueError(f"dim must lie in [2, 64], got {dim}")
+    if n_outcomes < 2:
+        raise ValueError(f"need at least 2 outcomes, got {n_outcomes}")
+    if n_outcomes > MAX_OUTCOMES:
+        raise ValueError(
+            f"outcomes must lie in 2 to {MAX_OUTCOMES}, got {n_outcomes}")
+
+
 def random_instance(dim: int, n_outcomes: int, epsilon_target: float,
                     rng: np.random.Generator) -> GentleInstance:
     """Random instance whose realized epsilon lands in [0, 2 * epsilon_target].
@@ -152,10 +160,7 @@ def random_instance(dim: int, n_outcomes: int, epsilon_target: float,
     random PSD convex combination.  ``epsilon_target = 0`` yields the exact
     limiting instance: dominant element I, all other elements zero.
     """
-    if not 2 <= dim <= 64:
-        raise ValueError(f"dim must lie in [2, 64], got {dim}")
-    if n_outcomes < 2:
-        raise ValueError(f"need at least 2 outcomes, got {n_outcomes}")
+    _require_shape(dim, n_outcomes)
     eps_target = float(epsilon_target)
     if not 0.0 <= eps_target < 1.0:
         raise ValueError(f"epsilon_target must lie in [0, 1), got {epsilon_target}")
@@ -206,10 +211,9 @@ def random_instance(dim: int, n_outcomes: int, epsilon_target: float,
         elements.append((k, (piece + piece.conj().T) / 2.0))
 
     instance = GentleInstance(rho, Povm(tuple(elements)), dominant)
-    realized = instance.epsilon
-    if realized > 2.0 * eps_target + 1e-12:
-        raise RuntimeError(
-            f"construction bug: realized epsilon {realized} > 2 * {eps_target}")
+    if instance.epsilon > 2.0 * eps_target + 1e-12:
+        raise RuntimeError(f"construction bug: realized epsilon {instance.epsilon}"
+                           f" > 2 * {eps_target}")
     return instance
 
 
@@ -223,6 +227,7 @@ def random_epsilon_target(rng: np.random.Generator) -> float:
 def sweep_instances(dim: int, n_outcomes: int, instances: int,
                     rng: np.random.Generator, tol: float = VIOLATION_TOL):
     """Yield (epsilon_target, instance, report) for a randomized sweep."""
+    _require_shape(dim, n_outcomes)  # before the first draw, even for 0 instances
     for _ in range(instances):
         target = random_epsilon_target(rng)
         instance = random_instance(dim, n_outcomes, target, rng)

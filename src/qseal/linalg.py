@@ -39,14 +39,13 @@ def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def require_hermitian(m: np.ndarray, name: str = "matrix",
-                      tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Return the symmetrized copy (m + m^dag)/2, rejecting defects above tol."""
+def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Return the symmetrized copy (m + m^dag)/2; reject defects above HERMITICITY_TOL."""
     require_square(m, name)
     defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if defect > tol:
-        raise ValueError(
-            f"{name} is not Hermitian: max |m - m^dag| = {defect:.3e} > {tol:.1e}")
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"{name} is not Hermitian: max |m - m^dag| = {defect:.3e}"
+                         f" > {HERMITICITY_TOL:.1e}")
     return (m + m.conj().T) / 2.0
 
 
@@ -55,7 +54,7 @@ def is_diagonal(m: np.ndarray) -> bool:
     return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
 
 
-def tensor_product(a, b, max_dim: int = MAX_DENSE_DIM) -> np.ndarray:
+def tensor_product(a, b) -> np.ndarray:
     """Kronecker product a (x) b with a capacity guard on the result size.
 
     Index convention: row index of the result is i*b_rows + k for row i of
@@ -66,9 +65,9 @@ def tensor_product(a, b, max_dim: int = MAX_DENSE_DIM) -> np.ndarray:
     b = as_complex_matrix(b, "b")
     rows = a.shape[0] * b.shape[0]
     cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > max_dim:
-        raise CapacityError(
-            f"tensor product would be {rows}x{cols}, above the dense cap {max_dim}")
+    if max(rows, cols) > MAX_DENSE_DIM:
+        raise CapacityError(f"tensor product would be {rows}x{cols}, above the"
+                            f" dense cap {MAX_DENSE_DIM}")
     return np.kron(a, b)
 
 

@@ -29,12 +29,15 @@ from . import seal
 from .states import DensityMatrix, Povm, PureState, densify, helstrom_probability
 
 _TWO_PI = 2.0 * math.pi
+# Sizes of the even phase grids of phi_invariance_spread and bloch_centroid.
+_SPREAD_PHASES = 64
+_CENTROID_PHASES = 360
 
 
 def _require_p(p: float, low_open: bool) -> float:
     p = float(p)
     lo_ok = p > 0.5 if low_open else p >= 0.5
-    if not (lo_ok and p <= 1.0 and math.isfinite(p)):
+    if not (lo_ok and p <= 1.0):
         bracket = "(1/2, 1]" if low_open else "[1/2, 1]"
         raise ValueError(f"p must lie in {bracket}, got {p!r}")
     return p
@@ -71,7 +74,7 @@ class QubitSealFamily:
     def __post_init__(self):
         object.__setattr__(self, "p", _require_p(self.p, low_open=True))
         phi = float(self.phi)
-        if not (0.0 <= phi < _TWO_PI and math.isfinite(phi)):
+        if not 0.0 <= phi < _TWO_PI:
             raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi!r}")
         object.__setattr__(self, "phi", phi)
 
@@ -114,12 +117,10 @@ def p_dist_lower_numeric(p: float, phi: float = 0.0) -> float:
     return helstrom_probability(z_state(p), densify(psi_one))
 
 
-def phi_invariance_spread(p: float, n_phi: int = 64) -> float:
+def phi_invariance_spread(p: float) -> float:
     """Max minus min of the numeric floor over an even grid of phases."""
-    if n_phi < 2:
-        raise ValueError(f"need at least 2 phases, got {n_phi}")
     values = [p_dist_lower_numeric(p, phi)
-              for phi in np.linspace(0.0, _TWO_PI, n_phi, endpoint=False)]
+              for phi in np.linspace(0.0, _TWO_PI, _SPREAD_PHASES, endpoint=False)]
     return max(values) - min(values)
 
 
@@ -142,17 +143,15 @@ def state_from_bloch(vec) -> DensityMatrix:
                                          [x + 1j * y, 1.0 - z]]))
 
 
-def bloch_centroid(p: float, n_phi: int = 360) -> np.ndarray:
+def bloch_centroid(p: float) -> np.ndarray:
     """Average Bloch vector of |psi_1> over an even grid of phases.
 
     The pure states at fixed p trace a circle at height 2p - 1; their
     centroid is the Bloch vector of Z(p), which is how the dephased return
     sits at the circle's center.
     """
-    if n_phi < 2:
-        raise ValueError(f"need at least 2 phases, got {n_phi}")
     total = np.zeros(3)
-    for phi in np.linspace(0.0, _TWO_PI, n_phi, endpoint=False):
+    for phi in np.linspace(0.0, _TWO_PI, _CENTROID_PHASES, endpoint=False):
         psi_one, _ = state_pair(p, phi)
         total += bloch_vector(densify(psi_one))
-    return total / n_phi
+    return total / _CENTROID_PHASES

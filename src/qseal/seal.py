@@ -83,9 +83,10 @@ class SealScheme:
         if len(self.joint_states) != m_count:
             raise ValueError(
                 f"expected {m_count} joint states, got {len(self.joint_states)}")
-        # anchor every state to this scheme's bipartite split
-        anchored = tuple(PureState(s.amplitudes, (dim_a, dim_b))
-                         for s in self.joint_states)
+        for m, state in enumerate(self.joint_states, 1):
+            if state.dims != (dim_a, dim_b):
+                raise ValueError(f"state of message {m} has dims {state.dims},"
+                                 f" not ({dim_a}, {dim_b})")
         if self.bob_povm.dim != dim_b:
             raise ValueError(
                 f"POVM dimension {self.bob_povm.dim} != dim_b {dim_b}")
@@ -100,7 +101,7 @@ class SealScheme:
         object.__setattr__(self, "dim_a", dim_a)
         object.__setattr__(self, "dim_b", dim_b)
         object.__setattr__(self, "promised_p", p)
-        object.__setattr__(self, "joint_states", anchored)
+        object.__setattr__(self, "joint_states", tuple(self.joint_states))
         realized = tuple(promise_probability(self, m) for m in range(1, m_count + 1))
         for m, value in enumerate(realized, 1):
             if value < p - PROMISE_TOL:
@@ -348,7 +349,7 @@ def save_scheme(scheme: SealScheme, path) -> None:
 def load_scheme(path) -> SealScheme:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"scheme file: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValueError("scheme file: top level must be an object")

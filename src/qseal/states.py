@@ -118,7 +118,8 @@ def _label_key(label) -> tuple[int, ...]:
     raise ValueError(f"POVM label must be an int or an (i, j) int pair, got {label!r}")
 
 
-def _canonical_label(label):
+def canonical_label(label):
+    """The label as a Povm stores it: a builtin int or a pair of them."""
     key = _label_key(label)
     return key[0] if len(key) == 1 else key
 
@@ -137,7 +138,7 @@ class Povm:
         cooked = []
         dim = None
         for label, matrix in raw:
-            label = _canonical_label(label)
+            label = canonical_label(label)
             if label in seen:
                 raise ValueError(f"duplicate POVM label {label!r}")
             seen.add(label)
@@ -168,7 +169,7 @@ class Povm:
         return tuple(label for label, _ in self.elements)
 
     def element(self, label) -> np.ndarray:
-        wanted = _canonical_label(label)
+        wanted = canonical_label(label)
         for current, matrix in self.elements:
             if current == wanted:
                 return matrix

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -26,21 +27,13 @@ def parse_csv(text):
 
 class TestRunConfig:
     def test_field_validation(self):
+        # RunConfig holds only the options every command reads
+        assert [f.name for f in dataclasses.fields(RunConfig)] == ["seed", "output_path"]
         RunConfig(seed=0)
         with pytest.raises(ValueError):
             RunConfig(seed=-1)
         with pytest.raises(ValueError):
             RunConfig(seed=2 ** 64)
-        with pytest.raises(ValueError):
-            RunConfig(seed=0, tolerance=0.0)
-        for tolerance in (float("inf"), float("nan")):
-            with pytest.raises(ValueError):
-                RunConfig(seed=0, tolerance=tolerance)
-        with pytest.raises(ValueError):
-            RunConfig(seed=0, trials=0)
-        for grid_points in (1, MAX_GRID_POINTS + 1):
-            with pytest.raises(ValueError):
-                RunConfig(seed=0, grid_points=grid_points)
 
 
 class TestFormatting:
@@ -157,6 +150,28 @@ class TestVerifyGentle:
                            "--instances", "1")
         assert code == 2
         assert "error:" in err
+
+    SHAPES = [
+        (["--dim", "1"], "dim must lie in [2, 64], got 1"),
+        (["--dim", "65"], "dim must lie in [2, 64], got 65"),
+        (["--outcomes", "1"], "need at least 2 outcomes, got 1"),
+        (["--outcomes", "257"], "outcomes must lie in 2 to 256, got 257"),
+    ]
+
+    @pytest.mark.parametrize("shape,message", SHAPES,
+                             ids=[" ".join(a) for a, _ in SHAPES])
+    def test_bad_shape_exits_two_without_instances(self, capsys, shape, message):
+        code, out, err = run(capsys, "verify", "gentle", *shape, "--instances", "0")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_most_outcomes(self, capsys):
+        code, out, _ = run(capsys, "verify", "gentle", "--dim", "2",
+                           "--outcomes", "256", "--instances", "1")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 1 and rows[0][-1] == "true"
 
 
 class TestSimulateNaive:
@@ -299,6 +314,16 @@ class TestSealEval:
         assert code == 2
         assert "scheme file" in err
 
+    def test_rejects_deeply_nested_file(self, capsys, tmp_path):
+        # json.loads raises RecursionError long before the nesting ends
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run(capsys, "seal", "eval", "--scheme", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: scheme file: not valid JSON (")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     @pytest.mark.parametrize("where", ["promised_p", "state entry"])
     def test_rejects_number_too_large_for_float(self, capsys, tmp_path,
                                                 family_file, where):
@@ -413,23 +438,45 @@ class TestOptions:
         assert out == ""
         assert err == "error: grid must have 2 to 100001 points, got 100002\n"
 
-    SETTINGS = [
-        (["bounds", "dist"], "--grid", "grid_points"),
-        (["bounds", "nfp"], "--grid", "grid_points"),
-        (["verify", "gentle"], "--tol", "tolerance"),
-        (["simulate", "naive"], "--trials", "trials"),
-        (["seal", "eval"], "--tol", "tolerance"),
+    OUT_OF_RANGE = [
+        (["bounds", "dist", "--grid", "1"], f"grid must have 2 to {MAX_GRID_POINTS} points, got 1"),
+        (["bounds", "nfp", "--grid", "1"], f"grid must have 2 to {MAX_GRID_POINTS} points, got 1"),
+        (["verify", "gentle", "--tol", "0"], "tolerance must be finite and positive, got 0.0"),
+        (["verify", "gentle", "--tol", "nan"],
+         "tolerance must be finite and positive, got nan"),
+        (["simulate", "naive", "--trials", "0"], "trials must be positive, got 0"),
+        (["seal", "eval", "--scheme", "scheme.json", "--tol", "0"],
+         "tolerance must be finite and positive, got 0.0"),
+        (["seal", "eval", "--scheme", "scheme.json", "--tol", "nan"],
+         "tolerance must be finite and positive, got nan"),
     ]
 
-    @pytest.mark.parametrize("argv,option,field", SETTINGS,
+    @pytest.mark.parametrize("argv,message", OUT_OF_RANGE,
+                             ids=[" ".join(a) for a, _ in OUT_OF_RANGE])
+    def test_out_of_range_option_exits_two(self, capsys, argv, message):
+        # checked before the command reads a file or builds an array
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    SETTINGS = [
+        (["bounds", "dist"], "--grid", "101"),
+        (["bounds", "nfp"], "--grid", "101"),
+        (["verify", "gentle"], "--tol", "1e-09"),
+        (["simulate", "naive"], "--trials", "100000"),
+        (["seal", "eval"], "--tol", "1e-09"),
+    ]
+
+    @pytest.mark.parametrize("argv,option,default", SETTINGS,
                              ids=[" ".join(a) for a, _, _ in SETTINGS])
-    def test_help_states_runconfig_default(self, capsys, argv, option, field):
+    def test_help_states_runconfig_default(self, capsys, argv, option, default):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--help"])
         assert exc.value.code == 0
         text = " ".join(capsys.readouterr().out.split())
         assert f"{option} " in text
-        assert f"(default {getattr(RunConfig, field)})" in text
+        assert f"(default {default})" in text
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qseal.gentle import (
+    MAX_OUTCOMES,
     GentleInstance,
     classic_bound,
     random_epsilon_target,
@@ -75,6 +76,16 @@ class TestVerifyInstance:
         assert report.bound_unknown == pytest.approx(np.sqrt(2.0) + 0.5, abs=1e-13)
         assert report.satisfied_classic and report.satisfied_unknown
 
+    def test_numpy_label_is_stored_canonical(self):
+        numpy_label = GentleInstance(plus_state(), standard_basis_povm(), np.int64(0))
+        assert type(numpy_label.dominant_label) is int
+        builtin_label = GentleInstance(plus_state(), standard_basis_povm(), 0)
+        assert verify_instance(numpy_label) == verify_instance(builtin_label)
+        pairs = Povm((((1, 1), np.diag([1.0, 0.0])), ((2, 1), np.diag([0.0, 1.0]))))
+        pair_label = GentleInstance(plus_state(), pairs, (np.int64(1), np.int64(1)))
+        assert pair_label.dominant_label == (1, 1)
+        assert all(type(x) is int for x in pair_label.dominant_label)
+
     def test_proof_identities(self):
         rng = np.random.default_rng(83)
         for _ in range(25):
@@ -147,6 +158,8 @@ class TestRandomInstance:
             random_instance(65, 3, 0.1, rng)
         with pytest.raises(ValueError):
             random_instance(4, 1, 0.1, rng)
+        with pytest.raises(ValueError, match="outcomes must lie in 2 to 256"):
+            random_instance(4, MAX_OUTCOMES + 1, 0.1, rng)
         with pytest.raises(ValueError):
             random_instance(4, 3, 1.0, rng)
         with pytest.raises(ValueError):
@@ -172,3 +185,13 @@ class TestSweep:
             assert abs(report.off_dominant_trace_norm_sum
                        - report.off_dominant_probability) < 1e-10
             assert 0.0 <= instance.epsilon <= 2.0 * target + 1e-12
+
+    @pytest.mark.parametrize("dim,n_outcomes", [(1, 4), (65, 4), (4, 1),
+                                                (4, MAX_OUTCOMES + 1)])
+    @pytest.mark.parametrize("instances", [0, 3])
+    def test_shape_checked_before_first_draw(self, dim, n_outcomes, instances):
+        rng = np.random.default_rng(127)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            next(sweep_instances(dim, n_outcomes, instances, rng))
+        assert rng.bit_generator.state == before

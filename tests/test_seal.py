@@ -110,6 +110,21 @@ class TestSchemeValidation:
         with pytest.raises(ValueError):
             SealScheme(2, 1, 4, 0.6, (psi1, psi2), povm)
 
+    def test_state_with_other_dims_names_the_message(self):
+        psi1 = PureState(np.array([1.0, 0.0]), (1, 2))
+        psi2 = PureState(np.array([0.0, 1.0]), (2, 1))
+        povm = Povm((((1, 1), np.diag([1.0, 0.0])), ((2, 1), np.diag([0.0, 1.0]))))
+        with pytest.raises(ValueError, match="message 2"):
+            SealScheme(2, 1, 2, 0.75, (psi1, psi2), povm)
+
+    def test_keeps_the_states_it_is_given(self):
+        psi1 = PureState(np.array([1.0, 0.0]), (1, 2))
+        psi2 = PureState(np.array([0.0, 1.0]), (1, 2))
+        povm = Povm((((1, 1), np.diag([1.0, 0.0])), ((2, 1), np.diag([0.0, 1.0]))))
+        scheme = SealScheme(2, 1, 2, 1.0, [psi1, psi2], povm)
+        assert scheme.state(1) is psi1 and scheme.state(2) is psi2
+        assert isinstance(scheme.joint_states, tuple)
+
     def test_one_based_state_lookup(self):
         scheme = biased_qubit_scheme(0.8)
         assert scheme.state(1) is scheme.joint_states[0]
@@ -445,6 +460,22 @@ class TestSchemeIo:
         for label in scheme.bob_povm.labels:
             assert np.array_equal(loaded.bob_povm.element(label),
                                   scheme.bob_povm.element(label))
+
+    def test_load_validates_each_state_once(self, tmp_path, monkeypatch):
+        scheme = random_scheme(np.random.default_rng(151), 3, 2, 4)
+        path = tmp_path / "scheme.json"
+        save_scheme(scheme, path)
+        built = []
+        validate = PureState.__post_init__
+
+        def counting(state):
+            built.append(state)
+            validate(state)
+
+        monkeypatch.setattr(PureState, "__post_init__", counting)
+        loaded = load_scheme(path)
+        assert len(built) == 3
+        assert all(loaded.state(m) is built[m - 1] for m in (1, 2, 3))
 
     def test_rejects_malformed_documents(self, tmp_path):
         path = tmp_path / "bad.json"
