@@ -163,8 +163,6 @@ def cmd_verify_gentle(config: RunConfig, tol: float, dim: int, outcomes: int,
     violates either bound beyond ``tol``.
     """
     _require_tolerance(tol)
-    if instances < 0:
-        raise ValueError(f"instances must be non-negative, got {instances}")
     rng = derive_rng(config.seed, "verify-gentle", dim, outcomes, instances)
     header = ["instance", "epsilon_target", "epsilon",
               "lhs_classic", "bound_classic", "slack_classic",
@@ -313,9 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_command(verify, "gentle", "gentle-measurement disturbance bounds",
                  cmd_verify_gentle, _TOL,
                  ("dim", dict(type=int, default=8, help="state dimension (2..64)")),
-                 ("outcomes", dict(type=int, default=4, help="POVM outcomes (>= 2)")),
+                 ("outcomes", dict(type=int, default=4,
+                                   help=f"POVM outcomes (2..{gentle.MAX_OUTCOMES})")),
                  ("instances", dict(type=int, default=1000,
-                                    help="random instances to draw")))
+                                    help="random instances to draw "
+                                         f"(0..{gentle.MAX_INSTANCES})")))
 
     simulate = group("simulate", "protocol simulations")
     _add_command(simulate, "naive", "permuted product-state protocol",

@@ -42,6 +42,28 @@ def clamp_probability(x: float) -> float:
     return min(max(float(x), 0.0), 1.0)
 
 
+def require_unit_trace(m: np.ndarray) -> None:
+    """Reject a density matrix, or any matrix of a stack of them, whose trace
+    deviates from 1 by more than TRACE_TOL."""
+    traces = np.trace(m, axis1=-2, axis2=-1).real
+    tr = linalg.first_offender(traces, np.abs(traces - 1.0) > TRACE_TOL)
+    if tr is not None:
+        raise ValueError(
+            f"density matrix trace {float(tr)!r} deviates from 1 by more than {TRACE_TOL:.1e}")
+
+
+def require_identity_sum(elements) -> None:
+    """Reject POVM elements (a sequence of matrices, or of equally shaped
+    stacks) whose sum deviates from the identity by more than POVM_SUM_TOL."""
+    total = sum(elements)
+    defects = np.abs(total - np.eye(total.shape[-1])).max(axis=(-2, -1))
+    defect = linalg.first_offender(defects, defects > POVM_SUM_TOL)
+    if defect is not None:
+        raise ValueError(
+            f"POVM element sum deviates from identity by {defect:.3e}"
+            f" > {POVM_SUM_TOL:.1e}")
+
+
 def _check_psd(m: np.ndarray, name: str) -> None:
     """Reject matrices with an eigenvalue below -PSD_TOL.
 
@@ -95,12 +117,17 @@ class DensityMatrix:
     def __post_init__(self):
         m = require_hermitian(as_complex_matrix(self.matrix, "density matrix"),
                               "density matrix")
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(
-                f"density matrix trace {tr!r} deviates from 1 by more than {TRACE_TOL:.1e}")
+        require_unit_trace(m)
         _check_psd(m, "density matrix")
         object.__setattr__(self, "matrix", _freeze(m))
+
+    @classmethod
+    def prevalidated(cls, matrix: np.ndarray) -> DensityMatrix:
+        """A density matrix from a symmetrized matrix that already passed
+        this class's checks (in batched form), without running them again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "matrix", _freeze(matrix))
+        return self
 
     @property
     def dim(self) -> int:
@@ -152,13 +179,18 @@ class Povm:
             _check_psd(m, f"element {label!r}")
             cooked.append((label, _freeze(m)))
         cooked.sort(key=lambda pair: _label_key(pair[0]))
-        total = sum(m for _, m in cooked)
-        defect = float(np.max(np.abs(total - np.eye(dim))))
-        if defect > POVM_SUM_TOL:
-            raise ValueError(
-                f"POVM element sum deviates from identity by {defect:.3e}"
-                f" > {POVM_SUM_TOL:.1e}")
+        require_identity_sum([m for _, m in cooked])
         object.__setattr__(self, "elements", tuple(cooked))
+
+    @classmethod
+    def prevalidated(cls, elements) -> Povm:
+        """A POVM from (label, matrix) pairs that already passed this class's
+        checks (in batched form), canonical labels in canonical order,
+        without running them again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "elements", tuple(
+            (label, _freeze(matrix)) for label, matrix in elements))
+        return self
 
     @property
     def dim(self) -> int:
@@ -200,9 +232,11 @@ def require_same_dim(rho: DensityMatrix, povm: Povm) -> None:
         raise ValueError(f"dimension mismatch: state {rho.dim}, POVM {povm.dim}")
 
 
-def expectation(element: np.ndarray, rho: np.ndarray) -> float:
-    """Raw tr(E rho): no window check, no clamp."""
-    return float(np.einsum("ab,ba->", element, rho).real)
+def expectation(element: np.ndarray, rho: np.ndarray):
+    """Raw tr(E rho): no window check, no clamp.  A float for two matrices,
+    an array of one value per pair for stacks."""
+    value = np.einsum("...ab,...ba->...", element, rho).real
+    return float(value) if value.ndim == 0 else value
 
 
 def luders_branch(element: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -166,6 +166,13 @@ class TestVerifyGentle:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    def test_help_states_ranges(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "gentle", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "POVM outcomes (2..256)" in text
+        assert "random instances to draw (0..100000)" in text
+
     def test_most_outcomes(self, capsys):
         code, out, _ = run(capsys, "verify", "gentle", "--dim", "2",
                            "--outcomes", "256", "--instances", "1")
@@ -444,6 +451,10 @@ class TestOptions:
         (["verify", "gentle", "--tol", "0"], "tolerance must be finite and positive, got 0.0"),
         (["verify", "gentle", "--tol", "nan"],
          "tolerance must be finite and positive, got nan"),
+        (["verify", "gentle", "--instances", "100001"],
+         "instances must lie in 0 to 100000, got 100001"),
+        (["verify", "gentle", "--instances", "-1"],
+         "instances must lie in 0 to 100000, got -1"),
         (["simulate", "naive", "--trials", "0"], "trials must be positive, got 0"),
         (["seal", "eval", "--scheme", "scheme.json", "--tol", "0"],
          "tolerance must be finite and positive, got 0.0"),

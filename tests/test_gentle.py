@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+import oracles
+from qseal import gentle
+from qseal.cli import format_cell
 from qseal.gentle import (
+    MAX_INSTANCES,
     MAX_OUTCOMES,
     GentleInstance,
     classic_bound,
@@ -11,7 +15,7 @@ from qseal.gentle import (
     unknown_outcome_bound,
     verify_instance,
 )
-from qseal.linalg import trace_norm
+from qseal.linalg import hermitian_part, trace_norm
 from qseal.states import DensityMatrix, Povm, PureState, densify
 
 
@@ -195,3 +199,185 @@ class TestSweep:
         with pytest.raises(ValueError):
             next(sweep_instances(dim, n_outcomes, instances, rng))
         assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("instances", [-1, MAX_INSTANCES + 1])
+    def test_instance_count_checked_before_first_draw(self, instances):
+        rng = np.random.default_rng(131)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"instances must lie in 0 to {MAX_INSTANCES}"):
+            next(sweep_instances(4, 3, instances, rng))
+        assert rng.bit_generator.state == before
+
+
+def cells(sweep) -> list:
+    """Each (target, instance, report) as the CLI's CSV cells, plus the
+    report fields the CSV leaves out and the instance's matrices as bytes."""
+    out = []
+    for target, instance, report in sweep:
+        row = [target, report.epsilon, report.lhs_classic, report.bound_classic,
+               report.bound_classic - report.lhs_classic, report.lhs_unknown,
+               report.bound_unknown, report.bound_unknown - report.lhs_unknown,
+               report.satisfied_classic and report.satisfied_unknown,
+               report.off_dominant_trace_norm_sum, report.off_dominant_probability,
+               instance.epsilon, instance.dominant_label]
+        matrices = [instance.rho.matrix] + [m for _, m in instance.povm.elements]
+        out.append([format_cell(x) for x in row] + [instance.povm.labels]
+                   + [m.tobytes() for m in matrices])
+    return out
+
+
+ORACLE_SHAPES = [(dim, n_outcomes) for dim in (2, 3, 8, 16, 64)
+                 for n_outcomes in (2, 4, 17)]
+
+
+class TestDenseOracle:
+    """The batched sweep against ``oracles``, the one-instance-at-a-time
+    sweep: equal CSV cells, equal matrices, the same generator state."""
+
+    @pytest.mark.parametrize("dim,n_outcomes", ORACLE_SHAPES)
+    def test_sweep_matches_oracle(self, dim, n_outcomes):
+        size = gentle._chunk_size(dim, n_outcomes)
+        count = 2 if dim == 64 else 11
+        assert size == 1 or count % size  # a partial last chunk
+        for seed in (0, 1, 2):
+            rng, oracle_rng = (np.random.default_rng([seed, dim, n_outcomes])
+                               for _ in range(2))
+            batched = cells(sweep_instances(dim, n_outcomes, count, rng))
+            assert batched == cells(oracles.sweep_instances(
+                dim, n_outcomes, count, oracle_rng))
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_zero_targets_inside_a_chunk(self, monkeypatch):
+        # chunks of 4 mixing exact (diagonal) and generic instances
+        monkeypatch.setattr(gentle, "_CHUNK_BYTES", 4 * 16 * 3 * 5 * 5)
+        rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+        batched = cells(sweep_instances(5, 3, 30, rng))
+        assert batched == cells(oracles.sweep_instances(5, 3, 30, oracle_rng))
+        targets = [float(row[0]) for row in batched]
+        assert targets.count(0.0) >= 2
+        assert any(0.0 in targets[k:k + 4] and max(targets[k:k + 4]) > 0.0
+                   for k in range(0, 30, 4))
+
+    @pytest.mark.parametrize("dim", [2, 7, 64])
+    def test_zero_target_instance_matches_oracle(self, dim):
+        instance = random_instance(dim, 4, 0.0, np.random.default_rng(dim))
+        dense = oracles.random_instance(dim, 4, 0.0, np.random.default_rng(dim))
+        assert (cells([(0.0, instance, verify_instance(instance))])
+                == cells([(0.0, dense, oracles.verify_instance(dense))]))
+
+    @pytest.mark.parametrize("budget", [1, 1 << 40])
+    def test_chunk_size_changes_no_bit(self, monkeypatch, budget):
+        rng = np.random.default_rng(211)
+        reference = cells(sweep_instances(8, 4, 21, rng))
+        after = rng.bit_generator.state
+        monkeypatch.setattr(gentle, "_CHUNK_BYTES", budget)
+        rng = np.random.default_rng(211)
+        assert cells(sweep_instances(8, 4, 21, rng)) == reference
+        assert rng.bit_generator.state == after
+
+    def test_each_matrix_decomposed_once(self, monkeypatch):
+        counts = {"eigh": 0, "eigvalsh": 0, "svd": 0}
+
+        def counting(name, original):
+            def wrapper(a, *args, **kwargs):
+                counts[name] += int(np.prod(np.shape(a)[:-2]))
+                return original(a, *args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        dim, n_outcomes, count = 6, 3, 40
+        targets = [t for t, _, _ in sweep_instances(
+            dim, n_outcomes, count, np.random.default_rng(223))]
+        active = sum(t > 0.0 for t in targets)
+        assert 0 < active < count
+        # rho once each; the remainder, the share total and every element of
+        # a generic instance once each; the exact instances' elements are
+        # diagonal and take no decomposition
+        assert counts["eigh"] == count + active * (2 + n_outcomes)
+        assert counts["eigvalsh"] == 0
+        # every branch and each unknown-outcome difference, once
+        assert counts["svd"] == count * (n_outcomes + 1)
+
+
+def valid_chunk(dim=3, n_outcomes=3, n=4):
+    """(raw states, element stack, dominant indices, instances) of n valid
+    instances."""
+    rng = np.random.default_rng(227)
+    built = [oracles.random_instance(dim, n_outcomes, 0.1, rng) for _ in range(n)]
+    raw = np.stack([b.rho.matrix for b in built])
+    elements = np.stack([[m for _, m in b.povm.elements] for b in built])
+    dominant = np.array([b.dominant_label for b in built])
+    return raw, elements, dominant, built
+
+
+def chunk_error(raw, elements, dominant) -> str:
+    vals = np.linalg.eigh(hermitian_part(raw))[0]
+    with pytest.raises(ValueError) as exc:
+        gentle._check_chunk(raw, vals, elements, dominant)
+    return str(exc.value)
+
+
+def constructor_error(make) -> str:
+    with pytest.raises(ValueError) as exc:
+        make()
+    return str(exc.value)
+
+
+class TestBatchedChecks:
+    """One bad matrix in an otherwise valid chunk: the batched checks raise
+    what the per-object constructor raises for it."""
+
+    def test_valid_chunk_passes(self):
+        raw, elements, dominant, built = valid_chunk()
+        rho, sums = gentle._check_chunk(
+            raw, np.linalg.eigh(hermitian_part(raw))[0], elements, dominant)
+        assert np.array_equal(rho, raw)
+        for b, lhs_classic, lhs_unknown, off_norm, off_prob in zip(built, *sums):
+            report = oracles.verify_instance(b)
+            assert (report.lhs_classic, report.lhs_unknown,
+                    report.off_dominant_trace_norm_sum,
+                    report.off_dominant_probability) == (
+                lhs_classic, lhs_unknown, off_norm, off_prob)
+
+    def test_non_hermitian_state(self):
+        raw, elements, dominant, _ = valid_chunk()
+        raw[2, 0, 1] += 1e-6
+        assert chunk_error(raw, elements, dominant) == constructor_error(
+            lambda: DensityMatrix(raw[2]))
+
+    def test_state_trace_off_one(self):
+        raw, elements, dominant, _ = valid_chunk()
+        raw[1] *= 1.001
+        assert chunk_error(raw, elements, dominant) == constructor_error(
+            lambda: DensityMatrix(raw[1]))
+
+    def test_state_not_psd(self):
+        raw, elements, dominant, _ = valid_chunk()
+        raw[3] = 1.5 * raw[3] - 0.5 * raw[0]
+        message = constructor_error(lambda: DensityMatrix(raw[3]))
+        assert "negative eigenvalue" in message
+        assert chunk_error(raw, elements, dominant) == message
+
+    def test_non_hermitian_element(self):
+        raw, elements, dominant, _ = valid_chunk()
+        elements[1, 2, 0, 2] += 1e-6j
+        assert chunk_error(raw, elements, dominant) == constructor_error(
+            lambda: Povm(tuple(enumerate(elements[1]))))
+
+    def test_element_not_psd(self):
+        raw, elements, dominant, _ = valid_chunk()
+        v = np.linalg.eigh(elements[2, 1])[1][:, 0]
+        shift = 2.0 * np.outer(v, v.conj())
+        elements[2, 1] -= shift
+        elements[2, 0] += shift
+        message = constructor_error(lambda: Povm(tuple(enumerate(elements[2]))))
+        assert message.startswith("element 1 has negative eigenvalue")
+        assert chunk_error(raw, elements, dominant) == message
+
+    def test_elements_not_summing_to_identity(self):
+        raw, elements, dominant, _ = valid_chunk()
+        elements[0, 2] *= 0.5
+        message = constructor_error(lambda: Povm(tuple(enumerate(elements[0]))))
+        assert message.startswith("POVM element sum deviates")
+        assert chunk_error(raw, elements, dominant) == message
