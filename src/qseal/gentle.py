@@ -103,26 +103,35 @@ def verify_instance(instance: GentleInstance, tol: float = VIOLATION_TOL) -> Gen
     labels = instance.povm.labels
     elements = np.stack([m for _, m in instance.povm.elements])[None]
     dominant = np.array([labels.index(instance.dominant_label)])
-    sums = _branch_sums(instance.rho.matrix[None], elements, dominant, labels)
+    sums = _branch_sums(instance.rho.matrix[None], elements,
+                        _element_roots(elements, labels), dominant)
     return _reports(sums, [instance.epsilon], tol)[0]
 
 
-def _branch_sums(rho: np.ndarray, elements: np.ndarray, dominant: np.ndarray,
-                 labels) -> tuple:
-    """One pass over the outcomes of n instances: rho (n, d, d), elements
-    (n, outcomes, d, d) labelled ``labels``, each dominant element's index.
+def _element_roots(elements: np.ndarray, labels) -> np.ndarray:
+    """sqrt(E) of every element of n POVMs, (n, outcomes, d, d) labelled
+    ``labels``.  Each element first gets the Hermitian and PSD checks ``Povm``
+    runs on it, under the same name; one eigendecomposition serves both."""
+    roots = np.empty_like(elements)
+    for k, label in enumerate(labels):
+        roots[:, k] = linalg.sqrt_psd(elements[:, k], f"element {label!r}")
+    return roots
 
-    Each element gets the Hermitian and PSD checks ``Povm`` runs on it, under
-    the same name; its one eigendecomposition also gives sqrt(E).  Returns
-    per instance lhs_classic, lhs_unknown, the off-dominant trace-norm sum and
-    the off-dominant probability.
+
+def _branch_sums(rho: np.ndarray, elements: np.ndarray, roots: np.ndarray,
+                 dominant: np.ndarray) -> tuple:
+    """One pass over the outcomes of n instances: rho (n, d, d), elements
+    (n, outcomes, d, d) with their ``roots``, each dominant element's index.
+
+    Returns per instance lhs_classic, lhs_unknown, the off-dominant trace-norm
+    sum and the off-dominant probability.
     """
     unknown = np.zeros_like(rho)
     lhs_classic = np.empty(len(rho))
     off_norm_sum = np.zeros(len(rho))
     off_prob = np.zeros(len(rho))
-    for k, label in enumerate(labels):
-        root = linalg.sqrt_psd(elements[:, k], f"element {label!r}")
+    for k in range(elements.shape[1]):
+        root = roots[:, k]
         branch = root @ rho @ root
         unknown += branch
         kept = dominant == k
@@ -188,24 +197,22 @@ def _require_shape(dim: int, n_outcomes: int) -> None:
             f"outcomes must lie in 2 to {MAX_OUTCOMES}, got {n_outcomes}")
 
 
-def _check_chunk(raw: np.ndarray, rho_vals: np.ndarray, elements: np.ndarray,
-                 dominant: np.ndarray) -> tuple:
+def _check_chunk(raw: np.ndarray, rho_vals: np.ndarray, elements: np.ndarray) -> tuple:
     """Every check ``DensityMatrix`` and ``Povm`` run on a generated instance,
     once per matrix and batched over the chunk, with their messages.
 
     ``raw`` holds the (n, d, d) states as built, ``rho_vals`` the eigenvalues
     of their Hermitian parts, ``elements`` the (n, outcomes, d, d) POVMs with
-    labels 0, 1, ... and ``dominant`` their dominant labels.  Returns the
-    symmetrized states and their ``_branch_sums``, whose pass over the
-    elements runs the element checks.
+    labels 0, 1, ...  Returns the symmetrized states and the elements' square
+    roots, which the element checks compute.
     """
     name = "density matrix"
     rho = linalg.require_hermitian(linalg.as_complex_stack(raw, name), name)
     states.require_unit_trace(rho)
     linalg.clamp_psd_spectrum(rho_vals, name)
-    sums = _branch_sums(rho, elements, dominant, range(elements.shape[1]))
+    roots = _element_roots(elements, range(elements.shape[1]))
     states.require_identity_sum(list(elements.swapaxes(0, 1)))
-    return rho, sums
+    return rho, roots
 
 
 class _Chunk:
@@ -285,12 +292,14 @@ class _Chunk:
                 self.elements[active, k] = linalg.hermitian_part(piece)
         del self.projectors, self.totals
 
-    def finish(self) -> list:
-        """The checked instances; keeps their branch sums for ``reports``."""
+    def finish(self) -> tuple:
+        """The checked instances, their symmetrized states (n, d, d) and the
+        square roots of their elements (n, outcomes, d, d)."""
         self._shares_to_elements()
-        rho, self.sums = _check_chunk(self.raw, self.rho_vals, self.elements,
-                                      self.dominant)
+        rho, roots = _check_chunk(self.raw, self.rho_vals, self.elements)
         del self.raw
+        # the instances keep views of these, not copies
+        self.elements.setflags(write=False)
         instances = [
             GentleInstance(DensityMatrix.prevalidated(rho[i]),
                            Povm.prevalidated(tuple(enumerate(self.elements[i]))),
@@ -302,11 +311,7 @@ class _Chunk:
             i = int(np.argmax(bad))
             raise RuntimeError(f"construction bug: realized epsilon {instances[i].epsilon}"
                                f" > 2 * {self.targets[i]}")
-        return instances
-
-    def reports(self, instances: list, tol: float) -> list:
-        """Reports of the instances ``finish`` returned."""
-        return _reports(self.sums, [instance.epsilon for instance in instances], tol)
+        return instances, rho, roots
 
 
 def random_instance(dim: int, n_outcomes: int, epsilon_target: float,
@@ -325,7 +330,7 @@ def random_instance(dim: int, n_outcomes: int, epsilon_target: float,
         raise ValueError(f"epsilon_target must lie in [0, 1), got {epsilon_target}")
     chunk = _Chunk(dim, n_outcomes, 1)
     chunk.draw(0, eps_target, rng)
-    return chunk.finish()[0]
+    return chunk.finish()[0][0]
 
 
 def random_epsilon_target(rng: np.random.Generator) -> float:
@@ -364,5 +369,7 @@ def _sweep_chunk(dim: int, n_outcomes: int, n: int, rng: np.random.Generator,
     for i in range(n):
         targets.append(random_epsilon_target(rng))
         chunk.draw(i, targets[-1], rng)
-    built = chunk.finish()
-    return list(zip(targets, built, chunk.reports(built, tol)))
+    built, rho, roots = chunk.finish()
+    sums = _branch_sums(rho, chunk.elements, roots, chunk.dominant)
+    reports = _reports(sums, [instance.epsilon for instance in built], tol)
+    return list(zip(targets, built, reports))

@@ -40,10 +40,10 @@ def as_complex_stack(m, name: str = "matrix") -> np.ndarray:
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce ``m`` to a 2-D complex128 array, rejecting NaN/Inf entries."""
-    out = np.asarray(m, dtype=np.complex128)
+    out = as_complex_stack(m, name)
     if out.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
-    return as_complex_stack(out, name)
+    return out
 
 
 def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -76,10 +76,11 @@ def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def is_diagonal(m: np.ndarray):
-    """True iff every nonzero entry of ``m`` sits on the main diagonal; for a
-    stack, one flag per matrix."""
+    """True iff every nonzero entry of ``m`` sits on the main diagonal, as a
+    numpy bool; for a stack, one flag per matrix."""
     if m.ndim == 2:  # no boolean temporary the size of a large matrix
-        return np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
+        # np.bool_ whatever integer type this numpy's count_nonzero returns
+        return np.bool_(np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)))
     return (np.count_nonzero(m, axis=(-2, -1))
             == np.count_nonzero(np.diagonal(m, axis1=-2, axis2=-1), axis=-1))
 
@@ -150,7 +151,7 @@ def sqrt_psd(m, name: str) -> np.ndarray:
     and PSD checks run once per matrix and call it ``name``.
     """
     m = require_hermitian(as_complex_stack(m, name), name)
-    full = ~is_diagonal(m)
+    full = np.logical_not(is_diagonal(m))
     if full.all():  # the common case: one batched eigendecomposition
         vals, vecs = np.linalg.eigh(m)
         vals = clamp_psd_spectrum(vals, name)

@@ -33,7 +33,11 @@ Label = int | tuple[int, int]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.complex128, copy=True)
+    return _read_only(np.array(a, dtype=np.complex128, copy=True))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    out = a.view()
     out.setflags(write=False)
     return out
 
@@ -123,10 +127,12 @@ class DensityMatrix:
 
     @classmethod
     def prevalidated(cls, matrix: np.ndarray) -> DensityMatrix:
-        """A density matrix from a symmetrized matrix that already passed
-        this class's checks (in batched form), without running them again."""
+        """A density matrix from a complex symmetrized matrix that already
+        passed this class's checks (in batched form), without running them
+        again.  It keeps a read-only view, not a copy: the caller must not
+        write to ``matrix`` afterwards."""
         self = object.__new__(cls)
-        object.__setattr__(self, "matrix", _freeze(matrix))
+        object.__setattr__(self, "matrix", _read_only(matrix))
         return self
 
     @property
@@ -184,12 +190,13 @@ class Povm:
 
     @classmethod
     def prevalidated(cls, elements) -> Povm:
-        """A POVM from (label, matrix) pairs that already passed this class's
-        checks (in batched form), canonical labels in canonical order,
-        without running them again."""
+        """A POVM from (label, complex matrix) pairs that already passed this
+        class's checks (in batched form), canonical labels in canonical
+        order, without running them again.  It keeps read-only views, not
+        copies: the caller must not write to the matrices afterwards."""
         self = object.__new__(cls)
         object.__setattr__(self, "elements", tuple(
-            (label, _freeze(matrix)) for label, matrix in elements))
+            (label, _read_only(matrix)) for label, matrix in elements))
         return self
 
     @property

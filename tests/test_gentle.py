@@ -154,6 +154,13 @@ class TestRandomInstance:
             assert np.array_equal(a.povm.element(label), b.povm.element(label))
         assert a.dominant_label == b.dominant_label
 
+    def test_matrices_read_only(self):
+        for _, instance, _ in sweep_instances(3, 3, 6, np.random.default_rng(57)):
+            matrices = [instance.rho.matrix] + [m for _, m in instance.povm.elements]
+            for m in matrices:
+                with pytest.raises(ValueError, match="read-only"):
+                    m[0, 0] = 0.0
+
     def test_argument_validation(self):
         rng = np.random.default_rng(107)
         with pytest.raises(ValueError):
@@ -230,6 +237,21 @@ ORACLE_SHAPES = [(dim, n_outcomes) for dim in (2, 3, 8, 16, 64)
                  for n_outcomes in (2, 4, 17)]
 
 
+def count_decompositions(monkeypatch) -> dict:
+    """Counts of the matrices ``np.linalg`` decomposes from here on, by call."""
+    counts = {"eigh": 0, "eigvalsh": 0, "svd": 0}
+
+    def counting(name, original):
+        def wrapper(a, *args, **kwargs):
+            counts[name] += int(np.prod(np.shape(a)[:-2]))
+            return original(a, *args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return counts
+
+
 class TestDenseOracle:
     """The batched sweep against ``oracles``, the one-instance-at-a-time
     sweep: equal CSV cells, equal matrices, the same generator state."""
@@ -276,16 +298,7 @@ class TestDenseOracle:
         assert rng.bit_generator.state == after
 
     def test_each_matrix_decomposed_once(self, monkeypatch):
-        counts = {"eigh": 0, "eigvalsh": 0, "svd": 0}
-
-        def counting(name, original):
-            def wrapper(a, *args, **kwargs):
-                counts[name] += int(np.prod(np.shape(a)[:-2]))
-                return original(a, *args, **kwargs)
-            return wrapper
-
-        for name in counts:
-            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        counts = count_decompositions(monkeypatch)
         dim, n_outcomes, count = 6, 3, 40
         targets = [t for t, _, _ in sweep_instances(
             dim, n_outcomes, count, np.random.default_rng(223))]
@@ -299,6 +312,12 @@ class TestDenseOracle:
         # every branch and each unknown-outcome difference, once
         assert counts["svd"] == count * (n_outcomes + 1)
 
+    def test_random_instance_runs_no_branch_pass(self, monkeypatch):
+        counts = count_decompositions(monkeypatch)
+        random_instance(6, 3, 0.1, np.random.default_rng(229))
+        # rho, the remainder, the share total and the three elements
+        assert counts == {"eigh": 6, "eigvalsh": 0, "svd": 0}
+
 
 def valid_chunk(dim=3, n_outcomes=3, n=4):
     """(raw states, element stack, dominant indices, instances) of n valid
@@ -311,10 +330,10 @@ def valid_chunk(dim=3, n_outcomes=3, n=4):
     return raw, elements, dominant, built
 
 
-def chunk_error(raw, elements, dominant) -> str:
+def chunk_error(raw, elements) -> str:
     vals = np.linalg.eigh(hermitian_part(raw))[0]
     with pytest.raises(ValueError) as exc:
-        gentle._check_chunk(raw, vals, elements, dominant)
+        gentle._check_chunk(raw, vals, elements)
     return str(exc.value)
 
 
@@ -330,9 +349,10 @@ class TestBatchedChecks:
 
     def test_valid_chunk_passes(self):
         raw, elements, dominant, built = valid_chunk()
-        rho, sums = gentle._check_chunk(
-            raw, np.linalg.eigh(hermitian_part(raw))[0], elements, dominant)
+        rho, roots = gentle._check_chunk(
+            raw, np.linalg.eigh(hermitian_part(raw))[0], elements)
         assert np.array_equal(rho, raw)
+        sums = gentle._branch_sums(rho, elements, roots, dominant)
         for b, lhs_classic, lhs_unknown, off_norm, off_prob in zip(built, *sums):
             report = oracles.verify_instance(b)
             assert (report.lhs_classic, report.lhs_unknown,
@@ -341,43 +361,43 @@ class TestBatchedChecks:
                 lhs_classic, lhs_unknown, off_norm, off_prob)
 
     def test_non_hermitian_state(self):
-        raw, elements, dominant, _ = valid_chunk()
+        raw, elements, _, _ = valid_chunk()
         raw[2, 0, 1] += 1e-6
-        assert chunk_error(raw, elements, dominant) == constructor_error(
+        assert chunk_error(raw, elements) == constructor_error(
             lambda: DensityMatrix(raw[2]))
 
     def test_state_trace_off_one(self):
-        raw, elements, dominant, _ = valid_chunk()
+        raw, elements, _, _ = valid_chunk()
         raw[1] *= 1.001
-        assert chunk_error(raw, elements, dominant) == constructor_error(
+        assert chunk_error(raw, elements) == constructor_error(
             lambda: DensityMatrix(raw[1]))
 
     def test_state_not_psd(self):
-        raw, elements, dominant, _ = valid_chunk()
+        raw, elements, _, _ = valid_chunk()
         raw[3] = 1.5 * raw[3] - 0.5 * raw[0]
         message = constructor_error(lambda: DensityMatrix(raw[3]))
         assert "negative eigenvalue" in message
-        assert chunk_error(raw, elements, dominant) == message
+        assert chunk_error(raw, elements) == message
 
     def test_non_hermitian_element(self):
-        raw, elements, dominant, _ = valid_chunk()
+        raw, elements, _, _ = valid_chunk()
         elements[1, 2, 0, 2] += 1e-6j
-        assert chunk_error(raw, elements, dominant) == constructor_error(
+        assert chunk_error(raw, elements) == constructor_error(
             lambda: Povm(tuple(enumerate(elements[1]))))
 
     def test_element_not_psd(self):
-        raw, elements, dominant, _ = valid_chunk()
+        raw, elements, _, _ = valid_chunk()
         v = np.linalg.eigh(elements[2, 1])[1][:, 0]
         shift = 2.0 * np.outer(v, v.conj())
         elements[2, 1] -= shift
         elements[2, 0] += shift
         message = constructor_error(lambda: Povm(tuple(enumerate(elements[2]))))
         assert message.startswith("element 1 has negative eigenvalue")
-        assert chunk_error(raw, elements, dominant) == message
+        assert chunk_error(raw, elements) == message
 
     def test_elements_not_summing_to_identity(self):
-        raw, elements, dominant, _ = valid_chunk()
+        raw, elements, _, _ = valid_chunk()
         elements[0, 2] *= 0.5
         message = constructor_error(lambda: Povm(tuple(enumerate(elements[0]))))
         assert message.startswith("POVM element sum deviates")
-        assert chunk_error(raw, elements, dominant) == message
+        assert chunk_error(raw, elements) == message

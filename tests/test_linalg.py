@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import random_density_matrix, random_unitary
+from qseal import linalg
 from qseal.linalg import (
     CapacityError,
     MAX_DENSE_DIM,
+    is_diagonal,
     matrix_sqrt_psd,
     partial_trace,
     tensor_product,
@@ -160,6 +162,29 @@ class TestMatrixSqrt:
         root = matrix_sqrt_psd(m)
         np.testing.assert_allclose(root, root.conj().T, atol=1e-15)
         np.testing.assert_allclose(root, np.diag([1.0, 2.0]), atol=1e-11)
+
+
+    @pytest.mark.parametrize("m, root", [
+        (np.eye(3), np.eye(3)), (np.ones((3, 3)), np.ones((3, 3)) / np.sqrt(3.0))])
+    def test_python_bool_diagonal_flag(self, monkeypatch, m, root):
+        # numpy before 2.3 compares two count_nonzero results as Python ints
+        real = linalg.is_diagonal
+        monkeypatch.setattr(linalg, "is_diagonal", lambda x: bool(real(x)))
+        np.testing.assert_allclose(matrix_sqrt_psd(m), root, atol=1e-15)
+
+
+class TestIsDiagonal:
+    def test_matrix_gives_numpy_bool(self):
+        for m, expect in ((np.eye(3), True), (np.zeros((2, 2)), True),
+                          (np.ones((3, 3)), False)):
+            flag = is_diagonal(m.astype(np.complex128))
+            assert type(flag) is np.bool_ and flag == expect
+
+    def test_stack_gives_one_flag_per_matrix(self):
+        stack = np.stack([np.eye(2), np.ones((2, 2)), np.diag([0.0, 5.0])])
+        flags = is_diagonal(stack)
+        assert flags.dtype == np.bool_
+        assert flags.tolist() == [True, False, True]
 
 
 class TestTraceNorm:
