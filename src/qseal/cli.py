@@ -23,6 +23,7 @@ the summary moves to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -288,7 +289,12 @@ def _add_command(group, name: str, help_text: str, run, *arguments) -> None:
     cmd.set_defaults(run=run, arguments=dests)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qseal`` parser, built once per process and shared by every
+    ``main`` call; parsing does not change it.  Each subcommand binds its
+    ``cmd_*`` function when the parser is first built, so rebinding that name
+    later does not reach ``main``."""
     parser = argparse.ArgumentParser(
         prog="qseal",
         description="Quantum seal bound sweeps, verification runs, and scheme evaluation.")

@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -117,10 +118,20 @@ class SealScheme:
 
     @cached_property
     def merged_roots(self) -> np.ndarray:
-        """sqrt(F_i) of the message-merged POVM, stacked in message order."""
-        coarse = states.coarse_grain(self.bob_povm)
-        return np.stack([linalg.matrix_sqrt_psd(element)
-                         for _, element in coarse.elements])
+        """sqrt(F_i) of the message-merged POVM F_i = sum_j E_(i,j), stacked
+        in message order.
+
+        Each F_i gets the Hermitian, PSD and identity-sum checks a ``Povm``
+        of the merged elements would run, in the same words; one
+        eigendecomposition serves its checks and its root.
+        """
+        merged: dict = {}
+        for (i, _), element in self.bob_povm.elements:
+            merged[i] = merged[i] + element if i in merged else element
+        roots = np.stack([linalg.sqrt_psd(element, f"element {i!r}")
+                          for i, element in merged.items()])
+        states.require_identity_sum(list(merged.values()))
+        return roots
 
 
 def _bob_marginal(scheme: SealScheme, m: int) -> np.ndarray:
@@ -312,23 +323,43 @@ def evaluate_scheme(scheme: SealScheme) -> DetectionReport:
 
 def pairs_from_array(array: np.ndarray) -> list:
     """Row-major [re, im] pairs of a complex vector or matrix."""
-    return [[float(z.real), float(z.imag)] for z in array.reshape(-1)]
+    flat = np.ascontiguousarray(array, np.complex128).reshape(-1)
+    return flat.view(np.float64).reshape(-1, 2).tolist()
 
 
 def _vector_from_pairs(pairs, expected_len: int, what: str) -> np.ndarray:
+    """The complex vector of ``expected_len`` [re, im] pairs of JSON numbers
+    (``int`` or ``float``, never ``bool``), with the bits ``complex(re, im)``
+    gives.
+
+    The rule is checked over the whole list at once; a list that breaks it
+    is walked pair by pair to name its first bad pair.
+    """
     if not isinstance(pairs, list) or len(pairs) != expected_len:
         raise ValueError(f"scheme file: {what} must list {expected_len} [re, im] pairs")
-    out = np.empty(expected_len, dtype=np.complex128)
+    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
+            and set(map(type, chain.from_iterable(pairs))) <= {int, float}):
+        _check_pairs(pairs, what)
+    try:
+        flat = np.fromiter(chain.from_iterable(pairs), np.float64, 2 * expected_len)
+    except OverflowError:
+        _check_pairs(pairs, what)
+        raise
+    return flat.view(np.complex128)
+
+
+def _check_pairs(pairs: list, what: str) -> None:
+    """Reject the first entry of ``pairs`` that is not two JSON numbers, or
+    whose numbers do not fit a float."""
     for k, pair in enumerate(pairs):
         if (not isinstance(pair, list) or len(pair) != 2
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                            for x in pair)):
             raise ValueError(f"scheme file: {what}[{k}] is not a [re, im] pair")
         try:
-            out[k] = complex(pair[0], pair[1])
+            complex(pair[0], pair[1])
         except OverflowError:
             raise ValueError(f"scheme file: {what}[{k}] is too large for a float") from None
-    return out
 
 
 def save_scheme(scheme: SealScheme, path) -> None:

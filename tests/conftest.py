@@ -1,6 +1,6 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and a decomposition counter for the test suite.
 
-Everything here builds objects from raw numpy draws, independent of the
+The generators build objects from raw numpy draws, independent of the
 package's own construction helpers, so tests can use them as neutral
 fixtures or oracles.
 """
@@ -29,6 +29,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
+
+
+def count_decompositions(monkeypatch) -> dict:
+    """Counts of the matrices ``np.linalg`` decomposes from here on, by call."""
+    counts = {"eigh": 0, "eigvalsh": 0, "svd": 0}
+
+    def counting(name, original):
+        def wrapper(a, *args, **kwargs):
+            counts[name] += int(np.prod(np.shape(a)[:-2]))
+            return original(a, *args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    return counts
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

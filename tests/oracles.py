@@ -1,10 +1,13 @@
-"""Dense per-instance reference for the gentle-measurement sweep.
+"""Loop-at-a-time references for the batched and vectorized code paths.
 
-This is the sweep written one instance at a time: every state and POVM goes
-through its validating constructor, every square root and trace norm is a
-2-D ``linalg`` call, and every random draw is made in the order the batched
-sweep in ``qseal.gentle`` must reproduce.  Tests compare the batched sweep
-against it cell by cell.
+* The gentle-measurement sweep written one instance at a time: every state
+  and POVM goes through its validating constructor, every square root and
+  trace norm is a 2-D ``linalg`` call, and every random draw is made in the
+  order the batched sweep in ``qseal.gentle`` must reproduce.  Tests compare
+  the batched sweep against it cell by cell.
+* The scheme loader's [re, im] pair reader written one pair at a time
+  (``vector_from_pairs``).  Tests require the vectorized reader in
+  ``qseal.seal`` to return the same bits or raise the same message.
 """
 
 from __future__ import annotations
@@ -137,3 +140,20 @@ def sweep_instances(dim: int, n_outcomes: int, instances: int,
         target = random_epsilon_target(rng)
         instance = random_instance(dim, n_outcomes, target, rng)
         yield target, instance, verify_instance(instance, tol)
+
+
+def vector_from_pairs(pairs, expected_len: int, what: str) -> np.ndarray:
+    """Check and convert ``expected_len`` [re, im] pairs one pair at a time."""
+    if not isinstance(pairs, list) or len(pairs) != expected_len:
+        raise ValueError(f"scheme file: {what} must list {expected_len} [re, im] pairs")
+    out = np.empty(expected_len, dtype=np.complex128)
+    for k, pair in enumerate(pairs):
+        if (not isinstance(pair, list) or len(pair) != 2
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                           for x in pair)):
+            raise ValueError(f"scheme file: {what}[{k}] is not a [re, im] pair")
+        try:
+            out[k] = complex(pair[0], pair[1])
+        except OverflowError:
+            raise ValueError(f"scheme file: {what}[{k}] is too large for a float") from None
+    return out

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import tracemalloc
 
@@ -6,14 +7,18 @@ import numpy as np
 import pytest
 
 from conftest import random_scheme
-from qseal.cli import MAX_GRID_POINTS, MAX_Q, RunConfig, format_cell, main
+from qseal.cli import MAX_GRID_POINTS, MAX_Q, RunConfig, build_parser, format_cell, main
 from qseal.qubit_seal import QubitSealFamily
 from qseal.seal import SealScheme, save_scheme
 from qseal.states import PureState
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of ``main(argv)``, argparse exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -410,6 +415,42 @@ class TestSealEval:
                            str(tmp_path / "absent.json"))
         assert code == 2
 
+    # (edit of the qubit family's file, the one line `seal eval` prints)
+    HOSTILE = {
+        "dimB 0": (lambda d: d.__setitem__("dimB", 0),
+                   "scheme file: states[0] must list 0 [re, im] pairs"),
+        "dimA 0": (lambda d: d.__setitem__("dimA", 0),
+                   "scheme file: states[0] must list 0 [re, im] pairs"),
+        "M 10**6": (lambda d: d.__setitem__("M", 10 ** 6),
+                    "scheme file: states must list 1000000 vectors"),
+        "M -1": (lambda d: d.__setitem__("M", -1),
+                 "scheme file: states must list -1 vectors"),
+        "label 10**30": (lambda d: d["povm"][0].__setitem__("label", [10 ** 30, 1]),
+                         "POVM label (1000000000000000000000000000000, 1) names"
+                         " a message outside 1..2"),
+        "NaN state": (lambda d: d["states"][0][0].__setitem__(0, float("nan")),
+                      "amplitudes contain non-finite entries"),
+        "inf element": (lambda d: d["povm"][0]["matrix"][0].__setitem__(0, float("inf")),
+                        "element (1, 1) contains non-finite entries"),
+        "duplicate label": (lambda d: d["povm"][1].__setitem__("label", [1, 1]),
+                            "duplicate POVM label (1, 1)"),
+        "float M": (lambda d: d.__setitem__("M", 2.0),
+                    "scheme file: M, dimA, dimB must be integers"),
+        "negative dimB": (lambda d: d.__setitem__("dimB", -2),
+                          "scheme file: states[0] must list -2 [re, im] pairs"),
+    }
+
+    @pytest.mark.parametrize("name", list(HOSTILE))
+    def test_hostile_file_exits_two_with_one_line(self, capsys, tmp_path,
+                                                  family_file, name):
+        mutate, message = self.HOSTILE[name]
+        doc = json.loads(family_file.read_text())
+        mutate(doc)
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "seal", "eval", "--scheme", str(path)) == (
+            2, "", f"error: {message}\n")
+
 
 class TestOptions:
     UNREAD = [
@@ -524,3 +565,44 @@ class TestDeterminism:
                   "--seed", seed, "--out", str(path)])
             outs.append(path.read_text())
         assert outs[0] != outs[1]
+
+
+class TestParser:
+    # sha256 of each command's --help text at 80 columns; a deliberate
+    # change to a help text updates its digest here
+    HELP_SHA256 = {
+        "bounds dist": "5a208f0f52e168fac180d872c10c766e84e1ac34225cb7f584f033f0d9e4ffaf",
+        "bounds nfp": "53678c1db932cc08240c8a43dcadfaaebe7d6aa8d99a63d3654c8afed136551e",
+        "verify gentle": "c64067a82e27fcf18e215fbc683c8f85b8ce82bac267b60e4ef0ba1f24add8d2",
+        "simulate naive": "457a27e4053b34f6ea9fcdb85d8f1ea9929bba8d5bd1b0c5d1bf76d24ab59ab0",
+        "simulate achieve": "1c99363297fae21139d8fd8a266799b0f18290fb95596e874aa48377bcb24713",
+        "seal eval": "9ba66a5115eb989332036851917cc302341b4a2baaacd4cee16bdaae5ceacdff",
+    }
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_matches_fresh_parsers(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = [
+            ["bounds", "nfp", "--grid", "5", "--M", "3"],
+            ["bounds", "dist", "--grid", "x"],
+            ["bounds", "nfp", "--grid", "5"],
+            ["verify", "gentle", "--dim"],
+            ["seal", "eval", "--help"],
+            ["bounds", "nfp", "--grid", "5", "--M", "3", "--M", "5"],
+        ]
+        reused = [run(capsys, *argv) for argv in calls]
+        assert [code for code, _, _ in reused] == [0, 2, 0, 2, 0, 0]
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert reused == fresh
+
+    @pytest.mark.parametrize("command", list(HELP_SHA256))
+    def test_help_text_is_unchanged(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, _ = run(capsys, *command.split(), "--help")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.HELP_SHA256[command], out

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import count_decompositions
 from qseal import gentle
 from qseal.cli import format_cell
 from qseal.gentle import (
@@ -235,21 +236,6 @@ def cells(sweep) -> list:
 
 ORACLE_SHAPES = [(dim, n_outcomes) for dim in (2, 3, 8, 16, 64)
                  for n_outcomes in (2, 4, 17)]
-
-
-def count_decompositions(monkeypatch) -> dict:
-    """Counts of the matrices ``np.linalg`` decomposes from here on, by call."""
-    counts = {"eigh": 0, "eigvalsh": 0, "svd": 0}
-
-    def counting(name, original):
-        def wrapper(a, *args, **kwargs):
-            counts[name] += int(np.prod(np.shape(a)[:-2]))
-            return original(a, *args, **kwargs)
-        return wrapper
-
-    for name in counts:
-        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-    return counts
 
 
 class TestDenseOracle:

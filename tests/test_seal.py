@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import projector_scheme, random_scheme
+import oracles
+from conftest import count_decompositions, projector_scheme, random_scheme
 from qseal.linalg import tensor_product, trace_norm
 from qseal.naive import build_message_states, dense_state, majority_projector_povm
 from qseal.qubit_seal import QubitSealFamily
 from qseal.seal import (
     SealScheme,
+    _vector_from_pairs,
     coarse_cheat_state,
     evaluate_scheme,
     load_scheme,
@@ -435,12 +437,96 @@ class TestEvaluate:
             assert 0.5 <= row.p_dist_numeric <= 1.0
             assert 0.0 <= row.p_nfp_numeric <= 1.0
 
+    def test_each_merged_element_decomposed_once(self, monkeypatch):
+        scheme = random_scheme(np.random.default_rng(233), 3, 2, 4)
+        assert len(scheme.bob_povm.elements) > 3  # some messages merge pieces
+        counts = count_decompositions(monkeypatch)
+        evaluate_scheme(scheme)
+        # per message: its merged element's checks and root share one eigh,
+        # the Gram matrix's root takes one more and its trace norm one SVD
+        assert counts == {"eigh": 6, "eigvalsh": 0, "svd": 3}
+
+    def test_merged_element_checks_name_the_element(self):
+        # each piece of message 1 is PSD within tolerance, their sum is not
+        t = 0.8e-10
+        povm = Povm((((1, 1), np.diag([-t, 0.5])), ((1, 2), np.diag([-t, 0.5])),
+                     ((2, 1), np.diag([1.0 + 2.0 * t, 0.0]))))
+        scheme = SealScheme(2, 1, 2, 0.9, (PureState(np.array([0.0, 1.0]), (1, 2)),
+                                           PureState(np.array([1.0, 0.0]), (1, 2))),
+                            povm)
+        with pytest.raises(ValueError) as exc:
+            evaluate_scheme(scheme)
+        assert str(exc.value) == ("element 1 has negative eigenvalue -1.600e-10"
+                                  " beyond -1.0e-10")
+
     def test_floor_scheme_report(self):
         report = evaluate_scheme(orthogonal_readout_scheme())
         assert report.p_dist_numeric == pytest.approx(0.5, abs=1e-12)
         assert report.p_nfp_numeric == pytest.approx(0.0, abs=1e-12)
         assert report.p_dist_upper == pytest.approx(0.5, abs=1e-12)
         assert report.p_nfp_upper == pytest.approx(0.0, abs=1e-12)
+
+
+# Numbers a JSON document can hold, with the edges of the float range:
+# ints past int64 and uint64, the largest int that still rounds to a finite
+# float and the smallest that does not, and non-finite floats.
+JSON_NUMBERS = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.sampled_from([2 ** 63, 2 ** 64 + 1, -(2 ** 63) - 1, 10 ** 400, -10 ** 400,
+                     2 ** 1024 - 2 ** 970 - 1, 2 ** 1024 - 2 ** 970]),
+)
+NOT_NUMBERS = st.one_of(st.booleans(), st.text(max_size=2), st.none())
+GOOD_PAIR = st.lists(JSON_NUMBERS, min_size=2, max_size=2)
+BAD_ENTRY = st.one_of(
+    st.tuples(JSON_NUMBERS, st.booleans()).map(list),
+    st.tuples(st.booleans(), JSON_NUMBERS).map(list),
+    st.lists(st.one_of(JSON_NUMBERS, NOT_NUMBERS, GOOD_PAIR), min_size=2, max_size=2),
+    st.lists(JSON_NUMBERS, max_size=1),
+    st.lists(JSON_NUMBERS, min_size=3, max_size=4),
+    JSON_NUMBERS,
+    NOT_NUMBERS,
+)
+
+
+@st.composite
+def pair_lists(draw):
+    """(pairs, expected_len): good pairs, alone or with one bad entry put
+    among them, a list of entries of any kind, or a lone entry; a list's
+    length matches three times in four."""
+    pairs = draw(st.lists(GOOD_PAIR, max_size=6))
+    kind = draw(st.integers(0, 3))
+    if kind == 1:
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(BAD_ENTRY))
+    elif kind == 2:
+        pairs = draw(st.lists(st.one_of(GOOD_PAIR, BAD_ENTRY), max_size=6))
+    elif kind == 3:
+        pairs = draw(st.one_of(GOOD_PAIR, BAD_ENTRY))
+    if isinstance(pairs, list) and draw(st.integers(0, 3)) < 3:
+        return pairs, len(pairs)
+    return pairs, draw(st.integers(-1, 7))
+
+
+# ``save_scheme``'s file for ``pinned_scheme()`` on one line; re-dumped with
+# ``indent=1`` it is the file, byte for byte.
+PINNED_SCHEME = (
+    '{"M": 2, "dimA": 1, "dimB": 2, "promised_p": 0.6, "states": '
+    '[[[0.8660254037844386, -0.0], [-0.0, -0.5]], '
+    '[[-0.5, 0.0], [0.0, 0.8660254037844386]]], '
+    '"povm": [{"label": [1, 1], "matrix": '
+    '[[0.9, 0.0], [0.0, 0.1], [0.0, -0.1], [0.1, 0.0]]}, '
+    '{"label": [2, 1], "matrix": '
+    '[[0.09999999999999998, 0.0], [0.0, -0.1], [0.0, 0.1], [0.9, 0.0]]}]}')
+
+
+def pinned_scheme():
+    """Qubit scheme with signed zeros, complex entries and a rounded element."""
+    a = np.sqrt(0.75)
+    states = (PureState(np.array([complex(a, -0.0), complex(-0.0, -0.5)]), (1, 2)),
+              PureState(np.array([complex(-0.5, 0.0), complex(0.0, a)]), (1, 2)))
+    read = np.array([[0.9, 0.1j], [-0.1j, 0.1]])
+    return SealScheme(2, 1, 2, 0.6, states,
+                      Povm((((1, 1), read), ((2, 1), np.eye(2) - read))))
 
 
 class TestSchemeIo:
@@ -460,6 +546,27 @@ class TestSchemeIo:
         for label in scheme.bob_povm.labels:
             assert np.array_equal(loaded.bob_povm.element(label),
                                   scheme.bob_povm.element(label))
+
+    def test_save_writes_the_pinned_bytes(self, tmp_path):
+        path = tmp_path / "scheme.json"
+        save_scheme(pinned_scheme(), path)
+        expected = json.dumps(json.loads(PINNED_SCHEME), indent=1) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @settings(max_examples=500)
+    @given(case=pair_lists())
+    def test_pair_reader_matches_the_per_pair_reference(self, case):
+        pairs, expected_len = case
+        try:
+            want = oracles.vector_from_pairs(pairs, expected_len, "povm[3].matrix")
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                _vector_from_pairs(pairs, expected_len, "povm[3].matrix")
+            assert str(got.value) == str(exc)
+        else:
+            got = _vector_from_pairs(pairs, expected_len, "povm[3].matrix")
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_load_validates_each_state_once(self, tmp_path, monkeypatch):
         scheme = random_scheme(np.random.default_rng(151), 3, 2, 4)
