@@ -125,9 +125,7 @@ class SealScheme:
         of the merged elements would run, in the same words; one
         eigendecomposition serves its checks and its root.
         """
-        merged: dict = {}
-        for (i, _), element in self.bob_povm.elements:
-            merged[i] = merged[i] + element if i in merged else element
+        merged = states.merged_elements(self.bob_povm)
         roots = np.stack([linalg.sqrt_psd(element, f"element {i!r}")
                           for i, element in merged.items()])
         states.require_identity_sum(list(merged.values()))

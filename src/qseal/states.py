@@ -296,8 +296,9 @@ def unknown_outcome_state(rho: DensityMatrix, povm: Povm) -> DensityMatrix:
     return DensityMatrix(total)
 
 
-def coarse_grain(povm: Povm) -> Povm:
-    """Merge pair-labelled elements over their second index: F_i = sum_j E_(i,j).
+def merged_elements(povm: Povm) -> dict[int, np.ndarray]:
+    """The merged elements F_i = sum_j E_(i,j) of a pair-labelled POVM, keyed
+    by i in order of first appearance.
 
     Every label must be an (i, j) pair; plain int labels (or a mix) are
     rejected because there is nothing well-defined to merge.
@@ -312,7 +313,12 @@ def coarse_grain(povm: Povm) -> Povm:
             groups[i] = groups[i] + element
         else:
             groups[i] = element.copy()
-    return Povm(tuple(groups.items()))
+    return groups
+
+
+def coarse_grain(povm: Povm) -> Povm:
+    """Merge pair-labelled elements over their second index: F_i = sum_j E_(i,j)."""
+    return Povm(tuple(merged_elements(povm).items()))
 
 
 def helstrom_probability(rho: DensityMatrix, sigma: DensityMatrix) -> float:

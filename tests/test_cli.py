@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,11 +15,7 @@ from qseal.states import PureState
 
 
 def run(capsys, *argv):
-    """(exit code, stdout, stderr) of ``main(argv)``, argparse exits included."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -567,6 +564,15 @@ class TestDeterminism:
         assert outs[0] != outs[1]
 
 
+def run_to_exit(capsys, *argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, argparse's exits
+    (usage errors, ``--help``) included."""
+    with pytest.raises(SystemExit) as exc:
+        sys.exit(main(list(argv)))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
 class TestParser:
     # sha256 of each command's --help text at 80 columns; a deliberate
     # change to a help text updates its digest here
@@ -592,17 +598,17 @@ class TestParser:
             ["seal", "eval", "--help"],
             ["bounds", "nfp", "--grid", "5", "--M", "3", "--M", "5"],
         ]
-        reused = [run(capsys, *argv) for argv in calls]
+        reused = [run_to_exit(capsys, *argv) for argv in calls]
         assert [code for code, _, _ in reused] == [0, 2, 0, 2, 0, 0]
         fresh = []
         for argv in calls:
             build_parser.cache_clear()
-            fresh.append(run(capsys, *argv))
+            fresh.append(run_to_exit(capsys, *argv))
         assert reused == fresh
 
     @pytest.mark.parametrize("command", list(HELP_SHA256))
     def test_help_text_is_unchanged(self, capsys, monkeypatch, command):
         monkeypatch.setenv("COLUMNS", "80")
-        code, out, _ = run(capsys, *command.split(), "--help")
+        code, out, _ = run_to_exit(capsys, *command.split(), "--help")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.HELP_SHA256[command], out
