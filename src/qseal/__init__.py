@@ -11,13 +11,11 @@ from .qubit_seal import (QubitSealFamily, bloch_vector, p_dist_lower_numeric,
                          p_dist_lower_paper, z_state)
 from .rng import derive_rng
 from .seal import (DetectionReport, MessageDetection, SealScheme,
-                   coarse_cheat_state, evaluate_scheme, load_scheme, marginal,
+                   coarse_cheat_state, evaluate_scheme, load_scheme,
                    monotonicity_check, p_dist_numeric, p_dist_upper_bound,
                    p_nfp_numeric, p_nfp_upper_bound, promise_probability,
                    save_scheme)
-from .states import (DensityMatrix, MeasurementOutcome, Povm, PureState,
-                     coarse_grain, densify, helstrom_probability,
-                     measure_probabilities, standard_implementation,
-                     unknown_outcome_state)
+from .states import (DensityMatrix, Povm, PureState, coarse_grain, densify,
+                     helstrom_probability)
 
 __version__ = "0.1.0"

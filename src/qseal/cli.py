@@ -39,6 +39,8 @@ _POPULATE_TOL = 1e-12
 MAX_GRID_POINTS = 100_001
 # Largest --q accepted; 0.75**q is still a normal float there.
 MAX_Q = 1_000
+# Largest --M accepted; 1/M and M - 1 are exact floats up to it.
+MAX_M = 2 ** 53
 # Defaults of --grid (both bounds commands) and --M (bounds nfp).
 DEFAULT_GRID = 101
 DEFAULT_M = (2, 4, 16, 256)
@@ -132,6 +134,9 @@ def cmd_bounds_fig2(config: RunConfig, m_list=None, grid: int = DEFAULT_GRID) ->
     too_small = [m for m in ms if m < 2]
     if too_small:
         raise ValueError(f"every M must be at least 2, got {too_small[0]}")
+    too_large = [m for m in ms if m > MAX_M]
+    if too_large:
+        raise ValueError(f"every M must be at most {MAX_M}, got {too_large[0]}")
     rows = []
     for raw_p in np.linspace(0.0, 1.0, grid):
         p = seal.clamp_probability(raw_p)

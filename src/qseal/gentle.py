@@ -104,18 +104,8 @@ def verify_instance(instance: GentleInstance, tol: float = VIOLATION_TOL) -> Gen
     elements = np.stack([m for _, m in instance.povm.elements])[None]
     dominant = np.array([labels.index(instance.dominant_label)])
     sums = _branch_sums(instance.rho.matrix[None], elements,
-                        _element_roots(elements, labels), dominant)
+                        states.povm_roots(elements, labels), dominant)
     return _reports(sums, [instance.epsilon], tol)[0]
-
-
-def _element_roots(elements: np.ndarray, labels) -> np.ndarray:
-    """sqrt(E) of every element of n POVMs, (n, outcomes, d, d) labelled
-    ``labels``.  Each element first gets the Hermitian and PSD checks ``Povm``
-    runs on it, under the same name; one eigendecomposition serves both."""
-    roots = np.empty_like(elements)
-    for k, label in enumerate(labels):
-        roots[:, k] = linalg.sqrt_psd(elements[:, k], f"element {label!r}")
-    return roots
 
 
 def _branch_sums(rho: np.ndarray, elements: np.ndarray, roots: np.ndarray,
@@ -166,7 +156,7 @@ def _reports(sums: tuple, epsilons, tol: float) -> list:
 
 def _random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random pure state, or a random-rank mixture (sometimes degenerate);
-    unchecked, ``_check_chunk`` checks it."""
+    unchecked, ``_Chunk.finish`` checks it."""
     if rng.random() < 0.5:
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         v /= np.linalg.norm(v)
@@ -195,24 +185,6 @@ def _require_shape(dim: int, n_outcomes: int) -> None:
     if n_outcomes > MAX_OUTCOMES:
         raise ValueError(
             f"outcomes must lie in 2 to {MAX_OUTCOMES}, got {n_outcomes}")
-
-
-def _check_chunk(raw: np.ndarray, rho_vals: np.ndarray, elements: np.ndarray) -> tuple:
-    """Every check ``DensityMatrix`` and ``Povm`` run on a generated instance,
-    once per matrix and batched over the chunk, with their messages.
-
-    ``raw`` holds the (n, d, d) states as built, ``rho_vals`` the eigenvalues
-    of their Hermitian parts, ``elements`` the (n, outcomes, d, d) POVMs with
-    labels 0, 1, ...  Returns the symmetrized states and the elements' square
-    roots, which the element checks compute.
-    """
-    name = "density matrix"
-    rho = linalg.require_hermitian(linalg.as_complex_stack(raw, name), name)
-    states.require_unit_trace(rho)
-    linalg.clamp_psd_spectrum(rho_vals, name)
-    roots = _element_roots(elements, range(elements.shape[1]))
-    states.require_identity_sum(list(elements.swapaxes(0, 1)))
-    return rho, roots
 
 
 class _Chunk:
@@ -294,9 +266,11 @@ class _Chunk:
 
     def finish(self) -> tuple:
         """The checked instances, their symmetrized states (n, d, d) and the
-        square roots of their elements (n, outcomes, d, d)."""
+        square roots of their elements (n, outcomes, d, d).  ``states`` checks
+        each matrix once; the states' PSD check reads the spectra ``draw`` took."""
         self._shares_to_elements()
-        rho, roots = _check_chunk(self.raw, self.rho_vals, self.elements)
+        rho = states.check_density(self.raw, self.rho_vals)
+        roots = states.povm_roots(self.elements, range(self.n_outcomes))
         del self.raw
         # the instances keep views of these, not copies
         self.elements.setflags(write=False)

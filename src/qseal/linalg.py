@@ -152,10 +152,6 @@ def sqrt_psd(m, name: str) -> np.ndarray:
     """
     m = require_hermitian(as_complex_stack(m, name), name)
     full = np.logical_not(is_diagonal(m))
-    if full.all():  # the common case: one batched eigendecomposition
-        vals, vecs = np.linalg.eigh(m)
-        vals = clamp_psd_spectrum(vals, name)
-        return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
     vals = np.diagonal(m, axis1=-2, axis2=-1).real.copy()
     if full.any():
         vals[full], vecs = np.linalg.eigh(m[full])

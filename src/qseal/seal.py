@@ -42,8 +42,7 @@ import numpy as np
 
 from . import gentle, linalg, states
 from .linalg import MAX_DENSE_DIM, CapacityError
-from .states import (TRACE_TOL, DensityMatrix, Povm, PureState, clamp_probability,
-                     densify)
+from .states import DensityMatrix, Povm, PureState, clamp_probability, densify
 
 PROMISE_TOL = 1e-9
 _MONOTONE_TOL = 1e-12
@@ -121,15 +120,11 @@ class SealScheme:
         """sqrt(F_i) of the message-merged POVM F_i = sum_j E_(i,j), stacked
         in message order.
 
-        Each F_i gets the Hermitian, PSD and identity-sum checks a ``Povm``
-        of the merged elements would run, in the same words; one
-        eigendecomposition serves its checks and its root.
+        The merged elements get the checks a ``Povm`` of them would run, in
+        the same words (``states.povm_roots``).
         """
         merged = states.merged_elements(self.bob_povm)
-        roots = np.stack([linalg.sqrt_psd(element, f"element {i!r}")
-                          for i, element in merged.items()])
-        states.require_identity_sum(list(merged.values()))
-        return roots
+        return states.povm_roots(np.stack(list(merged.values())), merged.keys())
 
 
 def _bob_marginal(scheme: SealScheme, m: int) -> np.ndarray:
@@ -145,11 +140,6 @@ def _bob_marginal(scheme: SealScheme, m: int) -> np.ndarray:
     for row in scheme.state(m).amplitudes.reshape(scheme.dim_a, scheme.dim_b):
         rho_b += np.multiply.outer(row, row.conj())
     return rho_b
-
-
-def marginal(scheme: SealScheme, m: int) -> DensityMatrix:
-    """Bob's share of |psi_m>: trace out A."""
-    return DensityMatrix(_bob_marginal(scheme, m))
 
 
 def promise_probability(scheme: SealScheme, m: int) -> float:
@@ -191,11 +181,7 @@ def _cheat_gram(scheme: SealScheme, m: int) -> np.ndarray:
     w = np.vstack([amp, shares.reshape(len(roots), -1)])
     gram = w.conj() @ w.T
     diagonal = gram.diagonal().real
-    for trace in (diagonal[0], diagonal[1:].sum()):
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise ValueError(
-                f"density matrix trace {float(trace)!r} deviates from 1 by more"
-                f" than {TRACE_TOL:.1e}")
+    states.require_unit_trace(np.array([diagonal[0], diagonal[1:].sum()]))
     return gram
 
 

@@ -1,4 +1,4 @@
-"""Pure states, density matrices, POVMs, and measurement rules.
+"""Pure states, density matrices, POVMs, and the rules that validate them.
 
 Conventions
 -----------
@@ -8,8 +8,9 @@ Conventions
   within ``POVM_SUM_TOL`` (rejected otherwise -- never renormalized).
   Labels are either plain ints or (i, j) int pairs, and elements are kept in
   canonical lexicographic label order so every iteration is deterministic.
-* Measuring and keeping outcome i collapses rho to sqrt(E_i) rho sqrt(E_i) /
-  tr(E_i rho); discarding the outcome leaves sum_i sqrt(E_i) rho sqrt(E_i).
+
+Batched code checks states with ``check_density`` and POVMs with
+``povm_roots``, so each rule is written out only here.
 """
 
 from __future__ import annotations
@@ -19,17 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import PSD_TOL, as_complex_matrix, is_diagonal, require_hermitian
+from .linalg import as_complex_matrix, as_complex_stack, is_diagonal, require_hermitian
 
 UNIT_NORM_TOL = 1e-10
 TRACE_TOL = 1e-10
 POVM_SUM_TOL = 1e-9
-# tr(E rho) may stray this far outside [0, 1] before we call it a bug.
-PROB_WINDOW_TOL = 1e-12
-# Outcomes at or below this probability get no post-measurement state.
-ZERO_PROBABILITY = 1e-12
-
-Label = int | tuple[int, int]
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -46,10 +41,9 @@ def clamp_probability(x: float) -> float:
     return min(max(float(x), 0.0), 1.0)
 
 
-def require_unit_trace(m: np.ndarray) -> None:
-    """Reject a density matrix, or any matrix of a stack of them, whose trace
+def require_unit_trace(traces: np.ndarray) -> None:
+    """Reject the first of the (real) traces of density matrices that
     deviates from 1 by more than TRACE_TOL."""
-    traces = np.trace(m, axis1=-2, axis2=-1).real
     tr = linalg.first_offender(traces, np.abs(traces - 1.0) > TRACE_TOL)
     if tr is not None:
         raise ValueError(
@@ -69,15 +63,48 @@ def require_identity_sum(elements) -> None:
 
 
 def _check_psd(m: np.ndarray, name: str) -> None:
-    """Reject matrices with an eigenvalue below -PSD_TOL.
+    """Reject a matrix (or the first of a stack) with an eigenvalue below -PSD_TOL.
 
-    Diagonal matrices are checked entrywise; this keeps large 0/1 projectors
+    A diagonal matrix is checked entrywise; this keeps large 0/1 projectors
     (dimension up to 4096) out of the dense eigensolver.
     """
-    if is_diagonal(m):
+    if m.ndim == 2 and is_diagonal(m):
         linalg.clamp_psd_spectrum(m.diagonal().real, name)
     else:
         linalg.clamp_psd_spectrum(np.linalg.eigvalsh(m), name)
+
+
+def check_density(m, spectrum: np.ndarray | None = None) -> np.ndarray:
+    """The symmetrized copy of a density matrix, or of each matrix of a
+    stack (..., d, d).  Rejects non-finite entries, then the first matrix
+    that is not Hermitian, not of unit trace or not PSD.
+
+    ``spectrum`` may hold the eigenvalues of the Hermitian parts, (..., d),
+    when the caller has them; otherwise the PSD check computes them.
+    """
+    name = "density matrix"
+    m = require_hermitian(as_complex_stack(m, name), name)
+    require_unit_trace(np.trace(m, axis1=-2, axis2=-1).real)
+    if spectrum is None:
+        _check_psd(m, name)
+    else:
+        linalg.clamp_psd_spectrum(spectrum, name)
+    return m
+
+
+def povm_roots(elements: np.ndarray, labels) -> np.ndarray:
+    """sqrt(E) of every element of a POVM, (outcomes, d, d), or of each POVM
+    of a stack, (..., outcomes, d, d), whose elements are labelled ``labels``.
+
+    Each element gets the Hermitian and PSD checks ``Povm`` runs on it, in
+    the same words, and one eigendecomposition serves them and its root;
+    then the elements must sum to the identity.
+    """
+    roots = np.empty_like(elements)
+    for k, label in enumerate(labels):
+        roots[..., k, :, :] = linalg.sqrt_psd(elements[..., k, :, :], f"element {label!r}")
+    require_identity_sum(list(np.moveaxis(elements, -3, 0)))
+    return roots
 
 
 @dataclass(frozen=True)
@@ -119,16 +146,15 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = require_hermitian(as_complex_matrix(self.matrix, "density matrix"),
-                              "density matrix")
-        require_unit_trace(m)
-        _check_psd(m, "density matrix")
-        object.__setattr__(self, "matrix", _freeze(m))
+        m = np.asarray(self.matrix, dtype=np.complex128)
+        if m.ndim > 2:  # check_density also takes a stack
+            raise ValueError(f"density matrix must be 2-D, got shape {m.shape}")
+        object.__setattr__(self, "matrix", _freeze(check_density(m)))
 
     @classmethod
     def prevalidated(cls, matrix: np.ndarray) -> DensityMatrix:
         """A density matrix from a complex symmetrized matrix that already
-        passed this class's checks (in batched form), without running them
+        passed ``check_density`` (in batched form), without running it
         again.  It keeps a read-only view, not a copy: the caller must not
         write to ``matrix`` afterwards."""
         self = object.__new__(cls)
@@ -190,9 +216,9 @@ class Povm:
 
     @classmethod
     def prevalidated(cls, elements) -> Povm:
-        """A POVM from (label, complex matrix) pairs that already passed this
-        class's checks (in batched form), canonical labels in canonical
-        order, without running them again.  It keeps read-only views, not
+        """A POVM from (label, complex matrix) pairs that already passed
+        ``povm_roots`` (in batched form), canonical labels in canonical
+        order, without running it again.  It keeps read-only views, not
         copies: the caller must not write to the matrices afterwards."""
         self = object.__new__(cls)
         object.__setattr__(self, "elements", tuple(
@@ -215,19 +241,6 @@ class Povm:
         raise KeyError(f"no POVM element labelled {label!r}")
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """One branch of a measurement: label, probability, collapsed state.
-
-    ``post_state`` is None when the branch probability is numerically zero
-    (at or below ``ZERO_PROBABILITY``) and no collapse is defined.
-    """
-
-    label: object
-    probability: float
-    post_state: DensityMatrix | None
-
-
 def densify(state: PureState) -> DensityMatrix:
     """Rank-one density matrix |psi><psi|."""
     amp = state.amplitudes
@@ -244,56 +257,6 @@ def expectation(element: np.ndarray, rho: np.ndarray):
     an array of one value per pair for stacks."""
     value = np.einsum("...ab,...ba->...", element, rho).real
     return float(value) if value.ndim == 0 else value
-
-
-def luders_branch(element: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Unnormalized post-measurement branch sqrt(E) rho sqrt(E)."""
-    root = linalg.matrix_sqrt_psd(element)
-    return root @ rho @ root
-
-
-def _born_probability(element: np.ndarray, rho: np.ndarray, label) -> float:
-    p = expectation(element, rho)
-    if p < -PROB_WINDOW_TOL or p > 1.0 + PROB_WINDOW_TOL:
-        raise ValueError(
-            f"outcome {label!r} probability {p!r} outside [-{PROB_WINDOW_TOL:.0e},"
-            f" 1+{PROB_WINDOW_TOL:.0e}]")
-    return clamp_probability(p)
-
-
-def measure_probabilities(rho: DensityMatrix, povm: Povm) -> np.ndarray:
-    """Born probabilities tr(E_i rho) in canonical label order, clamped to [0, 1]."""
-    require_same_dim(rho, povm)
-    return np.array([_born_probability(m, rho.matrix, label)
-                     for label, m in povm.elements])
-
-
-def standard_implementation(rho: DensityMatrix, povm: Povm) -> list[MeasurementOutcome]:
-    """Measure ``povm`` on ``rho``, keeping the outcome.
-
-    Returns one ``MeasurementOutcome`` per element in canonical label order,
-    with post state sqrt(E) rho sqrt(E) / tr(E rho).
-    """
-    require_same_dim(rho, povm)
-    outcomes = []
-    for label, element in povm.elements:
-        p = _born_probability(element, rho.matrix, label)
-        if p <= ZERO_PROBABILITY:
-            outcomes.append(MeasurementOutcome(label, p, None))
-            continue
-        post = luders_branch(element, rho.matrix) / p
-        outcomes.append(MeasurementOutcome(label, p, DensityMatrix(post)))
-    return outcomes
-
-
-def unknown_outcome_state(rho: DensityMatrix, povm: Povm) -> DensityMatrix:
-    """Post-measurement state when the outcome is discarded:
-    sum_i sqrt(E_i) rho sqrt(E_i)."""
-    require_same_dim(rho, povm)
-    total = np.zeros((rho.dim, rho.dim), dtype=np.complex128)
-    for _, element in povm.elements:
-        total += luders_branch(element, rho.matrix)
-    return DensityMatrix(total)
 
 
 def merged_elements(povm: Povm) -> dict[int, np.ndarray]:

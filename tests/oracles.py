@@ -8,15 +8,22 @@
 * The scheme loader's [re, im] pair reader written one pair at a time
   (``vector_from_pairs``).  Tests require the vectorized reader in
   ``qseal.seal`` to return the same bits or raise the same message.
+* The square-root (Lueders) measurement on a dense state: Born
+  probabilities, the collapsed state of each kept outcome and the state
+  left when the outcome is discarded.  Measuring and keeping outcome i
+  collapses rho to sqrt(E_i) rho sqrt(E_i) / tr(E_i rho); discarding it
+  leaves sum_i sqrt(E_i) rho sqrt(E_i).  Tests check the gentle sweep, the
+  cheat state and the seal read probabilities against it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from qseal import linalg, states
+from qseal import linalg
 from qseal.gentle import (
     GentleInstance,
     GentleReport,
@@ -25,9 +32,82 @@ from qseal.gentle import (
     random_epsilon_target,
     unknown_outcome_bound,
 )
-from qseal.states import DensityMatrix, Povm
+from qseal.states import (
+    DensityMatrix,
+    Povm,
+    clamp_probability,
+    expectation,
+    require_same_dim,
+)
 
 SUPPORT_TOL = 1e-12
+# tr(E rho) may stray this far outside [0, 1] before we call it a bug.
+PROB_WINDOW_TOL = 1e-12
+# Outcomes at or below this probability get no post-measurement state.
+ZERO_PROBABILITY = 1e-12
+
+
+@dataclass(frozen=True)
+class MeasurementOutcome:
+    """One branch of a measurement: label, probability, collapsed state.
+
+    ``post_state`` is None when the branch probability is numerically zero
+    (at or below ``ZERO_PROBABILITY``) and no collapse is defined.
+    """
+
+    label: object
+    probability: float
+    post_state: DensityMatrix | None
+
+
+def luders_branch(element: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Unnormalized post-measurement branch sqrt(E) rho sqrt(E)."""
+    root = linalg.matrix_sqrt_psd(element)
+    return root @ rho @ root
+
+
+def _born_probability(element: np.ndarray, rho: np.ndarray, label) -> float:
+    p = expectation(element, rho)
+    if p < -PROB_WINDOW_TOL or p > 1.0 + PROB_WINDOW_TOL:
+        raise ValueError(
+            f"outcome {label!r} probability {p!r} outside [-{PROB_WINDOW_TOL:.0e},"
+            f" 1+{PROB_WINDOW_TOL:.0e}]")
+    return clamp_probability(p)
+
+
+def measure_probabilities(rho: DensityMatrix, povm: Povm) -> np.ndarray:
+    """Born probabilities tr(E_i rho) in canonical label order, clamped to [0, 1]."""
+    require_same_dim(rho, povm)
+    return np.array([_born_probability(m, rho.matrix, label)
+                     for label, m in povm.elements])
+
+
+def standard_implementation(rho: DensityMatrix, povm: Povm) -> list[MeasurementOutcome]:
+    """Measure ``povm`` on ``rho``, keeping the outcome.
+
+    Returns one ``MeasurementOutcome`` per element in canonical label order,
+    with post state sqrt(E) rho sqrt(E) / tr(E rho).
+    """
+    require_same_dim(rho, povm)
+    outcomes = []
+    for label, element in povm.elements:
+        p = _born_probability(element, rho.matrix, label)
+        if p <= ZERO_PROBABILITY:
+            outcomes.append(MeasurementOutcome(label, p, None))
+            continue
+        post = luders_branch(element, rho.matrix) / p
+        outcomes.append(MeasurementOutcome(label, p, DensityMatrix(post)))
+    return outcomes
+
+
+def unknown_outcome_state(rho: DensityMatrix, povm: Povm) -> DensityMatrix:
+    """Post-measurement state when the outcome is discarded:
+    sum_i sqrt(E_i) rho sqrt(E_i)."""
+    require_same_dim(rho, povm)
+    total = np.zeros((rho.dim, rho.dim), dtype=np.complex128)
+    for _, element in povm.elements:
+        total += luders_branch(element, rho.matrix)
+    return DensityMatrix(total)
 
 
 def verify_instance(instance: GentleInstance, tol: float = VIOLATION_TOL) -> GentleReport:
@@ -38,13 +118,13 @@ def verify_instance(instance: GentleInstance, tol: float = VIOLATION_TOL) -> Gen
     off_prob = 0.0
     lhs_classic = math.nan
     for label, element in instance.povm.elements:
-        branch = states.luders_branch(element, rho)
+        branch = luders_branch(element, rho)
         unknown += branch
         if label == instance.dominant_label:
             lhs_classic = linalg.trace_norm(rho - branch)
         else:
             off_norm_sum += linalg.trace_norm(branch)
-            off_prob += states.expectation(element, rho)
+            off_prob += expectation(element, rho)
 
     lhs_unknown = linalg.trace_norm(rho - unknown)
     b_classic = classic_bound(instance.epsilon)

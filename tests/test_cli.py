@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import random_scheme
-from qseal.cli import MAX_GRID_POINTS, MAX_Q, RunConfig, build_parser, format_cell, main
+from qseal.cli import (MAX_GRID_POINTS, MAX_M, MAX_Q, RunConfig, build_parser, format_cell,
+                       main)
 from qseal.qubit_seal import QubitSealFamily
 from qseal.seal import SealScheme, save_scheme
 from qseal.states import PureState
@@ -435,6 +436,13 @@ class TestSealEval:
                     "scheme file: M, dimA, dimB must be integers"),
         "negative dimB": (lambda d: d.__setitem__("dimB", -2),
                           "scheme file: states[0] must list -2 [re, im] pairs"),
+        # within POVM_SUM_TOL of I, so it loads; the cheat state's trace
+        # 1 + 5e-10 is not within TRACE_TOL of 1
+        "POVM sum (1 + 5e-10) I": (
+            lambda d: [e.__setitem__("matrix", [[x * (1 + 5e-10) for x in pair]
+                                                for pair in e["matrix"]])
+                       for e in d["povm"]],
+            "density matrix trace 1.0000000005 deviates from 1 by more than 1.0e-10"),
     }
 
     @pytest.mark.parametrize("name", list(HOSTILE))
@@ -486,6 +494,8 @@ class TestOptions:
     OUT_OF_RANGE = [
         (["bounds", "dist", "--grid", "1"], f"grid must have 2 to {MAX_GRID_POINTS} points, got 1"),
         (["bounds", "nfp", "--grid", "1"], f"grid must have 2 to {MAX_GRID_POINTS} points, got 1"),
+        (["bounds", "nfp", "--M", "1" + "0" * 400],
+         f"every M must be at most {MAX_M}, got 1{'0' * 400}"),
         (["verify", "gentle", "--tol", "0"], "tolerance must be finite and positive, got 0.0"),
         (["verify", "gentle", "--tol", "nan"],
          "tolerance must be finite and positive, got nan"),

@@ -16,7 +16,7 @@ from qseal.gentle import (
     unknown_outcome_bound,
     verify_instance,
 )
-from qseal.linalg import hermitian_part, trace_norm
+from qseal.linalg import trace_norm
 from qseal.states import DensityMatrix, Povm, PureState, densify
 
 
@@ -115,10 +115,9 @@ class TestVerifyInstance:
         rng = np.random.default_rng(97)
         instance = random_instance(5, 3, 0.2, rng)
         report = verify_instance(instance)
-        from qseal.states import unknown_outcome_state
         direct = trace_norm(instance.rho.matrix
-                            - unknown_outcome_state(instance.rho,
-                                                    instance.povm).matrix)
+                            - oracles.unknown_outcome_state(instance.rho,
+                                                            instance.povm).matrix)
         assert report.lhs_unknown == pytest.approx(direct, abs=1e-12)
 
 
@@ -303,87 +302,3 @@ class TestDenseOracle:
         random_instance(6, 3, 0.1, np.random.default_rng(229))
         # rho, the remainder, the share total and the three elements
         assert counts == {"eigh": 6, "eigvalsh": 0, "svd": 0}
-
-
-def valid_chunk(dim=3, n_outcomes=3, n=4):
-    """(raw states, element stack, dominant indices, instances) of n valid
-    instances."""
-    rng = np.random.default_rng(227)
-    built = [oracles.random_instance(dim, n_outcomes, 0.1, rng) for _ in range(n)]
-    raw = np.stack([b.rho.matrix for b in built])
-    elements = np.stack([[m for _, m in b.povm.elements] for b in built])
-    dominant = np.array([b.dominant_label for b in built])
-    return raw, elements, dominant, built
-
-
-def chunk_error(raw, elements) -> str:
-    vals = np.linalg.eigh(hermitian_part(raw))[0]
-    with pytest.raises(ValueError) as exc:
-        gentle._check_chunk(raw, vals, elements)
-    return str(exc.value)
-
-
-def constructor_error(make) -> str:
-    with pytest.raises(ValueError) as exc:
-        make()
-    return str(exc.value)
-
-
-class TestBatchedChecks:
-    """One bad matrix in an otherwise valid chunk: the batched checks raise
-    what the per-object constructor raises for it."""
-
-    def test_valid_chunk_passes(self):
-        raw, elements, dominant, built = valid_chunk()
-        rho, roots = gentle._check_chunk(
-            raw, np.linalg.eigh(hermitian_part(raw))[0], elements)
-        assert np.array_equal(rho, raw)
-        sums = gentle._branch_sums(rho, elements, roots, dominant)
-        for b, lhs_classic, lhs_unknown, off_norm, off_prob in zip(built, *sums):
-            report = oracles.verify_instance(b)
-            assert (report.lhs_classic, report.lhs_unknown,
-                    report.off_dominant_trace_norm_sum,
-                    report.off_dominant_probability) == (
-                lhs_classic, lhs_unknown, off_norm, off_prob)
-
-    def test_non_hermitian_state(self):
-        raw, elements, _, _ = valid_chunk()
-        raw[2, 0, 1] += 1e-6
-        assert chunk_error(raw, elements) == constructor_error(
-            lambda: DensityMatrix(raw[2]))
-
-    def test_state_trace_off_one(self):
-        raw, elements, _, _ = valid_chunk()
-        raw[1] *= 1.001
-        assert chunk_error(raw, elements) == constructor_error(
-            lambda: DensityMatrix(raw[1]))
-
-    def test_state_not_psd(self):
-        raw, elements, _, _ = valid_chunk()
-        raw[3] = 1.5 * raw[3] - 0.5 * raw[0]
-        message = constructor_error(lambda: DensityMatrix(raw[3]))
-        assert "negative eigenvalue" in message
-        assert chunk_error(raw, elements) == message
-
-    def test_non_hermitian_element(self):
-        raw, elements, _, _ = valid_chunk()
-        elements[1, 2, 0, 2] += 1e-6j
-        assert chunk_error(raw, elements) == constructor_error(
-            lambda: Povm(tuple(enumerate(elements[1]))))
-
-    def test_element_not_psd(self):
-        raw, elements, _, _ = valid_chunk()
-        v = np.linalg.eigh(elements[2, 1])[1][:, 0]
-        shift = 2.0 * np.outer(v, v.conj())
-        elements[2, 1] -= shift
-        elements[2, 0] += shift
-        message = constructor_error(lambda: Povm(tuple(enumerate(elements[2]))))
-        assert message.startswith("element 1 has negative eigenvalue")
-        assert chunk_error(raw, elements) == message
-
-    def test_elements_not_summing_to_identity(self):
-        raw, elements, _, _ = valid_chunk()
-        elements[0, 2] *= 0.5
-        message = constructor_error(lambda: Povm(tuple(enumerate(elements[0]))))
-        assert message.startswith("POVM element sum deviates")
-        assert chunk_error(raw, elements) == message

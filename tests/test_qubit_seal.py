@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density_matrix
+from oracles import measure_probabilities
 from qseal.linalg import trace_norm
 from qseal.qubit_seal import (
     QubitSealFamily,
@@ -15,7 +16,7 @@ from qseal.qubit_seal import (
     z_state,
 )
 from qseal.seal import coarse_cheat_state, p_dist_upper_bound
-from qseal.states import densify, helstrom_probability, measure_probabilities
+from qseal.states import densify, helstrom_probability
 
 P_GRID = [0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0]
 PHI_GRID = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
@@ -72,6 +73,9 @@ class TestFamilyConstruction:
                                           scheme.bob_povm)[0]
             succ2 = measure_probabilities(densify(scheme.state(2)),
                                           scheme.bob_povm)[1]
+            # the read probabilities `simulate achieve` prints
+            assert scheme.read_probabilities == pytest.approx((succ1, succ2),
+                                                              abs=1e-12)
             assert (succ1 + succ2) / 2.0 == pytest.approx(p, abs=1e-12)
 
 

@@ -12,11 +12,11 @@ from qseal.naive import build_message_states, dense_state, majority_projector_po
 from qseal.qubit_seal import QubitSealFamily
 from qseal.seal import (
     SealScheme,
+    _bob_marginal,
     _vector_from_pairs,
     coarse_cheat_state,
     evaluate_scheme,
     load_scheme,
-    marginal,
     monotonicity_check,
     p_dist_numeric,
     p_dist_upper_bound,
@@ -31,8 +31,6 @@ from qseal.states import (
     PureState,
     densify,
     helstrom_probability,
-    standard_implementation,
-    unknown_outcome_state,
 )
 
 
@@ -159,7 +157,7 @@ class TestPromise:
     def test_marginal_of_entangled_states(self):
         scheme = entangled_scheme()
         for m in (1, 2):
-            np.testing.assert_allclose(marginal(scheme, m).matrix,
+            np.testing.assert_allclose(_bob_marginal(scheme, m),
                                        np.eye(2) / 2.0, atol=1e-14)
 
 
@@ -194,12 +192,12 @@ class TestCheatState:
                     (i, tensor_product(np.eye(dim_a), f))
                     for i, f in sorted(merged.items())))
                 mixture = np.zeros((dim_a * 4, dim_a * 4), dtype=complex)
-                for o in standard_implementation(rho, lifted):
+                for o in oracles.standard_implementation(rho, lifted):
                     if o.post_state is not None:
                         mixture += o.probability * o.post_state.matrix
                 np.testing.assert_allclose(coarse_cheat_state(scheme, m).matrix,
                                            mixture, atol=1e-10)
-                direct = unknown_outcome_state(rho, lifted)
+                direct = oracles.unknown_outcome_state(rho, lifted)
                 np.testing.assert_allclose(coarse_cheat_state(scheme, m).matrix,
                                            direct.matrix, atol=1e-12)
 
@@ -316,7 +314,7 @@ class TestPDist:
                 fine = Povm(tuple(
                     (x, np.diag((np.arange(dim) == x).astype(float)))
                     for x in range(dim)))
-                dephased = unknown_outcome_state(rho, fine)
+                dephased = oracles.unknown_outcome_state(rho, fine)
             else:
                 # same channel written in closed form (a dense 512-element
                 # projector family would be needlessly heavy)

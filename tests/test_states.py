@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
+import oracles
 from conftest import random_density_matrix, random_povm, random_unitary
+from oracles import measure_probabilities, standard_implementation, unknown_outcome_state
+from qseal import gentle
+from qseal.linalg import hermitian_part
 from qseal.states import (
     DensityMatrix,
     Povm,
     PureState,
+    check_density,
     coarse_grain,
     densify,
     helstrom_probability,
-    measure_probabilities,
-    standard_implementation,
-    unknown_outcome_state,
+    povm_roots,
 )
 
 
@@ -81,6 +84,11 @@ class TestDensityMatrix:
     def test_tolerates_roundoff_negative(self):
         rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]))
         assert rho.dim == 2
+
+    def test_rejects_stack(self):
+        # check_density takes a stack; a DensityMatrix holds one matrix
+        with pytest.raises(ValueError, match="must be 2-D"):
+            DensityMatrix(np.stack([np.eye(2) / 2.0] * 3))
 
 
 class TestPovm:
@@ -277,3 +285,92 @@ class TestHelstrom:
         with pytest.raises(ValueError):
             helstrom_probability(z_diag(0.5), DensityMatrix(np.eye(3) / 3.0))
 
+
+def valid_chunk(dim=3, n_outcomes=3, n=4):
+    """(raw states, element stack, dominant indices, instances) of n valid
+    instances."""
+    rng = np.random.default_rng(227)
+    built = [oracles.random_instance(dim, n_outcomes, 0.1, rng) for _ in range(n)]
+    raw = np.stack([b.rho.matrix for b in built])
+    elements = np.stack([[m for _, m in b.povm.elements] for b in built])
+    dominant = np.array([b.dominant_label for b in built])
+    return raw, elements, dominant, built
+
+
+def check_chunk(raw, elements) -> tuple:
+    """The batched checks the gentle sweep runs on a chunk, in its order."""
+    rho = check_density(raw, np.linalg.eigh(hermitian_part(raw))[0])
+    return rho, povm_roots(elements, range(elements.shape[1]))
+
+
+def chunk_error(raw, elements) -> str:
+    with pytest.raises(ValueError) as exc:
+        check_chunk(raw, elements)
+    return str(exc.value)
+
+
+def constructor_error(make) -> str:
+    with pytest.raises(ValueError) as exc:
+        make()
+    return str(exc.value)
+
+
+class TestBatchedChecks:
+    """One bad matrix in an otherwise valid chunk: ``check_density`` and
+    ``povm_roots`` raise what the per-object constructor raises for it."""
+
+    def test_valid_chunk_passes(self):
+        raw, elements, dominant, built = valid_chunk()
+        rho, roots = check_chunk(raw, elements)
+        assert np.array_equal(rho, raw)
+        sums = gentle._branch_sums(rho, elements, roots, dominant)
+        for b, lhs_classic, lhs_unknown, off_norm, off_prob in zip(built, *sums):
+            report = oracles.verify_instance(b)
+            assert (report.lhs_classic, report.lhs_unknown,
+                    report.off_dominant_trace_norm_sum,
+                    report.off_dominant_probability) == (
+                lhs_classic, lhs_unknown, off_norm, off_prob)
+
+    def test_non_hermitian_state(self):
+        raw, elements, _, _ = valid_chunk()
+        raw[2, 0, 1] += 1e-6
+        assert chunk_error(raw, elements) == constructor_error(
+            lambda: DensityMatrix(raw[2]))
+
+    def test_state_trace_off_one(self):
+        raw, elements, _, _ = valid_chunk()
+        raw[1] *= 1.001
+        assert chunk_error(raw, elements) == constructor_error(
+            lambda: DensityMatrix(raw[1]))
+
+    def test_state_not_psd(self):
+        raw, elements, _, _ = valid_chunk()
+        raw[3] = 1.5 * raw[3] - 0.5 * raw[0]
+        message = constructor_error(lambda: DensityMatrix(raw[3]))
+        assert "negative eigenvalue" in message
+        assert chunk_error(raw, elements) == message
+        # without a spectrum, check_density computes one
+        assert constructor_error(lambda: check_density(raw)) == message
+
+    def test_non_hermitian_element(self):
+        raw, elements, _, _ = valid_chunk()
+        elements[1, 2, 0, 2] += 1e-6j
+        assert chunk_error(raw, elements) == constructor_error(
+            lambda: Povm(tuple(enumerate(elements[1]))))
+
+    def test_element_not_psd(self):
+        raw, elements, _, _ = valid_chunk()
+        v = np.linalg.eigh(elements[2, 1])[1][:, 0]
+        shift = 2.0 * np.outer(v, v.conj())
+        elements[2, 1] -= shift
+        elements[2, 0] += shift
+        message = constructor_error(lambda: Povm(tuple(enumerate(elements[2]))))
+        assert message.startswith("element 1 has negative eigenvalue")
+        assert chunk_error(raw, elements) == message
+
+    def test_elements_not_summing_to_identity(self):
+        raw, elements, _, _ = valid_chunk()
+        elements[0, 2] *= 0.5
+        message = constructor_error(lambda: Povm(tuple(enumerate(elements[0]))))
+        assert message.startswith("POVM element sum deviates")
+        assert chunk_error(raw, elements) == message
