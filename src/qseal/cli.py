@@ -114,15 +114,13 @@ def _emit(table: CsvTable, config: RunConfig, summary_lines: list) -> None:
 def cmd_bounds_fig1(config: RunConfig, grid: int = DEFAULT_GRID) -> CsvTable:
     """Distinguishability cap and both detection floors over p in [0.5, 1]."""
     _require_grid(grid)
-    rows = []
-    for raw_p in np.linspace(0.5, 1.0, grid):
-        p = min(max(float(raw_p), 0.5), 1.0)
-        rows.append([
-            p,
-            seal.clamp_probability(seal.p_dist_upper_bound(p)),
-            qubit_seal.p_dist_lower_paper(p),
-            qubit_seal.p_dist_lower_numeric(p),
-        ])
+    ps = np.clip(np.linspace(0.5, 1.0, grid), 0.5, 1.0)
+    rows = [[p,
+             seal.clamp_probability(seal.p_dist_upper_bound(p)),
+             qubit_seal.p_dist_lower_paper(p),
+             numeric]
+            for p, numeric in zip(ps.tolist(),
+                                  qubit_seal.p_dist_lower_numeric(ps).tolist())]
     return CsvTable(
         ["p", "p_dist_upper", "p_dist_lower_paper", "p_dist_lower_numeric"], rows)
 

@@ -30,7 +30,10 @@ class CapacityError(ValueError):
 def as_complex_stack(m, name: str = "matrix") -> np.ndarray:
     """Coerce ``m`` to a complex128 matrix or stack of matrices, shape
     (..., rows, cols), rejecting NaN/Inf entries."""
-    out = np.asarray(m, dtype=np.complex128)
+    try:
+        out = np.asarray(m, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be an array of complex numbers") from None
     if out.ndim < 2:
         raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
     if not np.all(np.isfinite(out)):

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import seal
-from .states import DensityMatrix, Povm, PureState, densify, helstrom_probability
+from . import linalg, seal
+from .states import DensityMatrix, Povm, PureState, check_density, densify
 
 _TWO_PI = 2.0 * math.pi
 # Sizes of the even phase grids of phi_invariance_spread and bloch_centroid.
@@ -50,10 +50,15 @@ def state_pair(p: float, phi: float = 0.0) -> tuple:
     endpoint, even though a usable seal needs p > 1/2.
     """
     p = _require_p(p, low_open=False)
+    return (PureState(_ket(p, 1.0 - p, phi), (1, 2)),
+            PureState(_ket(1.0 - p, p, phi), (1, 2)))
+
+
+def _ket(weight_0, weight_1, phi: float) -> np.ndarray:
+    """sqrt(w0)|0> + e^{i phi} sqrt(w1)|1>, or one such ket per entry of
+    equally shaped arrays of weights, (..., 2)."""
     phase = complex(math.cos(phi), math.sin(phi))
-    one = PureState(np.array([math.sqrt(p), phase * math.sqrt(1.0 - p)]), (1, 2))
-    two = PureState(np.array([math.sqrt(1.0 - p), phase * math.sqrt(p)]), (1, 2))
-    return one, two
+    return np.stack([np.sqrt(weight_0), phase * np.sqrt(weight_1)], axis=-1)
 
 
 def z_state(x: float) -> DensityMatrix:
@@ -110,11 +115,26 @@ def p_dist_lower_paper(p: float) -> float:
     return 0.5 + math.sqrt(2.0 * p * (1.0 - p)) / 4.0
 
 
-def p_dist_lower_numeric(p: float, phi: float = 0.0) -> float:
+def p_dist_lower_numeric(p, phi: float = 0.0):
     """Detection floor evaluated numerically:
-    1/2 + ||Z(p) - |psi_1><psi_1|||_1 / 4."""
-    psi_one, _ = state_pair(p, phi)  # validates p
-    return helstrom_probability(z_state(p), densify(psi_one))
+    1/2 + ||Z(p) - |psi_1><psi_1|||_1 / 4 (``helstrom_probability`` of the
+    two states).
+
+    A float for a scalar p, an array of one value per entry for an array of
+    p.  The levels are checked once, and both states are built and checked
+    as (..., 2, 2) stacks, so a sweep takes one batched trace norm.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    bad = linalg.first_offender(p, ~((p >= 0.5) & (p <= 1.0)))
+    if bad is not None:
+        _require_p(bad, low_open=False)
+    psi_one = _ket(p, 1.0 - p, phi)
+    pure = check_density(psi_one[..., :, None] * psi_one.conj()[..., None, :])
+    weights = np.stack([p, 1.0 - p], axis=-1)
+    dephased = np.zeros(weights.shape + (2,), dtype=np.complex128)
+    dephased[..., [0, 1], [0, 1]] = weights
+    dephased = check_density(dephased, spectrum=weights)
+    return 0.5 + linalg.trace_norm(dephased - pure) / 4.0
 
 
 def phi_invariance_spread(p: float) -> float:

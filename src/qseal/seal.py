@@ -33,6 +33,7 @@ package; pick your own weighting from ``per_message`` if you need one).
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -46,6 +47,15 @@ from .states import DensityMatrix, Povm, PureState, clamp_probability, densify
 
 PROMISE_TOL = 1e-9
 _MONOTONE_TOL = 1e-12
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; only integer types pass, never a float."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(
+            f"{name} must be an integer, got {type(value).__name__}") from None
 
 
 def clamp_promise(p: float, n_messages: int) -> float:
@@ -70,23 +80,37 @@ class SealScheme:
     read_probabilities: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m_count = int(self.n_messages)
+        m_count = _integer(self.n_messages, "n_messages")
         if m_count < 2:
             raise ValueError(f"need at least 2 messages, got {m_count}")
-        dim_a, dim_b = int(self.dim_a), int(self.dim_b)
+        dim_a, dim_b = _integer(self.dim_a, "dim_a"), _integer(self.dim_b, "dim_b")
         if dim_a < 1 or dim_b < 1:
             raise ValueError(f"dimensions must be positive, got {dim_a}, {dim_b}")
-        p = float(self.promised_p)
+        try:
+            p = float(self.promised_p)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"promised_p must be a number, got"
+                             f" {type(self.promised_p).__name__}") from None
+        try:
+            joint_states = tuple(self.joint_states)
+        except TypeError:
+            raise ValueError("joint_states must be a sequence of PureStates") from None
+        if len(joint_states) != m_count:  # before 1/M, which a huge M overflows
+            raise ValueError(
+                f"expected {m_count} joint states, got {len(joint_states)}")
         if not (1.0 / m_count < p <= 1.0):
             raise ValueError(
                 f"promised_p must lie in (1/{m_count}, 1], got {p!r}")
-        if len(self.joint_states) != m_count:
-            raise ValueError(
-                f"expected {m_count} joint states, got {len(self.joint_states)}")
-        for m, state in enumerate(self.joint_states, 1):
+        for m, state in enumerate(joint_states, 1):
+            if not isinstance(state, PureState):
+                raise ValueError(f"state of message {m} is a {type(state).__name__},"
+                                 " not a PureState")
             if state.dims != (dim_a, dim_b):
                 raise ValueError(f"state of message {m} has dims {state.dims},"
                                  f" not ({dim_a}, {dim_b})")
+        if not isinstance(self.bob_povm, Povm):
+            raise ValueError(
+                f"bob_povm is a {type(self.bob_povm).__name__}, not a Povm")
         if self.bob_povm.dim != dim_b:
             raise ValueError(
                 f"POVM dimension {self.bob_povm.dim} != dim_b {dim_b}")
@@ -101,7 +125,7 @@ class SealScheme:
         object.__setattr__(self, "dim_a", dim_a)
         object.__setattr__(self, "dim_b", dim_b)
         object.__setattr__(self, "promised_p", p)
-        object.__setattr__(self, "joint_states", tuple(self.joint_states))
+        object.__setattr__(self, "joint_states", joint_states)
         realized = tuple(promise_probability(self, m) for m in range(1, m_count + 1))
         for m, value in enumerate(realized, 1):
             if value < p - PROMISE_TOL:
@@ -303,12 +327,18 @@ def evaluate_scheme(scheme: SealScheme) -> DetectionReport:
 # --- scheme file round trip -------------------------------------------------
 #
 # Plain JSON: complex numbers as [re, im] pairs, matrices row-major, floats
-# written by repr (17 significant digits).
+# written by repr (the shortest string that reads back to the same float).
+
+def _pair_floats(array: np.ndarray) -> np.ndarray:
+    """Row-major [re, im] pairs of a complex vector or matrix, as an (n, 2)
+    float view."""
+    flat = np.ascontiguousarray(array, np.complex128).reshape(-1)
+    return flat.view(np.float64).reshape(-1, 2)
+
 
 def pairs_from_array(array: np.ndarray) -> list:
     """Row-major [re, im] pairs of a complex vector or matrix."""
-    flat = np.ascontiguousarray(array, np.complex128).reshape(-1)
-    return flat.view(np.float64).reshape(-1, 2).tolist()
+    return _pair_floats(array).tolist()
 
 
 def _vector_from_pairs(pairs, expected_len: int, what: str) -> np.ndarray:
@@ -346,19 +376,40 @@ def _check_pairs(pairs: list, what: str) -> None:
             raise ValueError(f"scheme file: {what}[{k}] is too large for a float") from None
 
 
+def _pair_list(array: np.ndarray, depth: int) -> str:
+    """The [re, im] pairs of ``array`` as a JSON list whose closing bracket
+    is indented ``depth`` spaces, laid out as ``json.dumps(..., indent=1)``
+    lays it out.
+
+    One ``%`` fills a repeated per-pair template: ``%r`` of a finite float
+    is ``float.__repr__``, which is what ``json`` writes (no valid scheme
+    holds a NaN or an infinity, which ``json`` spells differently).
+    """
+    floats = _pair_floats(array)
+    pair_gap = "\n" + " " * (depth + 1)
+    number_gap = "\n" + " " * (depth + 2)
+    pair = "[" + number_gap + "%r," + number_gap + "%r" + pair_gap + "]"
+    template = ("[" + pair_gap + ("," + pair_gap).join([pair] * len(floats))
+                + "\n" + " " * depth + "]")
+    return template % tuple(floats.ravel().tolist())
+
+
 def save_scheme(scheme: SealScheme, path) -> None:
-    doc = {
-        "M": scheme.n_messages,
-        "dimA": scheme.dim_a,
-        "dimB": scheme.dim_b,
-        "promised_p": scheme.promised_p,
-        "states": [pairs_from_array(s.amplitudes) for s in scheme.joint_states],
-        "povm": [
-            {"label": [label[0], label[1]], "matrix": pairs_from_array(element)}
-            for label, element in scheme.bob_povm.elements
-        ],
-    }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    """Write ``scheme`` as a scheme file: the bytes ``json.dumps`` writes at
+    ``indent=1`` for the document of ``M``, ``dimA``, ``dimB``,
+    ``promised_p``, the states and the POVM entries, and a newline, without
+    running ``json``'s pure-Python indenting encoder over every float."""
+    head = ('{\n "M": %s,\n "dimA": %s,\n "dimB": %s,\n "promised_p": %s,\n'
+            % tuple(map(json.dumps, (scheme.n_messages, scheme.dim_a,
+                                     scheme.dim_b, scheme.promised_p))))
+    states = ",\n  ".join(_pair_list(s.amplitudes, 2) for s in scheme.joint_states)
+    povm = ",\n  ".join(
+        '{\n   "label": [\n    %d,\n    %d\n   ],\n   "matrix": %s\n  }'
+        % (label[0], label[1], _pair_list(element, 3))
+        for label, element in scheme.bob_povm.elements)
+    Path(path).write_text(
+        head + ' "states": [\n  ' + states + '\n ],\n "povm": [\n  ' + povm + "\n ]\n}\n",
+        encoding="utf-8")
 
 
 def load_scheme(path) -> SealScheme:

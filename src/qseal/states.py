@@ -15,6 +15,7 @@ Batched code checks states with ``check_density`` and POVMs with
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     out = a.view()
     out.setflags(write=False)
     return out
+
+
+def _one_line(value) -> str:
+    """``repr(value)`` with each run of whitespace made one space, so that an
+    error message quoting it stays on one line (numpy prints a 2-D array on
+    several)."""
+    return " ".join(repr(value).split())
 
 
 def clamp_probability(x: float) -> float:
@@ -115,7 +123,10 @@ class PureState:
     dims: tuple[int, int] | None = None
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=np.complex128)
+        try:
+            amp = np.asarray(self.amplitudes, dtype=np.complex128)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("amplitudes must be an array of complex numbers") from None
         if amp.ndim != 1:
             raise ValueError(f"amplitudes must be 1-D, got shape {amp.shape}")
         if amp.size == 0:
@@ -127,11 +138,15 @@ class PureState:
             raise ValueError(
                 f"state norm {norm!r} deviates from 1 by more than {UNIT_NORM_TOL:.1e}")
         if self.dims is not None:
-            dim_a, dim_b = self.dims
+            try:
+                dim_a, dim_b = map(operator.index, self.dims)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"dims must be a pair of integers, got {_one_line(self.dims)}") from None
             if dim_a < 1 or dim_b < 1 or dim_a * dim_b != amp.size:
                 raise ValueError(
                     f"dims {self.dims} incompatible with vector length {amp.size}")
-            object.__setattr__(self, "dims", (int(dim_a), int(dim_b)))
+            object.__setattr__(self, "dims", (dim_a, dim_b))
         object.__setattr__(self, "amplitudes", _freeze(amp))
 
     @property
@@ -174,7 +189,8 @@ def _label_key(label) -> tuple[int, ...]:
             and all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
                     for x in label)):
         return (int(label[0]), int(label[1]))
-    raise ValueError(f"POVM label must be an int or an (i, j) int pair, got {label!r}")
+    raise ValueError(
+        f"POVM label must be an int or an (i, j) int pair, got {_one_line(label)}")
 
 
 def canonical_label(label):
@@ -190,7 +206,12 @@ class Povm:
     elements: tuple
 
     def __post_init__(self):
-        raw = list(self.elements)
+        try:
+            raw = [tuple(entry) for entry in self.elements]
+        except TypeError:
+            raw = None
+        if raw is None or any(len(entry) != 2 for entry in raw):
+            raise ValueError("POVM elements must be (label, matrix) pairs")
         if not raw:
             raise ValueError("POVM needs at least one element")
         seen = set()

@@ -7,11 +7,16 @@ fixtures or oracles.
 
 from __future__ import annotations
 
+import types
+from pathlib import Path
+
 import numpy as np
 from hypothesis import settings
 
 from qseal.seal import SealScheme
 from qseal.states import DensityMatrix, Povm, PureState
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Property tests draw the same examples on every run: no example database,
 # no wall-clock deadline, a derandomized search.
@@ -194,3 +199,28 @@ def projector_scheme(rng: np.random.Generator, n_messages: int, dim_a: int,
         bob_povm=Povm(tuple(((m, 1), np.diag(mask))
                             for m, mask in enumerate(masks, start=1))),
     )
+
+
+def perfbench_module(name: str) -> types.ModuleType:
+    """``perfbench/<name>.py``, compiled from its text so that no bytecode
+    is written next to it; the benchmark's files are only read."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def perfbench_pool(seed: int) -> list:
+    """The ``seal_eval`` workload's schemes at ``seed``, in pool order, built
+    from ``perfbench/schemes.py`` as the workload builds them."""
+    schemes = perfbench_module("schemes")
+    pool = []
+    for k, (m_count, dim_a, dim_b) in enumerate(schemes.POOL_SHAPES):
+        arrays = schemes.generate_scheme(m_count, dim_a, dim_b,
+                                         np.random.default_rng([seed, k]))
+        pool.append(SealScheme(
+            n_messages=m_count, dim_a=dim_a, dim_b=dim_b,
+            promised_p=arrays["promised_p"],
+            joint_states=tuple(PureState(v, (dim_a, dim_b)) for v in arrays["states"]),
+            bob_povm=Povm(tuple(arrays["povm"]))))
+    return pool

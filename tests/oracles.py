@@ -14,10 +14,13 @@
   collapses rho to sqrt(E_i) rho sqrt(E_i) / tr(E_i rho); discarding it
   leaves sum_i sqrt(E_i) rho sqrt(E_i).  Tests check the gentle sweep, the
   cheat state and the seal read probabilities against it.
+* The scheme file as ``json`` writes it (``scheme_file_text``).  Tests
+  require ``qseal.seal.save_scheme`` to write the same bytes.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -32,6 +35,7 @@ from qseal.gentle import (
     random_epsilon_target,
     unknown_outcome_bound,
 )
+from qseal.seal import pairs_from_array
 from qseal.states import (
     DensityMatrix,
     Povm,
@@ -237,3 +241,20 @@ def vector_from_pairs(pairs, expected_len: int, what: str) -> np.ndarray:
         except OverflowError:
             raise ValueError(f"scheme file: {what}[{k}] is too large for a float") from None
     return out
+
+
+def scheme_file_text(scheme) -> str:
+    """A scheme file's text: the scheme's document through ``json.dumps``'s
+    indenting encoder, and a newline."""
+    doc = {
+        "M": scheme.n_messages,
+        "dimA": scheme.dim_a,
+        "dimB": scheme.dim_b,
+        "promised_p": scheme.promised_p,
+        "states": [pairs_from_array(s.amplitudes) for s in scheme.joint_states],
+        "povm": [
+            {"label": [label[0], label[1]], "matrix": pairs_from_array(element)}
+            for label, element in scheme.bob_povm.elements
+        ],
+    }
+    return json.dumps(doc, indent=1) + "\n"

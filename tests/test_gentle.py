@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import count_decompositions
+from conftest import (
+    count_decompositions,
+    random_density_matrix,
+    random_povm,
+    random_unitary,
+)
 from qseal import gentle
 from qseal.cli import format_cell
 from qseal.gentle import (
@@ -17,7 +22,7 @@ from qseal.gentle import (
     verify_instance,
 )
 from qseal.linalg import trace_norm
-from qseal.states import DensityMatrix, Povm, PureState, densify
+from qseal.states import DensityMatrix, Povm, PureState, densify, helstrom_probability
 
 
 def plus_state():
@@ -302,3 +307,123 @@ class TestDenseOracle:
         random_instance(6, 3, 0.1, np.random.default_rng(229))
         # rho, the remainder, the share total and the three elements
         assert counts == {"eigh": 6, "eigvalsh": 0, "svd": 0}
+
+
+def both_reports(instance):
+    """``verify_instance``'s report and the per-instance reference's; every
+    case below needs them equal."""
+    report = verify_instance(instance)
+    assert report == oracles.verify_instance(instance)
+    return report
+
+
+def random_pure(dim, rng):
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return densify(PureState(v / np.linalg.norm(v)))
+
+
+class TestLimitCases:
+    """Winter's gentle lemma at its ends, degenerate states, rank-deficient
+    elements, and the two ends of the Helstrom probability."""
+
+    @pytest.mark.parametrize("dim", [2, 5, 16])
+    def test_zero_target_is_the_exact_limit(self, dim):
+        for seed in range(4):
+            instance = random_instance(dim, 3, 0.0, np.random.default_rng([dim, seed]))
+            for label, element in instance.povm.elements:
+                exact = np.eye(dim) if label == instance.dominant_label else 0.0
+                assert np.array_equal(element, exact + np.zeros((dim, dim)))
+            report = both_reports(instance)
+            # epsilon is only the trace roundoff of rho
+            assert report.epsilon <= 4 * np.finfo(float).eps
+            assert report.lhs_classic == 0.0 and report.lhs_unknown == 0.0
+            assert report.satisfied_classic and report.satisfied_unknown
+
+    def test_zero_epsilon_on_a_degenerate_pure_state(self):
+        rho = DensityMatrix(np.diag([1.0, 0.0, 0.0]))
+        povm = Povm(((0, np.diag([1.0, 0.0, 0.0])), (1, np.diag([0.0, 1.0, 1.0]))))
+        report = both_reports(GentleInstance(rho, povm, 0))
+        assert report.epsilon == 0.0
+        assert report.bound_classic == 0.0 and report.bound_unknown == 0.0
+        assert report.lhs_classic == 0.0 and report.lhs_unknown == 0.0
+        assert report.satisfied_classic and report.satisfied_unknown
+
+    @pytest.mark.parametrize("kept", [0.0, 1e-12, 1e-6, 1e-3])
+    def test_epsilon_near_one(self, kept):
+        # |0><0| read by {diag(kept, 1), diag(1 - kept, 0)}, dominant first:
+        # epsilon = 1 - kept; keeping the outcome leaves kept |0><0|, and
+        # discarding it gives |0><0| back
+        rho = DensityMatrix(np.diag([1.0, 0.0]))
+        povm = Povm(((0, np.diag([kept, 1.0])), (1, np.diag([1.0 - kept, 0.0]))))
+        report = both_reports(GentleInstance(rho, povm, 0))
+        assert report.epsilon == 1.0 - kept
+        assert report.lhs_classic == pytest.approx(1.0 - kept, abs=1e-15)
+        assert report.lhs_unknown == pytest.approx(0.0, abs=1e-15)
+        assert report.off_dominant_probability == pytest.approx(1.0 - kept, abs=1e-15)
+        assert report.satisfied_classic and report.satisfied_unknown
+
+    @pytest.mark.parametrize("dim,n_outcomes", [(2, 2), (4, 3), (8, 5)])
+    def test_maximally_mixed_state(self, dim, n_outcomes):
+        # every Lueders channel fixes I/d: nothing is disturbed on average
+        rng = np.random.default_rng([41, dim])
+        rho = DensityMatrix(np.eye(dim) / dim)
+        povm = random_povm(dim, n_outcomes, rng)
+        report = both_reports(GentleInstance(rho, povm, 0))
+        assert report.lhs_unknown == pytest.approx(0.0, abs=1e-14)
+        assert report.satisfied_classic and report.satisfied_unknown
+
+    @pytest.mark.parametrize("dim", [3, 6])
+    def test_degenerate_spectrum_and_rank_one_elements(self, dim):
+        # rho = (|u_0><u_0| + |u_1><u_1|) / 2 in a random basis, read by the
+        # rank-one projectors of another random basis
+        rng = np.random.default_rng([43, dim])
+        basis = random_unitary(dim, rng)
+        rho = DensityMatrix((basis[:, :2] @ basis[:, :2].conj().T) / 2.0)
+        readout = random_unitary(dim, rng)
+        povm = Povm(tuple((k, np.outer(readout[:, k], readout[:, k].conj()))
+                          for k in range(dim)))
+        for label in povm.labels:
+            report = both_reports(GentleInstance(rho, povm, label))
+            assert report.satisfied_classic and report.satisfied_unknown
+            assert report.off_dominant_trace_norm_sum == pytest.approx(
+                report.epsilon, abs=1e-12)
+
+    def test_rank_deficient_elements_on_pure_states(self):
+        rng = np.random.default_rng(47)
+        for dim in (2, 4, 7):
+            rho = random_pure(dim, rng)
+            half = np.diag((np.arange(dim) < dim // 2).astype(float))
+            povm = Povm(((0, half), (1, 0.5 * (np.eye(dim) - half)),
+                         (2, 0.5 * (np.eye(dim) - half))))
+            for label in povm.labels:
+                report = both_reports(GentleInstance(rho, povm, label))
+                assert report.satisfied_classic and report.satisfied_unknown
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_helstrom_of_identical_states_is_one_half(self, dim):
+        rng = np.random.default_rng([53, dim])
+        for rho in (random_pure(dim, rng), random_density_matrix(dim, rng)):
+            assert helstrom_probability(rho, rho) == 0.5
+        # a readout that commutes with rho returns it unchanged: the
+        # unknown-outcome gap is zero, Helstrom exactly 1/2, on both paths
+        rho = DensityMatrix(np.diag(rng.dirichlet(np.ones(dim))))
+        projectors = Povm(tuple((k, np.diag(np.eye(dim)[k])) for k in range(dim)))
+        report = both_reports(GentleInstance(rho, projectors, 0))
+        assert 0.5 + report.lhs_unknown / 4.0 == 0.5
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_helstrom_of_orthogonal_pure_states_is_one(self, dim):
+        eye = np.eye(dim)
+        for a, b in ((0, 1), (dim - 1, 0)):
+            first = densify(PureState(eye[a]))
+            second = densify(PureState(1j * eye[b]))
+            assert helstrom_probability(first, second) == 1.0
+        basis = random_unitary(dim, np.random.default_rng([59, dim]))
+        first, second = (densify(PureState(basis[:, k])) for k in (0, 1))
+        assert helstrom_probability(first, second) == pytest.approx(1.0, abs=1e-15)
+        # a projective readout of the pair: keeping the outcome that never
+        # occurs on |b> removes all of |b><b|, a trace-norm gap of 1
+        povm = Povm(((0, first.matrix), (1, np.eye(dim) - first.matrix)))
+        report = both_reports(GentleInstance(second, povm, 0))
+        assert report.epsilon == pytest.approx(1.0, abs=1e-15)
+        assert report.lhs_classic == pytest.approx(1.0, abs=1e-15)

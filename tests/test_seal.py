@@ -1,4 +1,10 @@
+import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import count_decompositions, projector_scheme, random_scheme
+from conftest import (
+    PERFBENCH,
+    count_decompositions,
+    perfbench_pool,
+    projector_scheme,
+    random_scheme,
+)
 from qseal.linalg import tensor_product, trace_norm
 from qseal.naive import build_message_states, dense_state, majority_projector_povm
 from qseal.qubit_seal import QubitSealFamily
@@ -517,6 +529,49 @@ PINNED_SCHEME = (
     '[[0.09999999999999998, 0.0], [0.0, -0.1], [0.0, 0.1], [0.9, 0.0]]}]}')
 
 
+# Floats that test the writer's number rendering: signed zeros, the smallest
+# subnormal, values repr prints in exponent form and integer-valued floats.
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-07, -2.5e-07,
+                               3e-08, 1e-100])
+UNIT_PHASES = st.one_of(
+    st.sampled_from([1.0, -1.0, 1j, -1j, complex(-0.0, 1.0), complex(0.6, 0.8)]),
+    st.floats(0.0, 2.0 * math.pi).map(lambda t: complex(math.cos(t), math.sin(t))))
+# Off-diagonal entries small enough to keep a 0/1 projector PSD within PSD_TOL.
+EDGE_COUPLINGS = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 5e-11, -2.5e-11j,
+                                  complex(-0.0, 5e-324)])
+
+
+@st.composite
+def edge_value_schemes(draw) -> SealScheme:
+    """A valid scheme (M 2-4, dimA 1-4, dimB M-4) whose entries include the
+    ``EDGE_FLOATS``: message m sits on Bob's basis vector m - 1 up to tiny
+    entries elsewhere, and is read by the 0/1 projector onto its group of
+    Bob's basis, whole or split in two."""
+    m_count = draw(st.integers(2, 4))
+    dim_a, dim_b = draw(st.integers(1, 4)), draw(st.integers(m_count, 4))
+    states = []
+    for m in range(m_count):
+        amp = np.array([complex(draw(EDGE_FLOATS), draw(EDGE_FLOATS))
+                        for _ in range(dim_a * dim_b)])
+        amp[draw(st.integers(0, dim_a - 1)) * dim_b + m] = draw(UNIT_PHASES)
+        states.append(PureState(amp, (dim_a, dim_b)))
+    group = np.minimum(np.arange(dim_b), m_count - 1)
+    elements = []
+    for m in range(m_count):
+        projector = np.diag((group == m).astype(float)).astype(complex)
+        if m == 0:
+            coupling = draw(EDGE_COUPLINGS)
+            projector[0, 1], projector[1, 0] = coupling, np.conj(coupling)
+        weight = draw(st.sampled_from([1.0, 0.5, 0.25, 0.1]))
+        elements.append(((m + 1, 1), weight * projector))
+        if weight < 1.0:
+            elements.append(((m + 1, 2), (1.0 - weight) * projector))
+    promised_p = draw(st.one_of(st.sampled_from([1.0, 0.75]),
+                                st.floats(1.0 / m_count + 1e-3, 1.0)))
+    return SealScheme(m_count, dim_a, dim_b, promised_p, tuple(states),
+                      Povm(tuple(elements)))
+
+
 def pinned_scheme():
     """Qubit scheme with signed zeros, complex entries and a rounded element."""
     a = np.sqrt(0.75)
@@ -550,6 +605,74 @@ class TestSchemeIo:
         save_scheme(pinned_scheme(), path)
         expected = json.dumps(json.loads(PINNED_SCHEME), indent=1) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")
+
+    @settings(max_examples=200)
+    @given(scheme=edge_value_schemes())
+    def test_save_writes_the_json_bytes(self, scheme, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "edge_values.json"
+        save_scheme(scheme, path)
+        assert path.read_bytes() == oracles.scheme_file_text(scheme).encode("utf-8")
+
+    @settings(max_examples=200)
+    @given(floats=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     st.sampled_from([1e16, -1e16, 1e22, 1.5e300,
+                                                      123456789.0, 5e-324])),
+                           min_size=12, max_size=12),
+           labels=st.tuples(st.integers(-10 ** 20, 10 ** 20), st.integers()))
+    def test_save_renders_any_finite_float_as_json(self, floats, labels,
+                                                   tmp_path_factory):
+        # No entry of a valid scheme exceeds 1 in modulus; the writer reads
+        # only these fields, and renders any finite float as json does.
+        values = np.array(floats).view(np.complex128)
+        stand_in = SimpleNamespace(
+            n_messages=2, dim_a=1, dim_b=2, promised_p=floats[0],
+            joint_states=(SimpleNamespace(amplitudes=values[:2]),
+                          SimpleNamespace(amplitudes=values[:0:-2])),
+            bob_povm=SimpleNamespace(elements=(
+                (labels, values[2:].reshape(2, 2)),
+                ((1, 2), values[1:5].reshape(2, 2).T))))
+        path = tmp_path_factory.getbasetemp() / "stand_in.json"
+        save_scheme(stand_in, path)
+        assert path.read_bytes() == oracles.scheme_file_text(stand_in).encode("utf-8")
+
+    def test_save_writes_the_json_bytes_for_the_benchmark_pool(self, tmp_path):
+        for k, scheme in enumerate(perfbench_pool(seed=7)):
+            path = tmp_path / f"scheme_{k:02d}.json"
+            save_scheme(scheme, path)
+            assert path.read_bytes() == oracles.scheme_file_text(scheme).encode("utf-8")
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2 ** 16), where=st.sampled_from(["state", "element"]),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]), part=st.integers(0, 1))
+    def test_no_valid_scheme_holds_a_non_finite_entry(self, seed, where, bad, part):
+        # %r spells these nan/inf, json NaN/Infinity; a scheme never has one
+        good = random_scheme(np.random.default_rng(seed), 2, 1, 2)
+        states = [s.amplitudes.copy() for s in good.joint_states]
+        elements = [(label, e.copy()) for label, e in good.bob_povm.elements]
+        target = states[0] if where == "state" else elements[0][1]
+        target.reshape(-1).view(np.float64)[part - 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            SealScheme(2, 1, 2, good.promised_p,
+                       tuple(PureState(a, (1, 2)) for a in states),
+                       Povm(tuple(elements)))
+        for promised_p in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="promised_p"):
+                SealScheme(2, 1, 2, promised_p, good.joint_states, good.bob_povm)
+
+    def test_setup_digest_is_the_json_writers(self):
+        # The seal_eval inputs are the files save_scheme writes; the digest
+        # the benchmark reports must be that of the json writer's bytes.
+        done = subprocess.run(
+            [sys.executable, "-B", str(PERFBENCH / "run.py"), "--setup-only",
+             "--workload", "seal_eval", "--seed", "0"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+        assert done.returncode == 0, done.stderr
+        reported = json.loads(done.stdout.strip().splitlines()[-1])["digest"]
+        digest = hashlib.sha256()
+        for scheme in perfbench_pool(seed=0):
+            digest.update(oracles.scheme_file_text(scheme).encode("utf-8"))
+        assert reported == digest.hexdigest()
 
     @settings(max_examples=500)
     @given(case=pair_lists())

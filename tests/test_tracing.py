@@ -8,21 +8,14 @@ and only read.
 
 from __future__ import annotations
 
-import types
-from pathlib import Path
-
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from conftest import perfbench_module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    # compiled from its text, so no bytecode is written next to it
-    module = types.ModuleType("perfbench_tracing")
-    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"),
-         module.__dict__)
-    return module
+    return perfbench_module("tracing")
 
 
 def traced_attributes(tracing) -> list:
