@@ -98,24 +98,21 @@ class GentleReport:
     off_dominant_probability: float
 
 
-def verify_instance(instance: GentleInstance, tol: float = VIOLATION_TOL) -> GentleReport:
+def verify_instance(instance: GentleInstance) -> GentleReport:
     """Evaluate both disturbance inequalities and the branch-weight identities."""
     labels = instance.povm.labels
     elements = np.stack([m for _, m in instance.povm.elements])[None]
     dominant = np.array([labels.index(instance.dominant_label)])
-    sums = _branch_sums(instance.rho.matrix[None], elements,
-                        states.povm_roots(elements, labels), dominant)
-    return _reports(sums, [instance.epsilon], tol)[0]
+    return _reports(instance.rho.matrix[None], elements,
+                    states.povm_roots(elements, labels), dominant,
+                    [instance.epsilon], VIOLATION_TOL)[0]
 
 
-def _branch_sums(rho: np.ndarray, elements: np.ndarray, roots: np.ndarray,
-                 dominant: np.ndarray) -> tuple:
-    """One pass over the outcomes of n instances: rho (n, d, d), elements
-    (n, outcomes, d, d) with their ``roots``, each dominant element's index.
-
-    Returns per instance lhs_classic, lhs_unknown, the off-dominant trace-norm
-    sum and the off-dominant probability.
-    """
+def _reports(rho: np.ndarray, elements: np.ndarray, roots: np.ndarray,
+             dominant: np.ndarray, epsilons, tol: float) -> list:
+    """GentleReports of n instances from one pass over their outcomes: rho
+    (n, d, d), elements (n, outcomes, d, d) with their ``roots``, each
+    dominant element's index and each instance's epsilon."""
     unknown = np.zeros_like(rho)
     lhs_classic = np.empty(len(rho))
     off_norm_sum = np.zeros(len(rho))
@@ -131,32 +128,28 @@ def _branch_sums(rho: np.ndarray, elements: np.ndarray, roots: np.ndarray,
         # adding 0.0 for the dominant element leaves each running sum's bits
         off_norm_sum += np.where(kept, 0.0, norms)
         off_prob += np.where(kept, 0.0, states.expectation(elements[:, k], rho))
-    return lhs_classic, linalg.trace_norm(rho - unknown), off_norm_sum, off_prob
-
-
-def _reports(sums: tuple, epsilons, tol: float) -> list:
-    """GentleReports from ``_branch_sums`` and each instance's epsilon."""
     reports = []
-    for eps, lhs_classic, lhs_unknown, off_norm_sum, off_prob in zip(epsilons, *sums):
+    for eps, classic, lhs_unknown, off_norm, prob in zip(
+            epsilons, lhs_classic, linalg.trace_norm(rho - unknown), off_norm_sum, off_prob):
         b_classic = classic_bound(eps)
         b_unknown = unknown_outcome_bound(eps)
         reports.append(GentleReport(
             epsilon=eps,
-            lhs_classic=float(lhs_classic),
+            lhs_classic=float(classic),
             bound_classic=b_classic,
-            satisfied_classic=bool(lhs_classic <= b_classic + tol),
+            satisfied_classic=bool(classic <= b_classic + tol),
             lhs_unknown=float(lhs_unknown),
             bound_unknown=b_unknown,
             satisfied_unknown=bool(lhs_unknown <= b_unknown + tol),
-            off_dominant_trace_norm_sum=float(off_norm_sum),
-            off_dominant_probability=float(off_prob),
+            off_dominant_trace_norm_sum=float(off_norm),
+            off_dominant_probability=float(prob),
         ))
     return reports
 
 
 def _random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random pure state, or a random-rank mixture (sometimes degenerate);
-    unchecked, ``_Chunk.finish`` checks it."""
+    unchecked, ``_build`` checks it."""
     if rng.random() < 0.5:
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         v /= np.linalg.norm(v)
@@ -187,105 +180,96 @@ def _require_shape(dim: int, n_outcomes: int) -> None:
             f"outcomes must lie in 2 to {MAX_OUTCOMES}, got {n_outcomes}")
 
 
-class _Chunk:
-    """Up to n instances of one shape.  ``draw`` fills the buffers one
-    instance at a time, in stream order; ``finish`` builds and checks the
-    rest of every instance at once."""
+def _draw(eps_target: float, shares: np.ndarray, rng: np.random.Generator) -> tuple:
+    """One instance's random draws in stream order, and the work that decides
+    them.  Writes its shares, (outcomes, d, d), into ``shares``.
 
-    def __init__(self, dim: int, n_outcomes: int, n: int):
-        self.dim, self.n_outcomes = dim, n_outcomes
-        self.targets = np.zeros(n)
-        self.raw = np.empty((n, dim, dim), dtype=np.complex128)
-        self.rho_vals = np.empty((n, dim))
-        self.dominant = np.empty(n, dtype=np.int64)
-        # shares until ``finish`` turns them into the POVM elements
-        self.elements = np.empty((n, n_outcomes, dim, dim), dtype=np.complex128)
-        self.projectors = np.empty((n, dim, dim), dtype=np.complex128)
-        self.totals = np.empty((n, dim, dim), dtype=np.complex128)
-        self.kept_weight = np.empty(n)
+    Returns the target, the raw rho, its spectrum, the dominant index, and
+    None for a zero target, else (kept weight, projector, share total).
+    """
+    n_outcomes, dim = shares.shape[0], shares.shape[-1]
+    raw = _random_density(dim, rng)
+    dominant = int(rng.integers(0, n_outcomes))
 
-    def draw(self, i: int, eps_target: float, rng: np.random.Generator) -> None:
-        """Instance ``i``'s random draws, and the work that decides them."""
-        dim = self.dim
-        self.targets[i] = eps_target
-        self.raw[i] = _random_density(dim, rng)
-        dominant = self.dominant[i] = int(rng.integers(0, self.n_outcomes))
+    spectrum, vecs = np.linalg.eigh(linalg.hermitian_part(raw))
+    order = np.argsort(spectrum)[::-1]
+    vals, vecs = spectrum[order], vecs[:, order]
 
-        vals, vecs = np.linalg.eigh(linalg.hermitian_part(self.raw[i]))
-        self.rho_vals[i] = vals
-        order = np.argsort(vals)[::-1]
-        vals, vecs = vals[order], vecs[:, order]
+    if eps_target == 0.0:
+        shares[:] = 0.0
+        shares[dominant] = np.eye(dim)
+        return eps_target, raw, spectrum, dominant, None
 
-        shares = self.elements[i]
-        if eps_target == 0.0:
-            shares[:] = 0.0
-            shares[dominant] = np.eye(dim)
-            return
+    support = int(np.sum(vals > _SUPPORT_TOL))
+    keep = support
+    if support >= 2 and rng.random() < 0.5:
+        # drop trailing support directions worth at most 0.3 * eps_target
+        budget = 0.3 * eps_target
+        while keep > 1 and vals[keep - 1:support].sum() <= budget:
+            keep -= 1
+    # occasionally widen P beyond the support (harmless for epsilon)
+    if keep < dim and rng.random() < 0.5:
+        keep = int(rng.integers(keep, dim + 1))
+    projector = linalg.hermitian_part(vecs[:, :keep] @ vecs[:, :keep].conj().T)
+    weight = 1.0 - eps_target * rng.uniform(0.4, 1.3)
 
-        support = int(np.sum(vals > _SUPPORT_TOL))
-        keep = support
-        if support >= 2 and rng.random() < 0.5:
-            # drop trailing support directions worth at most 0.3 * eps_target
-            budget = 0.3 * eps_target
-            while keep > 1 and vals[keep - 1:support].sum() <= budget:
-                keep -= 1
-        # occasionally widen P beyond the support (harmless for epsilon)
-        if keep < dim and rng.random() < 0.5:
-            keep = int(rng.integers(keep, dim + 1))
-        self.projectors[i] = linalg.hermitian_part(vecs[:, :keep] @ vecs[:, :keep].conj().T)
-        self.kept_weight[i] = 1.0 - eps_target * rng.uniform(0.4, 1.3)
+    total = 0
+    floor = 0.1 * np.eye(dim)
+    for k in range(n_outcomes):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a = g @ g.conj().T + floor
+        if k == dominant:
+            a = a * rng.uniform(0.0, 0.1)  # keep the dominant residue small
+        shares[k] = a
+        total = total + a
+    return eps_target, raw, spectrum, dominant, (weight, projector, total)
 
-        total = 0
-        floor = 0.1 * np.eye(dim)
-        for k in range(self.n_outcomes):
-            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            a = g @ g.conj().T + floor
-            if k == dominant:
-                a = a * rng.uniform(0.0, 0.1)  # keep the dominant residue small
-            shares[k] = a
-            total = total + a
-        self.totals[i] = total
 
-    def _shares_to_elements(self) -> None:
-        """Turn the shares of the instances with a nonzero target into their
-        POVM elements, in place, and free the buffers only this needs."""
-        active = np.flatnonzero(self.targets > 0.0)
-        if active.size:
-            weight = self.kept_weight[active, None, None]
-            projectors = self.projectors[active]
-            dominant = self.dominant[active]
-            root = linalg.matrix_sqrt_psd(np.eye(self.dim) - weight * projectors)
-            inv_root_total = _inverse_sqrt_pd(self.totals[active])
-            left = root @ inv_root_total
-            for k in range(self.n_outcomes):
-                piece = left @ self.elements[active, k] @ inv_root_total @ root
-                mine = dominant == k
-                piece[mine] = piece[mine] + weight[mine] * projectors[mine]
-                self.elements[active, k] = linalg.hermitian_part(piece)
-        del self.projectors, self.totals
+def _stack(elements: np.ndarray, draws) -> tuple:
+    """The targets of ``draws``, one ``_draw`` per instance of ``elements``,
+    and their dominant indices, raw states and spectra, stacked.  Turns the
+    shares into the POVM elements in place, batched over the instances with
+    a nonzero target; nothing else of the draws outlives this call."""
+    targets, raw, spectra, dominant, extras = zip(*draws)
+    raw, spectra, dominant = np.array(raw), np.array(spectra), np.array(dominant)
+    active = np.flatnonzero(np.array(targets) > 0.0)
+    if active.size:
+        weight, projectors, totals = zip(*(extras[i] for i in active))
+        weight, projectors = np.array(weight)[:, None, None], np.array(projectors)
+        root = linalg.matrix_sqrt_psd(np.eye(elements.shape[-1]) - weight * projectors)
+        inv_root_total = _inverse_sqrt_pd(np.array(totals))
+        left = root @ inv_root_total
+        for k in range(elements.shape[1]):
+            piece = left @ elements[active, k] @ inv_root_total @ root
+            mine = dominant[active] == k
+            piece[mine] = piece[mine] + weight[mine] * projectors[mine]
+            elements[active, k] = linalg.hermitian_part(piece)
+    return targets, dominant, raw, spectra
 
-    def finish(self) -> tuple:
-        """The checked instances, their symmetrized states (n, d, d) and the
-        square roots of their elements (n, outcomes, d, d).  ``states`` checks
-        each matrix once; the states' PSD check reads the spectra ``draw`` took."""
-        self._shares_to_elements()
-        rho = states.check_density(self.raw, self.rho_vals)
-        roots = states.povm_roots(self.elements, range(self.n_outcomes))
-        del self.raw
-        # the instances keep views of these, not copies
-        self.elements.setflags(write=False)
-        instances = [
-            GentleInstance(DensityMatrix.prevalidated(rho[i]),
-                           Povm.prevalidated(tuple(enumerate(self.elements[i]))),
-                           int(self.dominant[i]))
-            for i in range(len(rho))]
-        epsilons = np.array([instance.epsilon for instance in instances])
-        bad = (self.targets > 0.0) & (epsilons > 2.0 * self.targets + 1e-12)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise RuntimeError(f"construction bug: realized epsilon {instances[i].epsilon}"
-                               f" > 2 * {self.targets[i]}")
-        return instances, rho, roots
+
+def _build(elements: np.ndarray, draws) -> tuple:
+    """The targets of ``draws`` (as ``_stack`` takes them), their checked
+    instances, symmetrized states (n, d, d), element roots (n, outcomes, d,
+    d) and dominant indices.  ``states`` checks each matrix once; the PSD
+    check of the states reads the spectra ``_draw`` took."""
+    targets, dominant, raw, spectra = _stack(elements, draws)
+    rho = states.check_density(raw, spectra)
+    roots = states.povm_roots(elements, range(elements.shape[1]))
+    # the instances keep read-only views of these, not copies
+    rho.setflags(write=False)
+    elements.setflags(write=False)
+    instances = [
+        GentleInstance(states._adopt(DensityMatrix, matrix=rho[i]),
+                       states._adopt(Povm, elements=tuple(enumerate(elements[i]))),
+                       int(dominant[i]))
+        for i in range(len(rho))]
+    epsilons = np.array([instance.epsilon for instance in instances])
+    bad = (np.array(targets) > 0.0) & (epsilons > 2.0 * np.array(targets) + 1e-12)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise RuntimeError(f"construction bug: realized epsilon {instances[i].epsilon}"
+                           f" > 2 * {targets[i]}")
+    return targets, instances, rho, roots, dominant
 
 
 def random_instance(dim: int, n_outcomes: int, epsilon_target: float,
@@ -302,9 +286,8 @@ def random_instance(dim: int, n_outcomes: int, epsilon_target: float,
     eps_target = float(epsilon_target)
     if not 0.0 <= eps_target < 1.0:
         raise ValueError(f"epsilon_target must lie in [0, 1), got {epsilon_target}")
-    chunk = _Chunk(dim, n_outcomes, 1)
-    chunk.draw(0, eps_target, rng)
-    return chunk.finish()[0][0]
+    elements = np.empty((1, n_outcomes, dim, dim), dtype=np.complex128)
+    return _build(elements, [_draw(eps_target, elements[0], rng)])[1][0]
 
 
 def random_epsilon_target(rng: np.random.Generator) -> float:
@@ -338,12 +321,11 @@ def _sweep_chunk(dim: int, n_outcomes: int, n: int, rng: np.random.Generator,
                  tol: float) -> list:
     # its own function, so that no array of one chunk is alive while the
     # next chunk is built
-    chunk = _Chunk(dim, n_outcomes, n)
-    targets = []
-    for i in range(n):
-        targets.append(random_epsilon_target(rng))
-        chunk.draw(i, targets[-1], rng)
-    built, rho, roots = chunk.finish()
-    sums = _branch_sums(rho, chunk.elements, roots, chunk.dominant)
-    reports = _reports(sums, [instance.epsilon for instance in built], tol)
+    elements = np.empty((n, n_outcomes, dim, dim), dtype=np.complex128)
+    # each target is drawn just before the rest of its instance's draws, and
+    # the draws go to ``_build`` without being kept here
+    targets, built, rho, roots, dominant = _build(elements, (
+        _draw(random_epsilon_target(rng), shares, rng) for shares in elements))
+    reports = _reports(rho, elements, roots, dominant,
+                       [instance.epsilon for instance in built], tol)
     return list(zip(targets, built, reports))

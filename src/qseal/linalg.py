@@ -68,14 +68,19 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 
 def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Return the symmetrized copy (m + m^dag)/2 of a matrix or stack of
-    matrices; reject defects above HERMITICITY_TOL."""
+    matrices; reject defects above HERMITICITY_TOL, and overflowing entries."""
     require_square(m, name)
-    defects = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    try:
+        with np.errstate(over="raise"):
+            defects = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+            symmetrized = hermitian_part(m)
+    except FloatingPointError:
+        raise ValueError(f"{name} has entries too large to symmetrize") from None
     defect = first_offender(defects, defects > HERMITICITY_TOL)
     if defect is not None:
         raise ValueError(f"{name} is not Hermitian: max |m - m^dag| = {defect:.3e}"
                          f" > {HERMITICITY_TOL:.1e}")
-    return hermitian_part(m)
+    return symmetrized
 
 
 def is_diagonal(m: np.ndarray):
@@ -127,12 +132,12 @@ def partial_trace(m, dims: tuple[int, int], traced: str) -> np.ndarray:
 
 
 def clamp_psd_spectrum(vals: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Zero out eigenvalues in [-PSD_TOL, 0); reject anything more negative.
+    """Zero out eigenvalues in [-PSD_TOL, 0); reject lower ones and NaN.
 
     ``vals`` holds one spectrum, or one per matrix of a stack along its last
     axis."""
-    lows = vals.min(axis=-1, initial=0.0)
-    low = first_offender(lows, lows < -PSD_TOL)
+    lows = vals.min(axis=-1, initial=0.0)  # NaN if the spectrum holds one
+    low = first_offender(lows, ~(lows >= -PSD_TOL))
     if low is not None:
         raise ValueError(
             f"{name} has negative eigenvalue {low:.3e} beyond -{PSD_TOL:.1e}")

@@ -14,8 +14,9 @@ reported side by side and deliberately never equated:
 * ``p_dist_lower_numeric`` -- 1/2 + ||Z(p) - |psi_1><psi_1|||_1 / 4, the
   same 1/4 trace-norm convention used by ``states.helstrom_probability``.
 
-The two use different conventions and generally disagree; downstream
-consumers get both columns and can judge for themselves.
+The numeric floor is exactly 1/2 + sqrt(p (1-p)) / 2; the paper's form is
+the same expression with the Hilbert-Schmidt norm of Z(p) - |psi_1><psi_1|
+in place of its trace norm.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, seal
-from .states import DensityMatrix, Povm, PureState, check_density, densify
+from .states import DensityMatrix, Povm, PureState, densify
 
 _TWO_PI = 2.0 * math.pi
 # Sizes of the even phase grids of phi_invariance_spread and bloch_centroid.
@@ -121,19 +122,17 @@ def p_dist_lower_numeric(p, phi: float = 0.0):
     two states).
 
     A float for a scalar p, an array of one value per entry for an array of
-    p.  The levels are checked once, and both states are built and checked
-    as (..., 2, 2) stacks, so a sweep takes one batched trace norm.
+    p.  The levels are checked once, and both states are built as (..., 2,
+    2) stacks from them, so a sweep takes one batched trace norm.
     """
     p = np.asarray(p, dtype=np.float64)
     bad = linalg.first_offender(p, ~((p >= 0.5) & (p <= 1.0)))
     if bad is not None:
         _require_p(bad, low_open=False)
     psi_one = _ket(p, 1.0 - p, phi)
-    pure = check_density(psi_one[..., :, None] * psi_one.conj()[..., None, :])
-    weights = np.stack([p, 1.0 - p], axis=-1)
-    dephased = np.zeros(weights.shape + (2,), dtype=np.complex128)
-    dephased[..., [0, 1], [0, 1]] = weights
-    dephased = check_density(dephased, spectrum=weights)
+    pure = linalg.hermitian_part(psi_one[..., :, None] * psi_one.conj()[..., None, :])
+    dephased = np.zeros(p.shape + (2, 2), dtype=np.complex128)
+    dephased[..., [0, 1], [0, 1]] = np.stack([p, 1.0 - p], axis=-1)
     return 0.5 + linalg.trace_norm(dephased - pure) / 4.0
 
 

@@ -29,13 +29,17 @@ POVM_SUM_TOL = 1e-9
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    return _read_only(np.array(a, dtype=np.complex128, copy=True))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    out = a.view()
+    out = np.array(a, dtype=np.complex128, copy=True)
     out.setflags(write=False)
     return out
+
+
+def _adopt(cls, **fields):
+    """A ``cls`` holding ``fields`` as given, without running its rule: only
+    for read-only arrays that already passed that rule in batched form."""
+    self = object.__new__(cls)
+    vars(self).update(fields)
+    return self
 
 
 def _one_line(value) -> str:
@@ -61,7 +65,8 @@ def require_unit_trace(traces: np.ndarray) -> None:
 def require_identity_sum(elements) -> None:
     """Reject POVM elements (a sequence of matrices, or of equally shaped
     stacks) whose sum deviates from the identity by more than POVM_SUM_TOL."""
-    total = sum(elements)
+    with np.errstate(over="ignore"):  # an overflowing sum deviates by inf
+        total = sum(elements)
     defects = np.abs(total - np.eye(total.shape[-1])).max(axis=(-2, -1))
     defect = linalg.first_offender(defects, defects > POVM_SUM_TOL)
     if defect is not None:
@@ -133,7 +138,8 @@ class PureState:
             raise ValueError("amplitudes must be non-empty")
         if not np.all(np.isfinite(amp)):
             raise ValueError("amplitudes contain non-finite entries")
-        norm = float(np.linalg.norm(amp))
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, rejected below
+            norm = float(np.linalg.norm(amp))
         if abs(norm - 1.0) > UNIT_NORM_TOL:
             raise ValueError(
                 f"state norm {norm!r} deviates from 1 by more than {UNIT_NORM_TOL:.1e}")
@@ -165,16 +171,6 @@ class DensityMatrix:
         if m.ndim > 2:  # check_density also takes a stack
             raise ValueError(f"density matrix must be 2-D, got shape {m.shape}")
         object.__setattr__(self, "matrix", _freeze(check_density(m)))
-
-    @classmethod
-    def prevalidated(cls, matrix: np.ndarray) -> DensityMatrix:
-        """A density matrix from a complex symmetrized matrix that already
-        passed ``check_density`` (in batched form), without running it
-        again.  It keeps a read-only view, not a copy: the caller must not
-        write to ``matrix`` afterwards."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "matrix", _read_only(matrix))
-        return self
 
     @property
     def dim(self) -> int:
@@ -234,17 +230,6 @@ class Povm:
         cooked.sort(key=lambda pair: _label_key(pair[0]))
         require_identity_sum([m for _, m in cooked])
         object.__setattr__(self, "elements", tuple(cooked))
-
-    @classmethod
-    def prevalidated(cls, elements) -> Povm:
-        """A POVM from (label, complex matrix) pairs that already passed
-        ``povm_roots`` (in batched form), canonical labels in canonical
-        order, without running it again.  It keeps read-only views, not
-        copies: the caller must not write to the matrices afterwards."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "elements", tuple(
-            (label, _read_only(matrix)) for label, matrix in elements))
-        return self
 
     @property
     def dim(self) -> int:

@@ -1,18 +1,26 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qseal
 from conftest import random_scheme
+from qseal import gentle
 from qseal.cli import (MAX_GRID_POINTS, MAX_M, MAX_Q, RunConfig, build_parser, format_cell,
                        main)
 from qseal.qubit_seal import QubitSealFamily
-from qseal.seal import SealScheme, save_scheme
+from qseal.rng import derive_rng
+from qseal.seal import SealScheme, pairs_from_array, save_scheme
 from qseal.states import PureState
+
+SRC = Path(qseal.__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -175,6 +183,31 @@ class TestVerifyGentle:
         text = " ".join(capsys.readouterr().out.split())
         assert "POVM outcomes (2..256)" in text
         assert "random instances to draw (0..100000)" in text
+
+    def test_violations_exit_one_and_name_the_first_offender(self, capsys, monkeypatch):
+        # a bound no instance above epsilon 0.01 can meet
+        real = gentle.unknown_outcome_bound
+        monkeypatch.setattr(gentle, "unknown_outcome_bound",
+                            lambda eps: -1.0 if eps > 0.01 else real(eps))
+        shape = dict(dim=4, outcomes=3, instances=30)
+        code, out, err = run(capsys, "verify", "gentle",
+                             *(f"--{k}={v}" for k, v in shape.items()))
+        assert code == 1
+        _, rows = parse_csv(out)
+        failed = [row for row in rows if row[-1] == "false"]
+        assert 0 < len(failed) < len(rows)
+        offender_line, *summary = err.splitlines()
+        assert summary[0] == f"instances=30 dim=4 outcomes=3 violations={len(failed)}"
+        offender = json.loads(offender_line)
+        # the instance the sweep yields at that index from the command's stream
+        sweep = gentle.sweep_instances(*shape.values(),
+                                       derive_rng(0, "verify-gentle", *shape.values()))
+        index, first = next((i, instance) for i, (_, instance, report) in enumerate(sweep)
+                            if not report.satisfied_unknown)
+        assert int(failed[0][0]) == index
+        assert (offender["dim"], offender["dominant_label"], offender["epsilon"],
+                offender["rho"]) == (4, first.dominant_label, first.epsilon,
+                                     pairs_from_array(first.rho.matrix))
 
     def test_most_outcomes(self, capsys):
         code, out, _ = run(capsys, "verify", "gentle", "--dim", "2",
@@ -455,6 +488,44 @@ class TestSealEval:
         path.write_text(json.dumps(doc))
         assert run(capsys, "seal", "eval", "--scheme", str(path)) == (
             2, "", f"error: {message}\n")
+
+    # (edit of the qubit family's file with entries whose arithmetic
+    # overflows, the one line `seal eval` prints)
+    HOSTILE_MAGNITUDES = {
+        "POVM entries 1e308": (
+            lambda d: d["povm"][0].__setitem__("matrix", [[1e308, 0.0]] * 4),
+            "element (1, 1) has entries too large to symmetrize"),
+        "antisymmetric POVM entries 1e308": (
+            lambda d: d["povm"][0].__setitem__(
+                "matrix", [[0.0, 0.0], [1e308, 0.0], [-1e308, 0.0], [0.0, 0.0]]),
+            "element (1, 1) has entries too large to symmetrize"),
+        "state amplitude 1e200": (
+            lambda d: d["states"][0].__setitem__(0, [1e200, 0.0]),
+            "state norm inf deviates from 1 by more than 1.0e-10"),
+        "POVM sum overflows": (
+            lambda d: d.__setitem__("povm", [
+                {"label": label, "matrix": [[8e307, 0.0], [0.0, 0.0], [0.0, 0.0], [8e307, 0.0]]}
+                for label in ([1, 1], [1, 2], [2, 1])]),
+            "POVM element sum deviates from identity by inf > 1.0e-09"),
+    }
+
+    @pytest.mark.parametrize("name", list(HOSTILE_MAGNITUDES))
+    def test_overflowing_file_prints_one_line_and_no_warning(self, tmp_path,
+                                                             family_file, name):
+        # a fresh interpreter, so a numpy warning would reach stderr as it
+        # does for a user
+        mutate, message = self.HOSTILE_MAGNITUDES[name]
+        doc = json.loads(family_file.read_text())
+        mutate(doc)
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(doc))
+        done = subprocess.run(
+            [sys.executable, "-m", "qseal.cli", "seal", "eval", "--scheme", str(path)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                [str(SRC), os.environ.get("PYTHONPATH", "")])))
+        assert "Warning" not in done.stderr
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {message}\n")
 
 
 class TestOptions:

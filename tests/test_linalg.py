@@ -173,6 +173,30 @@ class TestMatrixSqrt:
         np.testing.assert_allclose(matrix_sqrt_psd(m), root, atol=1e-15)
 
 
+class TestChecksAtExtremeMagnitudes:
+    def test_nan_spectrum_is_rejected(self):
+        with pytest.raises(ValueError, match="negative eigenvalue nan"):
+            linalg.clamp_psd_spectrum(np.array([0.5, np.nan]))
+        with pytest.raises(ValueError, match="negative eigenvalue nan"):
+            linalg.clamp_psd_spectrum(np.array([[0.5, 0.5], [1.0, np.nan]]))
+
+    @pytest.mark.parametrize("m", [np.full((2, 2), 1e308),
+                                   np.array([[0.0, 1e308], [-1e308, 0.0]]),
+                                   np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.7e308, 0.0], [0.0, 0.0]]])])
+    def test_overflow_is_one_error(self, m):
+        with pytest.raises(ValueError, match="^matrix has entries too large to symmetrize$"):
+            linalg.require_hermitian(m.astype(np.complex128))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 5e-324, 1e300])
+    def test_symmetrized_bits_unchanged(self, scale):
+        # (m + m^dag)/2, not m/2 + m^dag/2, which loses odd subnormals
+        rng = np.random.default_rng(233)
+        g = scale * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        m = g + g.conj().T
+        m[0, 1] += 5e-324  # a defect within HERMITICITY_TOL
+        assert np.array_equal(linalg.require_hermitian(m), (m + m.conj().T) / 2.0)
+
+
 class TestIsDiagonal:
     def test_matrix_gives_numpy_bool(self):
         for m, expect in ((np.eye(3), True), (np.zeros((2, 2)), True),

@@ -135,6 +135,19 @@ class TestDetectionValues:
     def test_phase_invariance(self, p):
         assert phi_invariance_spread(p) <= 1e-10
 
+    def test_closed_forms_of_both_floors(self):
+        # the numeric floor is 1/2 + sqrt(p(1-p))/2 at every phase, and the
+        # paper's form is the same Helstrom expression with the
+        # Hilbert-Schmidt norm of Z(p) - |psi_1><psi_1| for the trace norm
+        rng = np.random.default_rng(239)
+        for p in np.linspace(0.5, 1.0, 1001):
+            phi = rng.uniform(0.0, 2.0 * np.pi)
+            assert abs(p_dist_lower_numeric(p, phi)
+                       - (0.5 + np.sqrt(p * (1.0 - p)) / 2.0)) <= 1e-14
+            gap = z_state(p).matrix - densify(state_pair(p, phi)[0]).matrix
+            assert abs(p_dist_lower_paper(p)
+                       - (0.5 + np.linalg.norm(gap, "fro") / 4.0)) <= 1e-14
+
     def test_both_conventions_are_reported(self):
         # the two lower-bound flavors are emitted side by side; nothing in
         # the suite equates them

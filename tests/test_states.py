@@ -323,13 +323,15 @@ class TestBatchedChecks:
         raw, elements, dominant, built = valid_chunk()
         rho, roots = check_chunk(raw, elements)
         assert np.array_equal(rho, raw)
-        sums = gentle._branch_sums(rho, elements, roots, dominant)
-        for b, lhs_classic, lhs_unknown, off_norm, off_prob in zip(built, *sums):
+        reports = gentle._reports(rho, elements, roots, dominant,
+                                  [b.epsilon for b in built], gentle.VIOLATION_TOL)
+        for b, batched in zip(built, reports):
             report = oracles.verify_instance(b)
             assert (report.lhs_classic, report.lhs_unknown,
                     report.off_dominant_trace_norm_sum,
                     report.off_dominant_probability) == (
-                lhs_classic, lhs_unknown, off_norm, off_prob)
+                batched.lhs_classic, batched.lhs_unknown,
+                batched.off_dominant_trace_norm_sum, batched.off_dominant_probability)
 
     def test_non_hermitian_state(self):
         raw, elements, _, _ = valid_chunk()
