@@ -44,9 +44,9 @@ MAX_M = 2 ** 53
 # Defaults of --grid (both bounds commands) and --M (bounds nfp).
 DEFAULT_GRID = 101
 DEFAULT_M = (2, 4, 16, 256)
-_ACHIEVE_NOTE = ("note: p_dist_lower_paper and p_dist_lower_numeric follow "
-                 "different trace-norm conventions; both are reported, "
-                 "neither is asserted equal to the other")
+_ACHIEVE_NOTE = ("note: p_dist_lower_paper is the Helstrom expression of "
+                 "p_dist_lower_numeric with the Hilbert-Schmidt norm in place "
+                 "of the trace norm")
 
 
 @dataclass(frozen=True)

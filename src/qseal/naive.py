@@ -14,7 +14,10 @@ Neither hope survives:
   (1/2)^k, for a mean of (3/4)^q.  Alice's detection probability is stuck
   at 1 - (3/4)^q per trial no matter what the permutation was.
   ``simulate_qubitwise_attack`` samples this in fixed-size chunks and keeps
-  only a histogram, so its memory does not depend on the trial count.
+  only a histogram, so its memory does not depend on the trial count.  It
+  draws whole 32-bit words and takes bit 7 of each byte, which is how numpy
+  makes a fair uint8 bit, so the stream is the one a (trials, q) draw of
+  bits gives, in about a quarter of the drawing time.
 * Better: the two-outcome projector measurement {strings with more zeros
   than 3q/2, rest} reads the message with certainty and does not disturb
   either message state at all (``verify_nondisturbing``).
@@ -37,6 +40,13 @@ ZERO, ONE, PLUS = "zero", "one", "plus"
 # Bits drawn per chunk of the attack Monte Carlo (rounded down to whole
 # trials, a multiple of 4 bits).
 _CHUNK_DRAWS = 1 << 20
+# Largest trials * q the attack accepts: 2^32 fair bits, about 15 s of
+# drawing per message.
+MAX_ATTACK_BITS = 1 << 32
+# A chunk holds about _CHUNK_DRAWS / q trials.  Below this q, q + 1
+# count_nonzero passes over its per-trial counts cost less than one
+# bincount, which first copies them to intp (measured crossover: q = 12).
+_BINCOUNT_FROM_Q = 12
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _AMPLITUDES = {
@@ -209,6 +219,23 @@ def mean_fidelity_exact(q: int) -> float:
     return 0.75 ** q
 
 
+def _fair_bits(rng: np.random.Generator, count: int) -> np.ndarray:
+    """The ``count`` bits ``rng.integers(0, 2, count, dtype=np.uint8)`` draws.
+
+    That bounded draw (Lemire's, which never rejects for a power-of-two
+    range) takes one byte of ``next_uint32`` per value, low byte first,
+    returns its bit 7 and drops the unused bytes of its last word.  Drawing
+    the words directly yields the same bits without the per-value
+    bounded-draw work, and leaves the generator in the same state: numpy
+    keeps PCG64's unused half-word across calls, so ``rng`` may start
+    mid-word.
+    """
+    words = rng.integers(0, 1 << 32, size=-(-count // 4), dtype=np.uint32)
+    bits = words.astype("<u4", copy=False).view(np.uint8)[:count]
+    bits >>= 7
+    return bits
+
+
 def simulate_qubitwise_attack(state: ProductState, trials: int,
                               rng: np.random.Generator) -> AttackResult:
     """Sample the standard-basis attack register by register.
@@ -220,25 +247,34 @@ def simulate_qubitwise_attack(state: ProductState, trials: int,
 
     Trials are drawn in chunks of ``rows`` trials, about ``_CHUNK_DRAWS``
     bits, and only a (q+1)-bin histogram of the ones per trial is kept, so
-    memory does not depend on ``trials``.  numpy draws bounded uint8 values
-    four to a 32-bit word and ``rows * q`` is a multiple of 4, so the chunks
-    consume exactly the bits one ``(trials, q)`` draw would: the result does
-    not depend on the chunk size.  The mean is the histogram's exact
-    rational value, correctly rounded.
+    memory does not depend on ``trials``; ``trials * q`` is capped at
+    ``MAX_ATTACK_BITS``.  Each chunk's bits come from whole 32-bit words
+    (``_fair_bits``), one byte per bit exactly as a bounded uint8 draw takes
+    them, and ``rows * q`` is a multiple of 4, so the chunks consume exactly
+    the bits one ``rng.integers(0, 2, (trials, q), dtype=np.uint8)`` draw
+    would and leave ``rng`` where it would: the result does not depend on
+    the chunk size.  The mean is the histogram's exact rational value,
+    correctly rounded.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     q, trials = state.q, int(trials)
+    if trials * q > MAX_ATTACK_BITS:
+        raise ValueError(f"trials * q must be at most {MAX_ATTACK_BITS}, "
+                         f"got {trials} * {q}")
     rows = max(4, (_CHUNK_DRAWS // q) // 4 * 4)
     ones_histogram = np.zeros(q + 1, dtype=np.int64)
     remaining = trials
     while remaining:
         size = min(rows, remaining)
-        bits = rng.integers(0, 2, size=(size, q), dtype=np.uint8)
+        bits = _fair_bits(rng, size * q).reshape(size, q)
         ones = np.zeros(size, dtype=np.min_scalar_type(q))
         for column in bits.T:  # np.sum(axis=1) is slow on narrow rows
             ones += column
-        ones_histogram += np.bincount(ones, minlength=q + 1)
+        if q < _BINCOUNT_FROM_Q:
+            ones_histogram += [np.count_nonzero(ones == j) for j in range(q + 1)]
+        else:
+            ones_histogram += np.bincount(ones, minlength=q + 1)
         remaining -= size
     counts = ones_histogram.tolist()  # counts[j]: trials with j ones
     if state.message == 1:  # padding that read 0 passes for data

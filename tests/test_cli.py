@@ -12,7 +12,7 @@ import pytest
 
 import qseal
 from conftest import random_scheme
-from qseal import gentle
+from qseal import gentle, naive
 from qseal.cli import (MAX_GRID_POINTS, MAX_M, MAX_Q, RunConfig, build_parser, format_cell,
                        main)
 from qseal.qubit_seal import QubitSealFamily
@@ -288,6 +288,31 @@ class TestSimulateNaive:
         assert out == ""
         assert err == f"error: q must lie in 1 to {MAX_Q}, got {MAX_Q + 1}\n"
 
+    @pytest.mark.parametrize("q", [1, MAX_Q])
+    def test_trials_above_bit_cap_exits_two(self, capsys, q):
+        # rejected before the first bit is drawn
+        trials = 2 ** 32 // q + 1
+        code, out, err = run(capsys, "simulate", "naive", "--q", str(q),
+                             "--trials", str(trials))
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: trials * q must be at most {2 ** 32}, "
+                       f"got {trials} * {q}\n")
+
+    @pytest.mark.parametrize("q", [1, MAX_Q])
+    def test_trials_at_bit_cap_run(self, capsys, monkeypatch, q):
+        # a real run at 2^32 bits takes about 30 s, so the cap is lowered
+        monkeypatch.setattr(naive, "MAX_ATTACK_BITS", 12 * q)
+        code, out, _ = run(capsys, "simulate", "naive", "--q", str(q),
+                           "--trials", "12")
+        assert code == 0
+        assert [row[:2] for row in parse_csv(out)[1]] == [[str(q), "1"],
+                                                         [str(q), "2"]]
+        code, out, err = run(capsys, "simulate", "naive", "--q", str(q),
+                             "--trials", "13")
+        assert (code, out) == (2, "")
+        assert err == f"error: trials * q must be at most {12 * q}, got 13 * {q}\n"
+
 
 class TestSimulateAchieve:
     def test_returned_diagonals(self, capsys):
@@ -304,6 +329,15 @@ class TestSimulateAchieve:
         assert float(row["returned_m2_diag1"]) == pytest.approx(0.75, abs=1e-12)
         assert float(row["phi_spread"]) <= 1e-10
         assert "note:" in err  # convention caveat is always surfaced
+
+    def test_note_states_how_the_floors_relate(self, capsys):
+        # the relation tests/test_qubit_seal.py pins in
+        # test_closed_forms_of_both_floors
+        code, _, err = run(capsys, "simulate", "achieve", "--p", "0.9")
+        assert code == 0
+        assert err == ("note: p_dist_lower_paper is the Helstrom expression of "
+                       "p_dist_lower_numeric with the Hilbert-Schmidt norm in "
+                       "place of the trace norm\n")
 
     def test_degenerate_top_of_range(self, capsys):
         code, out, _ = run(capsys, "simulate", "achieve", "--p", "1.0")

@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qseal import naive
+from qseal.cli import MAX_Q
 from qseal.linalg import CapacityError
 from qseal.naive import (
     ONE,
@@ -311,3 +313,92 @@ class TestStreamedAttack:
                     for zeros, count in histogram.items()) / trials
         assert result.mean_fidelity == float(exact)
         assert result.detection_probability == 1.0 - float(exact)
+
+
+def assert_stream_matches_oracle(state, trials, seed, advance=0):
+    """From a generator advanced by ``advance`` uint32 draws, the attack's
+    histogram equals the all-at-once draw's, its mean is that histogram's
+    exact value, and it leaves its generator in the same state."""
+    streamed, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (streamed, reference):
+        rng.integers(0, 1 << 32, size=advance, dtype=np.uint32)
+    result = simulate_qubitwise_attack(state, trials, streamed)
+    _, _, histogram = all_at_once_attack(state, trials, reference)
+    assert result.zero_count_histogram == histogram
+    data_zeros = 2 * state.q if state.message == 1 else state.q  # at k = 0
+    exact = sum(Fraction(count, 2 ** abs(zeros - data_zeros))
+                for zeros, count in histogram.items()) / trials
+    assert result.mean_fidelity == float(exact)
+    assert streamed.bit_generator.state == reference.bit_generator.state
+    assert (streamed.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist()
+            == reference.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist())
+
+
+class TestWordDraw:
+    """Whole-word draws take the bounded uint8 draw's bits at every edge."""
+
+    @pytest.mark.parametrize("advance", [1, 2, 3])
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 7])
+    def test_generator_started_mid_word(self, monkeypatch, advance, q):
+        # an odd advance leaves PCG64's upper half-word buffered
+        monkeypatch.setattr(naive, "_CHUNK_DRAWS", 36)
+        for trials in (1, 2, 3, 13, 101):
+            assert_stream_matches_oracle(identity_state(q, 1 + trials % 2),
+                                         trials, 233 + q, advance)
+
+    ODD_WORD_CHUNKS = [(36, 1), (36, 3), (36, 5), (36, 7), (68, 1), (68, 3),
+                       (68, 5), (100, 1), (100, 5), (100, 7)]
+
+    @pytest.mark.parametrize("chunk_draws,q", ODD_WORD_CHUNKS)
+    def test_odd_word_count_per_chunk(self, monkeypatch, chunk_draws, q):
+        monkeypatch.setattr(naive, "_CHUNK_DRAWS", chunk_draws)
+        rows = max(4, (chunk_draws // q) // 4 * 4)
+        assert rows * q // 4 % 2 == 1
+        for trials in (rows, 2 * rows, 3 * rows + 1, 5 * rows + 3):
+            for advance in (0, 1):
+                assert_stream_matches_oracle(identity_state(q, 2), trials,
+                                             239 + trials, advance)
+
+    @pytest.mark.parametrize("q", [255, 256, MAX_Q])
+    @pytest.mark.parametrize("message", [1, 2])
+    def test_counts_wider_than_a_byte(self, q, message):
+        # from q = 256 on the per-trial ones no longer fit in uint8
+        rows = (naive._CHUNK_DRAWS // q) // 4 * 4
+        for trials in (1, 3, 2 * rows + 3):
+            assert_stream_matches_oracle(identity_state(q, message), trials,
+                                         241 + q, trials % 4)
+
+
+class TestAttackBitCap:
+    @pytest.mark.parametrize("q", [1, 3, MAX_Q])
+    def test_rejects_more_bits_before_drawing(self, q):
+        rng = np.random.default_rng(251)
+        before = rng.bit_generator.state
+        trials = naive.MAX_ATTACK_BITS // q + 1
+        with pytest.raises(ValueError) as exc:
+            simulate_qubitwise_attack(identity_state(q, 1), trials, rng)
+        assert str(exc.value) == (f"trials * q must be at most {2 ** 32}, "
+                                  f"got {trials} * {q}")
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("q", [1, 3, 7])
+    def test_accepts_trials_up_to_the_cap(self, monkeypatch, q):
+        monkeypatch.setattr(naive, "MAX_ATTACK_BITS", 60)
+        monkeypatch.setattr(naive, "_CHUNK_DRAWS", 36)
+        assert_stream_matches_oracle(identity_state(q, 1), 60 // q, 257)
+        with pytest.raises(ValueError):
+            simulate_qubitwise_attack(identity_state(q, 1), 60 // q + 1,
+                                      np.random.default_rng(257))
+
+
+def test_chunk_memory_stays_small():
+    # the bounded uint8 draw and intp bincount this replaced peaked at 5.5 MiB
+    state = identity_state(2, 1)
+    simulate_qubitwise_attack(state, 5, np.random.default_rng(263))
+    tracemalloc.start()
+    try:
+        simulate_qubitwise_attack(state, 2 ** 21, np.random.default_rng(263))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
