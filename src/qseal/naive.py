@@ -15,9 +15,11 @@ Neither hope survives:
   at 1 - (3/4)^q per trial no matter what the permutation was.
   ``simulate_qubitwise_attack`` samples this in fixed-size chunks and keeps
   only a histogram, so its memory does not depend on the trial count.  It
-  draws whole 32-bit words and takes bit 7 of each byte, which is how numpy
-  makes a fair uint8 bit, so the stream is the one a (trials, q) draw of
-  bits gives, in about a quarter of the drawing time.
+  takes 32-bit words straight from the bit generator's 64-bit output and
+  bit 7 of each byte, which is how numpy makes a fair uint8 bit, so the
+  stream is the one a (trials, q) draw of bits gives.  That needs numpy's
+  buffered 32-bit half-word (PCG64, PCG64DXSM, Philox, SFC64), so MT19937
+  is refused.
 * Better: the two-outcome projector measurement {strings with more zeros
   than 3q/2, rest} reads the message with certainty and does not disturb
   either message state at all (``verify_nondisturbing``).
@@ -40,12 +42,14 @@ ZERO, ONE, PLUS = "zero", "one", "plus"
 # Bits drawn per chunk of the attack Monte Carlo (rounded down to whole
 # trials, a multiple of 4 bits).
 _CHUNK_DRAWS = 1 << 20
-# Largest trials * q the attack accepts: 2^32 fair bits, about 15 s of
-# drawing per message.
+# Largest trials * q the attack accepts: 2^32 fair bits, about 4 s (q = 1)
+# to 18 s (q = 1000) per message.
 MAX_ATTACK_BITS = 1 << 32
-# A chunk holds about _CHUNK_DRAWS / q trials.  Below this q, q + 1
+# A chunk holds about _CHUNK_DRAWS / q trials.  Below this q, q
 # count_nonzero passes over its per-trial counts cost less than one
-# bincount, which first copies them to intp (measured crossover: q = 12).
+# bincount, which first copies them to intp.  Measured crossover: q = 12
+# to 13 (median of 31 calls per 2^20-bit chunk, 4 runs at q = 11 to 18,
+# one pinned CPU, numpy 2.4).
 _BINCOUNT_FROM_Q = 12
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -219,19 +223,48 @@ def mean_fidelity_exact(q: int) -> float:
     return 0.75 ** q
 
 
+def _words(bit_generator: np.random.BitGenerator, n: int) -> np.ndarray:
+    """The ``n`` words of ``integers(0, 2**32, n, dtype=np.uint32)``, as ``<u4``.
+
+    numpy makes each uint32 from half of a 64-bit output, low half first,
+    and keeps the unused high half in the bit generator's ``has_uint32`` /
+    ``uinteger`` buffer for the next call.  This takes the fresh words from
+    one ``random_raw`` call instead, one C call for the whole array, and
+    sets that buffer as numpy would: a buffered half-word is the first
+    word, and after fresh outputs ``has_uint32`` is the parity of the fresh
+    word count and ``uinteger`` the high half of the last output, even when
+    that half was used.  So the words and the final ``state`` match the
+    bounded draw's.  MT19937 has no such buffer and is refused.
+    """
+    state = bit_generator.state
+    if "has_uint32" not in state:
+        raise ValueError("the attack needs a bit generator with a buffered "
+                         "32-bit half-word (PCG64, PCG64DXSM, Philox, SFC64), "
+                         f"got {state['bit_generator']}")
+    words = np.full(min(n, state["has_uint32"]), state["uinteger"], dtype="<u4")
+    state["has_uint32"] -= words.size
+    fresh = n - words.size
+    if fresh:
+        raw = bit_generator.random_raw(-(-fresh // 2))
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = fresh % 2, int(raw[-1] >> 32)
+        drawn = raw.astype("<u8", copy=False).view("<u4")[:fresh]
+        words = np.concatenate((words, drawn)) if words.size else drawn
+    bit_generator.state = state
+    return words
+
+
 def _fair_bits(rng: np.random.Generator, count: int) -> np.ndarray:
     """The ``count`` bits ``rng.integers(0, 2, count, dtype=np.uint8)`` draws.
 
     That bounded draw (Lemire's, which never rejects for a power-of-two
     range) takes one byte of ``next_uint32`` per value, low byte first,
-    returns its bit 7 and drops the unused bytes of its last word.  Drawing
-    the words directly yields the same bits without the per-value
-    bounded-draw work, and leaves the generator in the same state: numpy
-    keeps PCG64's unused half-word across calls, so ``rng`` may start
-    mid-word.
+    returns its bit 7 and drops the unused bytes of its last word.  Taking
+    bit 7 of each byte of the same words (``_words``, straight from the
+    bit generator's 64-bit output) yields the same bits without the
+    per-value work, and leaves the generator in the same state.
     """
-    words = rng.integers(0, 1 << 32, size=-(-count // 4), dtype=np.uint32)
-    bits = words.astype("<u4", copy=False).view(np.uint8)[:count]
+    bits = _words(rng.bit_generator, -(-count // 4)).view(np.uint8)[:count]
     bits >>= 7
     return bits
 
@@ -253,8 +286,10 @@ def simulate_qubitwise_attack(state: ProductState, trials: int,
     them, and ``rows * q`` is a multiple of 4, so the chunks consume exactly
     the bits one ``rng.integers(0, 2, (trials, q), dtype=np.uint8)`` draw
     would and leave ``rng`` where it would: the result does not depend on
-    the chunk size.  The mean is the histogram's exact rational value,
-    correctly rounded.
+    the chunk size.  ``rng`` needs a bit generator with numpy's buffered
+    32-bit half-word; MT19937 raises ``ValueError`` before anything is
+    drawn.  The mean is the histogram's exact rational value, correctly
+    rounded.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -268,11 +303,15 @@ def simulate_qubitwise_attack(state: ProductState, trials: int,
     while remaining:
         size = min(rows, remaining)
         bits = _fair_bits(rng, size * q).reshape(size, q)
-        ones = np.zeros(size, dtype=np.min_scalar_type(q))
-        for column in bits.T:  # np.sum(axis=1) is slow on narrow rows
+        # column adds: np.sum(axis=1) is slow on narrow rows
+        ones = (np.add(bits[:, 0], bits[:, -1], dtype=np.min_scalar_type(q))
+                if q > 1 else bits[:, 0])
+        for column in bits.T[1:-1]:
             ones += column
-        if q < _BINCOUNT_FROM_Q:
-            ones_histogram += [np.count_nonzero(ones == j) for j in range(q + 1)]
+        if q < _BINCOUNT_FROM_Q:  # trials with no ones: the rest
+            with_ones = [np.count_nonzero(ones == j) for j in range(1, q + 1)]
+            ones_histogram[1:] += with_ones
+            ones_histogram[0] += size - sum(with_ones)
         else:
             ones_histogram += np.bincount(ones, minlength=q + 1)
         remaining -= size

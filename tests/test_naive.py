@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qseal import naive
 from qseal.cli import MAX_Q
@@ -402,3 +404,103 @@ def test_chunk_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+                  np.random.SFC64)
+
+
+def assert_same_state(a, b):
+    """Bit generator ``state`` dicts are equal, arrays compared by value."""
+    assert a.keys() == b.keys()
+    for key in a:
+        if isinstance(a[key], dict):
+            assert_same_state(a[key], b[key])
+        else:
+            np.testing.assert_array_equal(a[key], b[key], strict=True)
+
+
+def advanced_pair(bit_generator, seed, advance):
+    """Two generators on the same stream, both ``advance`` uint32 draws in."""
+    pair = (np.random.Generator(bit_generator(seed)),
+            np.random.Generator(bit_generator(seed)))
+    for rng in pair:
+        rng.integers(0, 1 << 32, size=advance, dtype=np.uint32)
+    return pair
+
+
+def assert_same_next_words(a, b):
+    assert_same_state(a.bit_generator.state, b.bit_generator.state)
+    assert (a.integers(0, 1 << 32, size=5, dtype=np.uint32).tolist()
+            == b.integers(0, 1 << 32, size=5, dtype=np.uint32).tolist())
+
+
+class TestRawWords:
+    """Words from the raw 64-bit output equal numpy's buffered uint32 draw."""
+
+    @pytest.mark.parametrize("advance", [0, 1, 2, 3])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_words_match_the_uint32_draw(self, bit_generator, advance):
+        for n in range(12):
+            raw, reference = advanced_pair(bit_generator, 269 + n, advance)
+            words = naive._words(raw.bit_generator, n)
+            assert words.dtype == np.dtype("<u4")
+            assert words.tolist() == reference.integers(
+                0, 1 << 32, size=n, dtype=np.uint32).tolist()
+            assert_same_next_words(raw, reference)
+
+    @pytest.mark.parametrize("advance", [0, 1, 2, 3])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_bits_match_the_uint8_draw(self, bit_generator, advance):
+        for count in range(45):
+            raw, reference = advanced_pair(bit_generator, 271 + count, advance)
+            bits = naive._fair_bits(raw, count)
+            assert bits.tolist() == reference.integers(
+                0, 2, size=count, dtype=np.uint8).tolist()
+            assert_same_next_words(raw, reference)
+
+    def test_mt19937_is_refused_before_drawing(self):
+        rng = np.random.Generator(np.random.MT19937(277))
+        rng.integers(0, 1 << 32, size=3, dtype=np.uint32)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError) as exc:
+            simulate_qubitwise_attack(identity_state(2, 1), 10, rng)
+        assert str(exc.value) == (
+            "the attack needs a bit generator with a buffered 32-bit "
+            "half-word (PCG64, PCG64DXSM, Philox, SFC64), got MT19937")
+        assert_same_state(rng.bit_generator.state, before)
+
+
+def assert_attack_matches_oracle(state, trials, streamed, reference):
+    """The attack on ``streamed`` gives the histogram and exact mean of the
+    all-at-once draw on ``reference`` and leaves the same generator state."""
+    result = simulate_qubitwise_attack(state, trials, streamed)
+    _, _, histogram = all_at_once_attack(state, trials, reference)
+    assert result.zero_count_histogram == histogram
+    data_zeros = 2 * state.q if state.message == 1 else state.q  # at k = 0
+    exact = sum(Fraction(count, 2 ** abs(zeros - data_zeros))
+                for zeros, count in histogram.items()) / trials
+    assert result.mean_fidelity == float(exact)
+    assert_same_next_words(streamed, reference)
+
+
+@pytest.mark.parametrize("q", [naive._BINCOUNT_FROM_Q - 1, naive._BINCOUNT_FROM_Q])
+def test_counting_crossover_matches_oracle(monkeypatch, q):
+    monkeypatch.setattr(naive, "_CHUNK_DRAWS", 100 * q)
+    for trials in (1, 99, 100, 301):
+        assert_attack_matches_oracle(identity_state(q, 1 + trials % 2), trials,
+                                     *advanced_pair(np.random.PCG64, 281 + q, 1))
+
+
+@settings(max_examples=150)
+@given(q=st.integers(1, 12), trials=st.integers(1, 400),
+       advance=st.integers(0, 3), message=st.sampled_from([1, 2]),
+       chunk_draws=st.sampled_from([36, 64, 100]),
+       bit_generator=st.sampled_from(BIT_GENERATORS),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_attack_matches_oracle_on_every_bit_generator(
+        q, trials, advance, message, chunk_draws, bit_generator, seed):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(naive, "_CHUNK_DRAWS", chunk_draws)
+        assert_attack_matches_oracle(identity_state(q, message), trials,
+                                     *advanced_pair(bit_generator, seed, advance))
