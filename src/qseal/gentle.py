@@ -76,9 +76,14 @@ class GentleInstance:
         label = states.canonical_label(self.dominant_label)
         dominant = self.povm.element(label)  # KeyError if the label is absent
         states.require_same_dim(self.rho, self.povm)
-        kept = states.expectation(dominant, self.rho.matrix)
         object.__setattr__(self, "dominant_label", label)
-        object.__setattr__(self, "epsilon", states.clamp_probability(1.0 - kept))
+        object.__setattr__(self, "epsilon", float(_epsilons(dominant, self.rho.matrix)))
+
+
+def _epsilons(dominant: np.ndarray, rho: np.ndarray):
+    """epsilon = 1 - tr(E_dominant rho) clamped to [0, 1], of one instance's
+    matrices or of each instance of two stacks."""
+    return np.clip(1.0 - states.expectation(dominant, rho), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -110,27 +115,29 @@ def verify_instance(instance: GentleInstance) -> GentleReport:
 
 def _reports(rho: np.ndarray, elements: np.ndarray, roots: np.ndarray,
              dominant: np.ndarray, epsilons, tol: float) -> list:
-    """GentleReports of n instances from one pass over their outcomes: rho
-    (n, d, d), elements (n, outcomes, d, d) with their ``roots``, each
+    """GentleReports of n instances from their outcomes' branches, batched:
+    rho (n, d, d), elements (n, outcomes, d, d) with their ``roots``, each
     dominant element's index and each instance's epsilon."""
-    unknown = np.zeros_like(rho)
-    lhs_classic = np.empty(len(rho))
-    off_norm_sum = np.zeros(len(rho))
-    off_prob = np.zeros(len(rho))
-    for k in range(elements.shape[1]):
-        root = roots[:, k]
-        branch = root @ rho @ root
-        unknown += branch
-        kept = dominant == k
-        branch[kept] = rho[kept] - branch[kept]
-        norms = linalg.trace_norm(branch)
-        lhs_classic[kept] = norms[kept]
-        # adding 0.0 for the dominant element leaves each running sum's bits
-        off_norm_sum += np.where(kept, 0.0, norms)
-        off_prob += np.where(kept, 0.0, states.expectation(elements[:, k], rho))
+    n, n_outcomes = elements.shape[:2]
+    # each Lueders branch, the dominant one replaced by its gap to rho, and
+    # the unknown-outcome gap last; one trace-norm call takes them all
+    gaps = np.empty((n, n_outcomes + 1) + rho.shape[1:], dtype=rho.dtype)
+    branches = gaps[:, :n_outcomes]
+    np.matmul(roots @ rho[:, None], roots, out=branches)
+    gaps[:, n_outcomes] = rho - sum(np.moveaxis(branches, 1, 0))  # in outcome order
+    kept = np.arange(n), dominant
+    branches[kept] = rho - branches[kept]
+    norms = linalg.trace_norm(gaps)
+    off = np.arange(n_outcomes) != dominant[:, None]
+    # summed in outcome order, adding 0.0 for the dominant element
+    off_norm_sum = sum(np.where(off, norms[:, :n_outcomes], 0.0).T)
+    # rho repeated, not broadcast: einsum sums a broadcast operand in
+    # another order, and the probabilities must keep their per-pair bits
+    probs = states.expectation(elements, np.repeat(rho[:, None], n_outcomes, axis=1))
+    off_prob = sum(np.where(off, probs, 0.0).T)
     reports = []
     for eps, classic, lhs_unknown, off_norm, prob in zip(
-            epsilons, lhs_classic, linalg.trace_norm(rho - unknown), off_norm_sum, off_prob):
+            epsilons, norms[kept], norms[:, n_outcomes], off_norm_sum, off_prob):
         b_classic = classic_bound(eps)
         b_unknown = unknown_outcome_bound(eps)
         reports.append(GentleReport(
@@ -185,7 +192,7 @@ def _draw(eps_target: float, shares: np.ndarray, rng: np.random.Generator) -> tu
     them.  Writes its shares, (outcomes, d, d), into ``shares``.
 
     Returns the target, the raw rho, its spectrum, the dominant index, and
-    None for a zero target, else (kept weight, projector, share total).
+    None for a zero target, else (kept weight, projector).
     """
     n_outcomes, dim = shares.shape[0], shares.shape[-1]
     raw = _random_density(dim, rng)
@@ -213,37 +220,38 @@ def _draw(eps_target: float, shares: np.ndarray, rng: np.random.Generator) -> tu
     projector = linalg.hermitian_part(vecs[:, :keep] @ vecs[:, :keep].conj().T)
     weight = 1.0 - eps_target * rng.uniform(0.4, 1.3)
 
-    total = 0
-    floor = 0.1 * np.eye(dim)
-    for k in range(n_outcomes):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        a = g @ g.conj().T + floor
-        if k == dominant:
-            a = a * rng.uniform(0.0, 0.1)  # keep the dominant residue small
-        shares[k] = a
-        total = total + a
-    return eps_target, raw, spectrum, dominant, (weight, projector, total)
+    # each outcome's normals, real part then imaginary part, in outcome
+    # order, with the dominant's scale drawn right after its own
+    first = rng.normal(size=(dominant + 1, 2, dim, dim))
+    scale = rng.uniform(0.0, 0.1)  # keeps the dominant residue small
+    normals = np.concatenate((first, rng.normal(size=(n_outcomes - dominant - 1, 2, dim, dim))))
+    g = normals[:, 0] + 1j * normals[:, 1]
+    np.add(g @ g.conj().swapaxes(-1, -2), 0.1 * np.eye(dim), out=shares)
+    shares[dominant] *= scale
+    return eps_target, raw, spectrum, dominant, (weight, projector)
 
 
 def _stack(elements: np.ndarray, draws) -> tuple:
     """The targets of ``draws``, one ``_draw`` per instance of ``elements``,
     and their dominant indices, raw states and spectra, stacked.  Turns the
     shares into the POVM elements in place, batched over the instances with
-    a nonzero target; nothing else of the draws outlives this call."""
+    a nonzero target and their outcomes; nothing else of the draws outlives
+    this call."""
     targets, raw, spectra, dominant, extras = zip(*draws)
     raw, spectra, dominant = np.array(raw), np.array(spectra), np.array(dominant)
     active = np.flatnonzero(np.array(targets) > 0.0)
     if active.size:
-        weight, projectors, totals = zip(*(extras[i] for i in active))
-        weight, projectors = np.array(weight)[:, None, None], np.array(projectors)
+        weight, projectors = map(np.array, zip(*(extras[i] for i in active)))
+        weight = weight[:, None, None]
         root = linalg.matrix_sqrt_psd(np.eye(elements.shape[-1]) - weight * projectors)
-        inv_root_total = _inverse_sqrt_pd(np.array(totals))
-        left = root @ inv_root_total
-        for k in range(elements.shape[1]):
-            piece = left @ elements[active, k] @ inv_root_total @ root
-            mine = dominant[active] == k
-            piece[mine] = piece[mine] + weight[mine] * projectors[mine]
-            elements[active, k] = linalg.hermitian_part(piece)
+        shares = elements[active]
+        # summed in outcome order, as one instance at a time
+        inv_root_total = _inverse_sqrt_pd(sum(np.moveaxis(shares, 1, 0)))
+        pieces = ((root @ inv_root_total)[:, None] @ shares
+                  @ inv_root_total[:, None] @ root[:, None])
+        mine = np.arange(active.size), dominant[active]
+        pieces[mine] = pieces[mine] + weight * projectors
+        elements[active] = linalg.hermitian_part(pieces)
     return targets, dominant, raw, spectra
 
 
@@ -258,12 +266,13 @@ def _build(elements: np.ndarray, draws) -> tuple:
     # the instances keep read-only views of these, not copies
     rho.setflags(write=False)
     elements.setflags(write=False)
+    epsilons = _epsilons(elements[np.arange(len(rho)), dominant], rho)
     instances = [
-        GentleInstance(states._adopt(DensityMatrix, matrix=rho[i]),
-                       states._adopt(Povm, elements=tuple(enumerate(elements[i]))),
-                       int(dominant[i]))
+        states._adopt(GentleInstance,
+                      rho=states._adopt(DensityMatrix, matrix=rho[i]),
+                      povm=states._adopt(Povm, elements=tuple(enumerate(elements[i]))),
+                      dominant_label=int(dominant[i]), epsilon=float(epsilons[i]))
         for i in range(len(rho))]
-    epsilons = np.array([instance.epsilon for instance in instances])
     bad = (np.array(targets) > 0.0) & (epsilons > 2.0 * np.array(targets) + 1e-12)
     if bad.any():
         i = int(np.argmax(bad))

@@ -111,11 +111,16 @@ def povm_roots(elements: np.ndarray, labels) -> np.ndarray:
 
     Each element gets the Hermitian and PSD checks ``Povm`` runs on it, in
     the same words, and one eigendecomposition serves them and its root;
-    then the elements must sum to the identity.
+    then the elements must sum to the identity.  The whole stack is checked
+    and rooted at once; a stack that fails is walked label by label to name
+    its first offender.
     """
-    roots = np.empty_like(elements)
-    for k, label in enumerate(labels):
-        roots[..., k, :, :] = linalg.sqrt_psd(elements[..., k, :, :], f"element {label!r}")
+    try:
+        roots = linalg.sqrt_psd(elements, "element")
+    except ValueError:
+        for k, label in enumerate(labels):
+            linalg.sqrt_psd(elements[..., k, :, :], f"element {label!r}")
+        raise
     require_identity_sum(list(np.moveaxis(elements, -3, 0)))
     return roots
 
