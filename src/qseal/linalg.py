@@ -173,12 +173,17 @@ def sqrt_psd(m, name: str) -> np.ndarray:
     return root
 
 
-def trace_norm(m):
+def trace_norm(m, hermitian: bool = False):
     """Trace norm ||m||_1, the sum of singular values: a float for a matrix,
     an array of one norm per matrix for a stack.
 
-    For Hermitian ``m`` this equals the sum of absolute eigenvalues.
+    With ``hermitian``, ``m`` must pass ``require_hermitian`` (else its error
+    is raised), and the singular values of its symmetrized copy are taken as
+    its absolute eigenvalues by numpy's ``svd(..., hermitian=True)``: faster
+    than the general SVD, and rounded differently.
     """
     m = require_square(as_complex_stack(m, "m"), "m")
-    norms = np.linalg.svd(m, compute_uv=False).sum(axis=-1)
+    if hermitian:
+        m = require_hermitian(m, "m")
+    norms = np.linalg.svd(m, compute_uv=False, hermitian=hermitian).sum(axis=-1)
     return float(norms) if m.ndim == 2 else norms

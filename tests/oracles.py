@@ -5,6 +5,10 @@
   trace norm is a 2-D ``linalg`` call, and every random draw is made in the
   order the batched sweep in ``qseal.gentle`` must reproduce.  Tests compare
   the batched sweep against it cell by cell.
+* The POVM element checks and roots taken one label at a time
+  (``povm_roots``), as ``qseal.states.povm_roots`` took them before it
+  checked a whole stack in one call.  Tests require the one-call version to
+  return the same bits or raise the same message.
 * The scheme loader's [re, im] pair reader written one pair at a time
   (``vector_from_pairs``).  Tests require the vectorized reader in
   ``qseal.seal`` to return the same bits or raise the same message.
@@ -33,6 +37,7 @@ from qseal.gentle import (
     VIOLATION_TOL,
     classic_bound,
     random_epsilon_target,
+    remainder_root,
     unknown_outcome_bound,
 )
 from qseal.seal import pairs_from_array
@@ -41,6 +46,7 @@ from qseal.states import (
     Povm,
     clamp_probability,
     expectation,
+    require_identity_sum,
     require_same_dim,
 )
 
@@ -125,12 +131,12 @@ def verify_instance(instance: GentleInstance, tol: float = VIOLATION_TOL) -> Gen
         branch = luders_branch(element, rho)
         unknown += branch
         if label == instance.dominant_label:
-            lhs_classic = linalg.trace_norm(rho - branch)
+            lhs_classic = linalg.trace_norm(rho - branch, hermitian=True)
         else:
-            off_norm_sum += linalg.trace_norm(branch)
+            off_norm_sum += linalg.trace_norm(branch, hermitian=True)
             off_prob += expectation(element, rho)
 
-    lhs_unknown = linalg.trace_norm(rho - unknown)
+    lhs_unknown = linalg.trace_norm(rho - unknown, hermitian=True)
     b_classic = classic_bound(instance.epsilon)
     b_unknown = unknown_outcome_bound(instance.epsilon)
     return GentleReport(
@@ -194,8 +200,7 @@ def random_instance(dim: int, n_outcomes: int, eps_target: float,
     projector = (projector + projector.conj().T) / 2.0
 
     delta = eps_target * rng.uniform(0.4, 1.3)
-    remainder = np.eye(dim) - (1.0 - delta) * projector
-    root = linalg.matrix_sqrt_psd(remainder)
+    root = remainder_root(1.0 - delta, projector)
 
     shares = []
     for k in range(n_outcomes):
@@ -224,6 +229,16 @@ def sweep_instances(dim: int, n_outcomes: int, instances: int,
         target = random_epsilon_target(rng)
         instance = random_instance(dim, n_outcomes, target, rng)
         yield target, instance, verify_instance(instance, tol)
+
+
+def povm_roots(elements: np.ndarray, labels) -> np.ndarray:
+    """sqrt(E) of each element of a POVM stack (..., outcomes, d, d), checked
+    and rooted one label at a time, then the identity-sum check."""
+    roots = np.empty_like(elements)
+    for k, label in enumerate(labels):
+        roots[..., k, :, :] = linalg.sqrt_psd(elements[..., k, :, :], f"element {label!r}")
+    require_identity_sum(list(np.moveaxis(elements, -3, 0)))
+    return roots
 
 
 def vector_from_pairs(pairs, expected_len: int, what: str) -> np.ndarray:

@@ -17,11 +17,12 @@ from qseal.gentle import (
     classic_bound,
     random_epsilon_target,
     random_instance,
+    remainder_root,
     sweep_instances,
     unknown_outcome_bound,
     verify_instance,
 )
-from qseal.linalg import trace_norm
+from qseal.linalg import hermitian_part, matrix_sqrt_psd, trace_norm
 from qseal.states import DensityMatrix, Povm, PureState, densify, helstrom_probability
 
 
@@ -190,6 +191,47 @@ class TestRandomInstance:
         assert any(t > 0.1 for t in targets)
 
 
+def sweep_projector(dim: int, keep: int, rng) -> np.ndarray:
+    """A rank-``keep`` projector built as ``gentle._draw`` builds P, from the
+    eigenvectors of a random Hermitian matrix."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    vecs = np.linalg.eigh(hermitian_part(g))[1][:, :keep]
+    return hermitian_part(vecs @ vecs.conj().T)
+
+
+class TestRemainderRoot:
+    """The closed-form sqrt(I - w P) against the eigendecomposition root."""
+
+    WEIGHTS = [0.3, 0.9, 1.0 - 1e-4, 1.0 - 4e-9]  # 1 - w >= 4e-9 in the sweep
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 33, 64])
+    def test_matches_eigh_root(self, dim):
+        rng = np.random.default_rng(500 + dim)
+        eps = np.finfo(float).eps
+        for keep in sorted({1, dim // 2, dim}):
+            projector = sweep_projector(dim, keep, rng)
+            for w in self.WEIGHTS:
+                m = np.eye(dim) - w * projector
+                closed = remainder_root(w, projector)
+                dense = matrix_sqrt_psd(m)
+                assert np.abs(closed @ closed - m).max() <= 1e-13
+                # two Hermitian roots with residuals E_i = R_i^2 - m differ
+                # by at most ||E_1 - E_2||_F over the sum of their smallest
+                # eigenvalues, sqrt(1 - w) each; doubled, and 2 dim eps added,
+                # for the rounding of the residuals themselves
+                residuals = sum(np.linalg.norm(r @ r - m) for r in (closed, dense))
+                tol = 2.0 * (residuals + 2 * dim * eps) / (2.0 * np.sqrt(1.0 - w))
+                assert np.linalg.norm(closed - dense) <= tol, (dim, keep, w)
+
+    def test_batched_is_each_matrix(self):
+        rng = np.random.default_rng(509)
+        projectors = np.stack([sweep_projector(6, keep, rng) for keep in (1, 3, 6)])
+        weights = np.array([0.5, 1.0 - 1e-6, 1.0 - 4e-9])
+        stacked = remainder_root(weights[:, None, None], projectors)
+        for root, w, projector in zip(stacked, weights, projectors):
+            assert np.array_equal(root, remainder_root(w, projector))
+
+
 class TestSweep:
     @pytest.mark.parametrize("dim", [2, 8])
     def test_no_violations_and_identities(self, dim):
@@ -294,10 +336,10 @@ class TestDenseOracle:
             dim, n_outcomes, count, np.random.default_rng(223))]
         active = sum(t > 0.0 for t in targets)
         assert 0 < active < count
-        # rho once each; the remainder, the share total and every element of
-        # a generic instance once each; the exact instances' elements are
-        # diagonal and take no decomposition
-        assert counts["eigh"] == count + active * (2 + n_outcomes)
+        # rho once each; the share total and every element of a generic
+        # instance once each (its remainder's root is in closed form); the
+        # exact instances' elements are diagonal and take no decomposition
+        assert counts["eigh"] == count + active * (1 + n_outcomes)
         assert counts["eigvalsh"] == 0
         # every branch and each unknown-outcome difference, once
         assert counts["svd"] == count * (n_outcomes + 1)
@@ -305,8 +347,8 @@ class TestDenseOracle:
     def test_random_instance_runs_no_branch_pass(self, monkeypatch):
         counts = count_decompositions(monkeypatch)
         random_instance(6, 3, 0.1, np.random.default_rng(229))
-        # rho, the remainder, the share total and the three elements
-        assert counts == {"eigh": 6, "eigvalsh": 0, "svd": 0}
+        # rho, the share total and the three elements
+        assert counts == {"eigh": 5, "eigvalsh": 0, "svd": 0}
 
 
 def both_reports(instance):

@@ -246,6 +246,42 @@ class TestTraceNorm:
         u = random_unitary(6, rng)
         assert abs(trace_norm(u @ h @ u.conj().T) - trace_norm(h)) < 1e-11
 
+    @pytest.mark.parametrize("dim", [2, 3, 8, 16, 33, 64])
+    def test_hermitian_path_matches_svd_path(self, dim):
+        rng = np.random.default_rng(400 + dim)
+        g = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+        half = np.diag((np.arange(dim) < dim // 2).astype(float))
+        u = random_unitary(dim, rng)
+        stack = np.stack([
+            *linalg.hermitian_part(g),
+            random_density_matrix(dim, rng).matrix - random_density_matrix(dim, rng).matrix,
+            u @ half @ u.conj().T - random_density_matrix(dim, rng, rank=1).matrix,
+            np.zeros((dim, dim)),
+        ])
+        fast, svd = trace_norm(stack, hermitian=True), trace_norm(stack)
+        # each of the dim singular values lies within 4 dim eps ||m||_2 of
+        # the exact one on both paths
+        eps = np.finfo(float).eps
+        tol = dim * 4 * dim * eps * np.linalg.norm(stack, ord=2, axis=(-2, -1))
+        assert np.all(np.abs(fast - svd) <= tol)
+        assert fast[-1] == 0.0
+        for m, norm in zip(stack, fast):
+            assert trace_norm(m, hermitian=True) == norm  # a float, same bits
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4)])
+    def test_hermitian_path_rejects_non_hermitian(self, shape):
+        rng = np.random.default_rng(41)
+        m = linalg.hermitian_part(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        m[..., 0, 2] += 1e-6  # only the upper triangle
+        with pytest.raises(ValueError) as exc:
+            trace_norm(m, hermitian=True)
+        with pytest.raises(ValueError) as rule:
+            linalg.require_hermitian(m, "m")
+        assert str(exc.value) == str(rule.value)
+        assert str(exc.value).startswith("m is not Hermitian")
+        # numpy's Hermitian SVD would read the lower triangle and not notice
+        np.linalg.svd(m, compute_uv=False, hermitian=True)
+
     def test_rejects_non_square_and_nan(self):
         with pytest.raises(ValueError):
             trace_norm(np.ones((2, 3)))

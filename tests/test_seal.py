@@ -18,6 +18,7 @@ from conftest import (
     perfbench_pool,
     projector_scheme,
     random_scheme,
+    random_unitary,
 )
 from qseal.linalg import tensor_product, trace_norm
 from qseal.naive import build_message_states, dense_state, majority_projector_povm
@@ -41,8 +42,10 @@ from qseal.states import (
     DensityMatrix,
     Povm,
     PureState,
+    coarse_grain,
     densify,
     helstrom_probability,
+    merged_elements,
 )
 
 
@@ -467,6 +470,32 @@ class TestEvaluate:
         with pytest.raises(ValueError) as exc:
             evaluate_scheme(scheme)
         assert str(exc.value) == ("element 1 has negative eigenvalue -1.600e-10"
+                                  " beyond -1.0e-10")
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_first_bad_merged_element_is_named(self, rotated):
+        # the pieces of messages 2 and 3 are PSD within tolerance, their sums
+        # are not; the label-by-label checks and coarse_grain's Povm name 2
+        t2, t3 = 0.8e-10, 0.9e-10
+        u = random_unitary(3, np.random.default_rng(239)) if rotated else np.eye(3)
+
+        def piece(*diagonal):
+            return u @ np.diag(diagonal) @ u.conj().T
+
+        povm = Povm((((1, 1), piece(1.0 + 2.0 * (t2 + t3), 0.0, 0.0)),
+                     ((2, 1), piece(-t2, 0.5, 0.0)), ((2, 2), piece(-t2, 0.5, 0.0)),
+                     ((3, 1), piece(-t3, 0.0, 0.5)), ((3, 2), piece(-t3, 0.0, 0.5))))
+        scheme = SealScheme(3, 1, 3, 0.9, tuple(PureState(u[:, m], (1, 3))
+                                                for m in range(3)), povm)
+        with pytest.raises(ValueError) as exc:
+            evaluate_scheme(scheme)
+        merged = merged_elements(povm)
+        with pytest.raises(ValueError) as per_label:
+            oracles.povm_roots(np.stack(list(merged.values())), merged.keys())
+        with pytest.raises(ValueError) as coarse:
+            coarse_grain(povm)
+        assert str(exc.value) == str(per_label.value) == str(coarse.value)
+        assert str(exc.value) == ("element 2 has negative eigenvalue -1.600e-10"
                                   " beyond -1.0e-10")
 
     def test_floor_scheme_report(self):

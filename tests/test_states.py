@@ -370,6 +370,43 @@ class TestBatchedChecks:
         assert message.startswith("element 1 has negative eigenvalue")
         assert chunk_error(raw, elements) == message
 
+    def test_one_call_roots_equal_per_label_roots(self):
+        raw, elements, _, _ = valid_chunk(n=5)
+        elements[3] = 0.0
+        elements[3, 1] = np.eye(3)  # an exact instance: diagonal elements
+        assert np.array_equal(povm_roots(elements, range(3)),
+                              oracles.povm_roots(elements, range(3)))
+
+    # (fault, instance, outcome) cells of a 4-instance, 3-outcome chunk, and
+    # the instance whose Povm raises the chunk's error: the label-by-label
+    # order checks one outcome of every instance before the next outcome,
+    # each outcome for finite entries, then Hermiticity, then the spectrum
+    SEVERAL_BAD = [
+        ([("not psd", 3, 0), ("not hermitian", 0, 2), ("not psd", 1, 1)], 3),
+        ([("not psd", 0, 1), ("not hermitian", 2, 1)], 2),
+        ([("not psd", 3, 2), ("non-finite", 1, 2), ("not psd", 0, 2)], 1),
+        ([("not psd", 1, 1), ("not psd", 3, 1), ("not hermitian", 2, 2)], 1),
+        ([("overflow", 2, 1), ("not psd", 0, 2), ("non-finite", 3, 2)], 2),
+    ]
+
+    @pytest.mark.parametrize("faults,named", SEVERAL_BAD)
+    def test_several_bad_elements(self, faults, named):
+        raw, elements, _, _ = valid_chunk()
+        for fault, i, k in faults:
+            if fault == "not psd":
+                v = np.linalg.eigh(elements[i, k])[1][:, 0]
+                elements[i, k] -= (2.0 + i) * np.outer(v, v.conj())
+            elif fault == "not hermitian":
+                elements[i, k, 0, 2] += (1.0 + i) * 1e-6j
+            elif fault == "non-finite":
+                elements[i, k, 1, 1] = np.nan
+            else:  # Hermitian, but its symmetrized copy overflows
+                elements[i, k] = 1e308
+        message = chunk_error(raw, elements)
+        assert message == constructor_error(lambda: oracles.povm_roots(elements, range(3)))
+        assert message == constructor_error(
+            lambda: Povm(tuple(enumerate(elements[named]))))
+
     def test_elements_not_summing_to_identity(self):
         raw, elements, _, _ = valid_chunk()
         elements[0, 2] *= 0.5

@@ -51,3 +51,36 @@ def test_install_then_uninstall_restores_every_original(tracing):
         tracer.uninstall()
     for owner, attr, original in before:
         assert getattr(owner, attr) is original, (owner, attr)
+
+
+def test_traced_commands_write_the_same_csv(tracing, tmp_path):
+    # a traced call runs its span's counter on the call's own arguments, so
+    # an argument the counter does not take fails only under the tracer
+    from qseal import cli
+    from qseal.qubit_seal import QubitSealFamily
+    from qseal.seal import save_scheme
+
+    scheme = tmp_path / "family.json"
+    save_scheme(QubitSealFamily(0.75).scheme(), scheme)
+    commands = [
+        ["bounds", "dist", "--grid", "5"],
+        ["bounds", "nfp", "--grid", "5"],
+        ["verify", "gentle", "--dim", "4", "--outcomes", "3", "--instances", "9"],
+        ["simulate", "naive", "--q", "2", "--trials", "100"],
+        ["simulate", "achieve", "--p", "0.75"],
+        ["seal", "eval", "--scheme", str(scheme)],
+    ]
+    for index, argv in enumerate(commands):
+        outputs = []
+        for traced in (False, True):
+            out = tmp_path / f"cmd{index}-{traced}.csv"
+            tracer = tracing.Tracer()
+            if traced:
+                tracer.install()
+            try:
+                assert cli.main(argv + ["--seed", "3", "--out", str(out)]) == 0, argv
+            finally:
+                tracer.uninstall()
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], argv
+        assert tracer.calls["cli.main"] == 1
