@@ -15,8 +15,12 @@ sum_{i != j} ||sqrt(E_i) rho sqrt(E_i)||_1 = sum_{i != j} tr(E_i rho) <= eps;
 The sweep generates and verifies instances in chunks of stacked (n, d, d)
 arrays.  Each instance's random draws stay sequential, together with the one
 eigendecomposition of rho whose support count decides the draws after it;
-everything else runs batched over the chunk.  The chunk size changes no
-draw and no bit of any result.
+everything else runs batched over the chunk and its outcomes: one call
+checks and roots every POVM element, one trace-norm call takes every
+branch's norm.  The chunk size changes no draw and no bit of any result.
+The dominant element is built on sqrt(I - w P) for a projector P, which is
+taken in closed form (``remainder_root``), and the branch norms are the
+Hermitian trace norms of ``linalg.trace_norm``.
 """
 
 from __future__ import annotations

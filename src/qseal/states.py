@@ -36,7 +36,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 def _adopt(cls, **fields):
     """A ``cls`` holding ``fields`` as given, without running its rule: only
-    for read-only arrays that already passed that rule in batched form."""
+    for read-only arrays, and the values derived from them, that already
+    passed that rule in batched form."""
     self = object.__new__(cls)
     vars(self).update(fields)
     return self

@@ -3,8 +3,13 @@
 * The gentle-measurement sweep written one instance at a time: every state
   and POVM goes through its validating constructor, every square root and
   trace norm is a 2-D ``linalg`` call, and every random draw is made in the
-  order the batched sweep in ``qseal.gentle`` must reproduce.  Tests compare
-  the batched sweep against it cell by cell.
+  order the batched sweep in ``qseal.gentle`` must reproduce.  It uses the
+  sweep's two formulas, so that the comparison can be bit for bit: the
+  closed-form sqrt(I - w P) (``gentle.remainder_root``, cross-checked
+  against the eigendecomposition root in ``test_gentle``) and the Hermitian
+  trace norm (``trace_norm(..., hermitian=True)``, cross-checked against the
+  SVD path in ``test_linalg``).  Tests compare the batched sweep against it
+  cell by cell.
 * The POVM element checks and roots taken one label at a time
   (``povm_roots``), as ``qseal.states.povm_roots`` took them before it
   checked a whole stack in one call.  Tests require the one-call version to

@@ -217,19 +217,12 @@ class TestRemainderRoot:
                 assert np.abs(closed @ closed - m).max() <= 1e-13
                 # two Hermitian roots with residuals E_i = R_i^2 - m differ
                 # by at most ||E_1 - E_2||_F over the sum of their smallest
-                # eigenvalues, sqrt(1 - w) each; doubled, and 2 dim eps added,
-                # for the rounding of the residuals themselves
+                # eigenvalues, sqrt(1 - w) each (the eigh root's error is
+                # its residual over 2 sqrt(1 - w)); doubled, and 2 dim eps
+                # added, for the rounding of the residuals themselves
                 residuals = sum(np.linalg.norm(r @ r - m) for r in (closed, dense))
                 tol = 2.0 * (residuals + 2 * dim * eps) / (2.0 * np.sqrt(1.0 - w))
                 assert np.linalg.norm(closed - dense) <= tol, (dim, keep, w)
-
-    def test_batched_is_each_matrix(self):
-        rng = np.random.default_rng(509)
-        projectors = np.stack([sweep_projector(6, keep, rng) for keep in (1, 3, 6)])
-        weights = np.array([0.5, 1.0 - 1e-6, 1.0 - 4e-9])
-        stacked = remainder_root(weights[:, None, None], projectors)
-        for root, w, projector in zip(stacked, weights, projectors):
-            assert np.array_equal(root, remainder_root(w, projector))
 
 
 class TestSweep:
