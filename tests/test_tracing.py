@@ -11,6 +11,9 @@ from __future__ import annotations
 import pytest
 
 from conftest import perfbench_module
+from qseal import cli
+from qseal.qubit_seal import QubitSealFamily
+from qseal.seal import save_scheme
 
 
 @pytest.fixture(scope="module")
@@ -56,10 +59,6 @@ def test_install_then_uninstall_restores_every_original(tracing):
 def test_traced_commands_write_the_same_csv(tracing, tmp_path):
     # a traced call runs its span's counter on the call's own arguments, so
     # an argument the counter does not take fails only under the tracer
-    from qseal import cli
-    from qseal.qubit_seal import QubitSealFamily
-    from qseal.seal import save_scheme
-
     scheme = tmp_path / "family.json"
     save_scheme(QubitSealFamily(0.75).scheme(), scheme)
     commands = [
