@@ -264,7 +264,7 @@ def cmd_seal_eval(config: RunConfig, tol: float, scheme_path: str) -> tuple:
     summary = [
         f"scheme: M={scheme.n_messages} dimA={scheme.dim_a} dimB={scheme.dim_b} "
         f"promised_p={format_cell(scheme.promised_p)}",
-        f"{report.prior}-prior averages: p_dist_numeric="
+        "uniform-prior averages: p_dist_numeric="
         f"{format_cell(report.p_dist_numeric)} p_nfp_numeric="
         f"{format_cell(report.p_nfp_numeric)}",
     ]

@@ -20,14 +20,15 @@ two handles on that:
 
 Both metrics depend only on the M+1 vectors psi_m and
 v_i = (I (x) sqrt(F_i)) psi_m, so they are read off their (M+1)x(M+1) Gram
-matrix; no operator on H_A (x) H_B is built.  Only Bob's dim_b x dim_b
-matrices are dense, which is why ``load_scheme`` caps dim_b, not the joint
-dimension.  ``coarse_cheat_state`` builds the returned state densely as the
-reference the tests compare against.
+matrix; no operator on H_A (x) H_B is built.  One Gram matrix is built per
+message, and one root call and one trace-norm call serve all of a scheme's
+messages (M <= 39; larger M takes one pair per 1 MiB stack of Grams).  Only
+Bob's dim_b x dim_b matrices are dense, which is why ``load_scheme`` caps
+dim_b, not the joint dimension.  ``coarse_cheat_state`` builds the returned
+state densely, as the tests' reference.
 
-Aggregate numbers in ``DetectionReport`` average the per-message values
-under a uniform prior over m (no other prior is specified anywhere in this
-package; pick your own weighting from ``per_message`` if you need one).
+``DetectionReport`` averages the per-message values under a uniform prior
+over m; ``per_message`` holds them for any other weighting.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ from .states import DensityMatrix, Povm, PureState, clamp_probability, densify
 
 PROMISE_TOL = 1e-9
 _MONOTONE_TOL = 1e-12
+# Gram entries stacked for one root call (1 MiB): a stack of all M Grams
+# holds M (M+1)^2 entries, M times what one message needs.
+_GRAM_STACK_ENTRIES = 1 << 16
 
 
 def _integer(value, name: str) -> int:
@@ -192,38 +196,34 @@ def coarse_cheat_state(scheme: SealScheme, m: int) -> DensityMatrix:
     return DensityMatrix(total)
 
 
-def _cheat_gram(scheme: SealScheme, m: int) -> np.ndarray:
-    """Gram matrix G = W^dag W of W = [psi_m, v_1 .. v_k], v_i = (I (x) sqrt(F_i)) psi_m.
+def _detection(scheme: SealScheme, messages) -> list:
+    """(p_dist, p_nfp) of each message in ``messages``, as pairs of floats.
 
-    |psi_m><psi_m| - cheat state = W C W^dag with C = diag(1, -1, .., -1),
-    so both metrics are functions of G.  The diagonal holds the traces of
-    the two density matrices; each must be 1 within ``TRACE_TOL``.
+    |psi_m><psi_m| - cheat state = W C W^dag for W = [psi_m, v_1 .. v_k],
+    v_i = (I (x) sqrt(F_i)) psi_m and C = diag(1, -1, .., -1), so both
+    metrics are functions of the Gram matrix G = W^dag W.  W is built one
+    message at a time; the Grams are stacked for one root call and one
+    trace-norm call.  G's diagonal holds the traces of the two density
+    matrices; each must be 1 within ``TRACE_TOL``, checked in message order.
     """
-    amp = scheme.state(m).amplitudes
-    roots = scheme.merged_roots
-    shares = amp.reshape(scheme.dim_a, scheme.dim_b) @ roots.transpose(0, 2, 1)
-    w = np.vstack([amp, shares.reshape(len(roots), -1)])
-    gram = w.conj() @ w.T
-    diagonal = gram.diagonal().real
-    states.require_unit_trace(np.array([diagonal[0], diagonal[1:].sum()]))
-    return gram
-
-
-def _p_dist_from_gram(gram: np.ndarray) -> float:
-    root = linalg.matrix_sqrt_psd(gram)
-    signs = -np.ones(len(gram))
-    signs[0] = 1.0
-    return 0.5 + linalg.trace_norm(root @ (signs[:, None] * root)) / 4.0
-
-
-def _p_nfp_from_gram(gram: np.ndarray) -> float:
-    return clamp_probability(1.0 - float(np.sum(np.abs(gram[0, 1:]) ** 2)))
+    roots = scheme.merged_roots.transpose(0, 2, 1)
+    amps = (scheme.state(m).amplitudes for m in messages)
+    ws = (np.vstack([a, (a.reshape(scheme.dim_a, -1) @ roots).reshape(len(roots), -1)])
+          for a in amps)
+    grams = np.stack([w.conj() @ w.T for w in ws])
+    states.require_unit_trace(np.array([(g[0, 0].real, g.diagonal().real[1:].sum())
+                                        for g in grams]))
+    root = linalg.matrix_sqrt_psd(grams)
+    signs = np.append(1.0, -np.ones(len(roots)))  # the diagonal of C
+    p_dist = 0.5 + linalg.trace_norm(root @ (signs[:, None] * root)) / 4.0
+    p_nfp = 1.0 - np.sum(np.abs(grams[:, 0, 1:]) ** 2, axis=-1)
+    return list(zip(p_dist.tolist(), map(clamp_probability, p_nfp.tolist())))
 
 
 def p_dist_numeric(scheme: SealScheme, m: int) -> float:
     """Helstrom probability of telling the cheat state from |psi_m>:
     1/2 + ||W C W^dag||_1 / 4, where ||W C W^dag||_1 = ||G^1/2 C G^1/2||_1."""
-    return _p_dist_from_gram(_cheat_gram(scheme, m))
+    return _detection(scheme, [m])[0][0]
 
 
 def p_dist_upper_bound(p: float) -> float:
@@ -241,7 +241,7 @@ def p_dist_upper_bound(p: float) -> float:
 def p_nfp_numeric(scheme: SealScheme, m: int) -> float:
     """Probability the cheat state fails Alice's rank-one test for |psi_m>:
     1 - sum_i |<psi_m| I (x) sqrt(F_i) |psi_m>|^2 = 1 - sum_i |G_0i|^2."""
-    return _p_nfp_from_gram(_cheat_gram(scheme, m))
+    return _detection(scheme, [m])[0][1]
 
 
 def p_nfp_upper_bound(p: float, n_messages: int) -> float:
@@ -291,7 +291,6 @@ class DetectionReport:
     p_dist_upper: float
     p_nfp_numeric: float
     p_nfp_upper: float
-    prior: str = "uniform"
 
 
 def evaluate_scheme(scheme: SealScheme) -> DetectionReport:
@@ -299,29 +298,29 @@ def evaluate_scheme(scheme: SealScheme) -> DetectionReport:
 
     Upper bounds are evaluated at each message's realized read probability
     (never below the scheme-wide promise), which is the tightest level the
-    bounds are valid at.  Both metrics of a message come from one Gram matrix.
+    bounds are valid at.  Both metrics come from one stacked Gram pass, or
+    from several when the M Grams exceed ``_GRAM_STACK_ENTRIES`` entries.
     """
+    messages = range(1, scheme.n_messages + 1)
+    step = max(1, _GRAM_STACK_ENTRIES // (scheme.n_messages + 1) ** 2)
+    metrics = [pair for k in range(0, len(messages), step)
+               for pair in _detection(scheme, messages[k:k + step])]
     rows = []
-    for m, q in enumerate(scheme.read_probabilities, 1):
-        gram = _cheat_gram(scheme, m)
+    for m, q, (dist, nfp) in zip(messages, scheme.read_probabilities, metrics):
         raw = p_dist_upper_bound(q)
         rows.append(MessageDetection(
             message=m,
             promise_probability=q,
-            p_dist_numeric=_p_dist_from_gram(gram),
+            p_dist_numeric=dist,
             p_dist_upper=clamp_probability(raw),
             p_dist_upper_raw=raw,
-            p_nfp_numeric=_p_nfp_from_gram(gram),
+            p_nfp_numeric=nfp,
             p_nfp_upper=p_nfp_upper_bound(clamp_promise(q, scheme.n_messages),
                                           scheme.n_messages),
         ))
-    return DetectionReport(
-        per_message=tuple(rows),
-        p_dist_numeric=float(np.mean([r.p_dist_numeric for r in rows])),
-        p_dist_upper=float(np.mean([r.p_dist_upper for r in rows])),
-        p_nfp_numeric=float(np.mean([r.p_nfp_numeric for r in rows])),
-        p_nfp_upper=float(np.mean([r.p_nfp_upper for r in rows])),
-    )
+    means = {name: float(np.mean([getattr(r, name) for r in rows])) for name in
+             ("p_dist_numeric", "p_dist_upper", "p_nfp_numeric", "p_nfp_upper")}
+    return DetectionReport(per_message=tuple(rows), **means)
 
 
 # --- scheme file round trip -------------------------------------------------

@@ -4,11 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -20,6 +21,7 @@ from conftest import (
     random_scheme,
     random_unitary,
 )
+from qseal import seal
 from qseal.linalg import tensor_product, trace_norm
 from qseal.naive import build_message_states, dense_state, majority_projector_povm
 from qseal.qubit_seal import QubitSealFamily
@@ -416,12 +418,24 @@ class TestPNfp:
             monotonicity_check([1.2], 2)
 
 
+def record_root_stacks(monkeypatch) -> list:
+    """The shapes of the Gram stacks ``seal`` takes roots of from here on."""
+    stacks = []
+    root = seal.linalg.matrix_sqrt_psd
+
+    def recording(m):
+        stacks.append(m.shape)
+        return root(m)
+
+    monkeypatch.setattr(seal.linalg, "matrix_sqrt_psd", recording)
+    return stacks
+
+
 class TestEvaluate:
     def test_averages_are_plain_means(self):
         rng = np.random.default_rng(149)
         scheme = random_scheme(rng, 3, 2, 5)
         report = evaluate_scheme(scheme)
-        assert report.prior == "uniform"
         assert len(report.per_message) == 3
         for field in ("p_dist_numeric", "p_dist_upper",
                       "p_nfp_numeric", "p_nfp_upper"):
@@ -429,16 +443,22 @@ class TestEvaluate:
             assert getattr(report, field) == pytest.approx(np.mean(rows),
                                                            abs=1e-15)
 
-    def test_rows_repeat_the_per_message_functions(self):
-        # values evaluate_scheme reuses must be the ones each function gives
-        rng = np.random.default_rng(157)
-        scheme = random_scheme(rng, 3, 2, 4)
-        for row in evaluate_scheme(scheme).per_message:
+    @settings(max_examples=50)
+    @given(shape=SMALL_SHAPES, seed=st.integers(0, 2 ** 32 - 1),
+           generate=st.sampled_from([random_scheme, projector_scheme]))
+    @example(shape=(3, 2, 4), seed=157, generate=random_scheme)
+    def test_rows_repeat_the_per_message_functions(self, shape, seed, generate):
+        # the one stacked call over all messages gives each message's
+        # one-message values bit for bit, in message order
+        scheme = generate(np.random.default_rng(seed), *shape)
+        rows = evaluate_scheme(scheme).per_message
+        assert [row.message for row in rows] == list(range(1, shape[0] + 1))
+        for row in rows:
             m = row.message
             assert row.promise_probability == promise_probability(scheme, m)
             assert row.p_dist_numeric == p_dist_numeric(scheme, m)
             assert row.p_nfp_numeric == p_nfp_numeric(scheme, m)
-        assert len(set(scheme.read_probabilities)) == 3
+        assert_matches_dense(scheme)
 
     def test_reported_bounds_are_clamped(self):
         rng = np.random.default_rng(151)
@@ -458,6 +478,49 @@ class TestEvaluate:
         # per message: its merged element's checks and root share one eigh,
         # the Gram matrix's root takes one more and its trace norm one SVD
         assert counts == {"eigh": 6, "eigvalsh": 0, "svd": 3}
+
+    def test_memory_holds_one_message_at_a_time(self, monkeypatch):
+        # only the (M+1) x (M+1) Grams are stacked, all 32 in one stack:
+        # W is joint x (M+1), 0.5 MiB here, and a stack of all 32 would take
+        # about 17 MiB
+        scheme = random_scheme(np.random.default_rng(241), 32, 32, 32)
+        scheme.merged_roots  # taken once per scheme, outside the measurement
+        stacks = record_root_stacks(monkeypatch)
+        tracemalloc.start()
+        try:
+            evaluate_scheme(scheme)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+        assert stacks == [(32, 33, 33)]
+
+    def test_many_messages_are_stacked_in_bounded_runs(self, monkeypatch):
+        # 64 qubit messages read by F_m = (2/M) |u_m><u_m| around a great
+        # circle: one stack of all 64 Grams holds 64 * 65^2 entries, and its
+        # root several copies of that (29 MiB), where one message at a time
+        # peaks at 0.5 MiB
+        m_count = 64
+        angles = np.pi * np.arange(m_count) / m_count
+        vecs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        scheme = SealScheme(m_count, 1, 2, 2.0 / m_count - 1e-12,
+                            tuple(PureState(v, (1, 2)) for v in vecs),
+                            Povm(tuple(((m, 1), 2.0 / m_count * np.outer(v, v))
+                                       for m, v in enumerate(vecs, 1))))
+        scheme.merged_roots  # taken once per scheme, outside the measurement
+        stacks = record_root_stacks(monkeypatch)
+        tracemalloc.start()
+        try:
+            rows = evaluate_scheme(scheme).per_message
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        assert len(stacks) > 1 and sum(n for n, _, _ in stacks) == m_count
+        assert all(n * k * k <= seal._GRAM_STACK_ENTRIES for n, k, _ in stacks)
+        for row in rows:
+            assert row.p_dist_numeric == p_dist_numeric(scheme, row.message)
+            assert row.p_nfp_numeric == p_nfp_numeric(scheme, row.message)
 
     def test_merged_element_checks_name_the_element(self):
         # each piece of message 1 is PSD within tolerance, their sum is not

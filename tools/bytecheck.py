@@ -6,14 +6,17 @@ and the working tree.
 REV is put in a temporary directory with ``git archive`` and each command
 runs in both trees, ``src/`` first on the path.  The commands are the six of
 acceptance criterion 10, ``verify gentle`` at the benchmark's shape and
-``simulate naive`` at q = 2, 3, 40 and 1000; both trees read the same scheme
-file, written once by the working tree.  Each command's exit code, stdout
-(the CSV) and stderr (the summary) are compared, and one line is printed
-per command: ``same`` or ``differs``, the latter with its first differing
-line.  The exit code is 1 when a command differs that no ``--expect`` names
-(an ``--expect`` value names every command it equals or is a word prefix
-of, so ``--expect "verify gentle"`` names both gentle commands), else 0.
-Nothing is fetched: REV must be in the local repository.
+``simulate naive`` at q = 2, 3, 40 and 1000, and ``seal eval`` on a second
+scheme: the seeded (M, dimA, dimB) = (4, 2, 8) entangled scheme of
+``perfbench/schemes.py``, so that more than two messages share one stacked
+evaluation.  Both trees read the same two scheme files, written once by the
+working tree.  Each command's exit code, stdout (the CSV) and stderr (the
+summary) are compared, and one line is printed per command: ``same`` or
+``differs``, the latter with its first differing line.  The exit code is
+1 when a command differs that no ``--expect`` names (an ``--expect`` value
+names every command it equals or is a word prefix of, so ``--expect
+"verify gentle"`` names both gentle commands), else 0.  Nothing is
+fetched: REV must be in the local repository.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = ["--seed", "7"]
 SCHEME = "family.json"
+ENTANGLED = "entangled.json"
 COMMANDS = (
     ["bounds", "dist"],
     ["bounds", "nfp"],
@@ -41,6 +45,7 @@ COMMANDS = (
     ["simulate", "naive", "--q", "3", "--trials", "20000"],
     ["simulate", "naive", "--q", "40", "--trials", "20000"],
     ["simulate", "naive", "--q", "1000", "--trials", "2000"],
+    ["seal", "eval", "--scheme", ENTANGLED],
 )
 # Runs the CLI of the tree whose src/ is first on the path, and refuses to
 # run another copy of the package.
@@ -48,10 +53,25 @@ _MAIN = ("import sys, qseal, qseal.cli\n"
          "if not qseal.__file__.startswith(sys.argv[1]):\n"
          "    sys.exit(f'qseal imported from {qseal.__file__}')\n"
          "sys.exit(qseal.cli.main(sys.argv[2:]))\n")
-_SAVE_SCHEME = ("import sys\n"
-                "from qseal.qubit_seal import QubitSealFamily\n"
-                "from qseal.seal import save_scheme\n"
-                "save_scheme(QubitSealFamily(0.75).scheme(), sys.argv[1])\n")
+# Writes the two scheme files; perfbench/schemes.py is read, not imported,
+# so nothing is written under perfbench/.
+_SAVE_SCHEMES = """\
+import sys, types
+import numpy as np
+from qseal.qubit_seal import QubitSealFamily
+from qseal.seal import SealScheme, save_scheme
+from qseal.states import Povm, PureState
+schemes_py, family_path, entangled_path = sys.argv[1:]
+save_scheme(QubitSealFamily(0.75).scheme(), family_path)
+schemes = types.ModuleType("schemes")
+with open(schemes_py, encoding="utf-8") as source:
+    exec(compile(source.read(), schemes_py, "exec"), schemes.__dict__)
+a = schemes.generate_scheme(4, 2, 8, np.random.default_rng(7))
+dims = (a["dimA"], a["dimB"])
+save_scheme(SealScheme(a["M"], *dims, a["promised_p"],
+                       tuple(PureState(v, dims) for v in a["states"]),
+                       Povm(tuple(a["povm"]))), entangled_path)
+"""
 
 
 def _env(tree: Path) -> dict:
@@ -102,8 +122,9 @@ def main(argv=None) -> int:
         old_tree.mkdir()
         workdir.mkdir()
         _archive(args.rev, old_tree)
-        subprocess.run([sys.executable, "-c", _SAVE_SCHEME, SCHEME], cwd=workdir,
-                       env=_env(ROOT), check=True)
+        subprocess.run([sys.executable, "-c", _SAVE_SCHEMES,
+                        str(ROOT / "perfbench" / "schemes.py"), SCHEME, ENTANGLED],
+                       cwd=workdir, env=_env(ROOT), check=True)
         for argv_ in COMMANDS:
             command = " ".join(argv_)
             difference = _first_difference(_run(old_tree, argv_, workdir),
