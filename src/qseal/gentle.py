@@ -19,13 +19,13 @@ everything else runs batched over the chunk and its outcomes: one call
 checks and roots every POVM element, one trace-norm call takes every
 branch's norm.  The chunk size changes no draw and no bit of any result.
 The dominant element is built on sqrt(I - w P) for a projector P, which is
-taken in closed form (``remainder_root``), and the branch norms are the
-Hermitian trace norms of ``linalg.trace_norm``.
+taken in closed form (``remainder_root``).  Every branch gap is Hermitian,
+as ``linalg.trace_norm`` requires; ``seal`` turns the unknown-outcome cap
+into a Helstrom probability with ``states.helstrom_from_norm``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -42,10 +42,6 @@ _SUPPORT_TOL = 1e-12
 MAX_OUTCOMES = 256
 # Most instances one sweep may draw; every CSV row is kept until rendering.
 MAX_INSTANCES = 100_000
-# The branch norms' trace norm, bound here rather than looked up on
-# ``linalg``: the benchmark tracer wraps ``linalg.trace_norm`` with a counter
-# that takes the matrix alone, and would fail on the keyword.
-_hermitian_trace_norm = functools.partial(linalg.trace_norm, hermitian=True)
 # Bytes of a chunk's stacked POVM elements, (n, outcomes, dim, dim) complex,
 # and so the number of instances batched at once (never fewer than one).  The
 # chunk's arrays add to the peak memory of every sweep, so it stays small:
@@ -136,7 +132,7 @@ def _reports(rho: np.ndarray, elements: np.ndarray, roots: np.ndarray,
     gaps[:, n_outcomes] = rho - sum(np.moveaxis(branches, 1, 0))  # in outcome order
     kept = np.arange(n), dominant
     branches[kept] = rho - branches[kept]
-    norms = _hermitian_trace_norm(gaps)
+    norms = linalg.trace_norm(gaps)
     off = np.arange(n_outcomes) != dominant[:, None]
     # summed in outcome order, adding 0.0 for the dominant element
     off_norm_sum = sum(np.where(off, norms[:, :n_outcomes], 0.0).T)

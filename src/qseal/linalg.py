@@ -3,12 +3,12 @@
 Everything here works on explicit 2-D complex ``numpy`` arrays; nothing is
 sparse or lazy.  ``matrix_sqrt_psd`` and ``trace_norm`` also take a stack of
 matrices, shape (..., d, d), and treat each matrix as the 2-D call would, with
-the same bits.  Inputs are validated up front: non-finite entries are
-rejected, matrices within ``HERMITICITY_TOL`` of Hermitian are symmetrized
-(farther ones rejected), and eigenvalues of nominally PSD matrices are
-clamped to zero only when they sit inside ``-PSD_TOL``.  A check on a stack
-runs once per matrix and reports the first offender, in the words the 2-D
-check uses.
+the same bits; both take Hermitian matrices only.  Inputs are validated up
+front: non-finite entries are rejected, matrices within ``HERMITICITY_TOL`` of
+Hermitian are symmetrized (farther ones rejected), and eigenvalues of
+nominally PSD matrices are clamped to zero only when they sit inside
+``-PSD_TOL``.  A check on a stack runs once per matrix and reports the first
+offender, in the words the 2-D check uses.
 """
 
 from __future__ import annotations
@@ -173,17 +173,11 @@ def sqrt_psd(m, name: str) -> np.ndarray:
     return root
 
 
-def trace_norm(m, hermitian: bool = False):
-    """Trace norm ||m||_1, the sum of singular values: a float for a matrix,
-    an array of one norm per matrix for a stack.
-
-    With ``hermitian``, ``m`` must pass ``require_hermitian`` (else its error
-    is raised), and the singular values of its symmetrized copy are taken as
-    its absolute eigenvalues by numpy's ``svd(..., hermitian=True)``: faster
-    than the general SVD, and rounded differently.
-    """
-    m = require_square(as_complex_stack(m, "m"), "m")
-    if hermitian:
-        m = require_hermitian(m, "m")
-    norms = np.linalg.svd(m, compute_uv=False, hermitian=hermitian).sum(axis=-1)
+def trace_norm(m):
+    """Trace norm ||m||_1 of a Hermitian matrix (a float) or of each matrix of
+    a stack (an array): the sum of its absolute eigenvalues, which numpy's
+    Hermitian ``svd`` takes of the copy ``require_hermitian`` returns (its
+    error is raised for a non-Hermitian ``m``)."""
+    m = require_hermitian(as_complex_stack(m, "m"), "m")
+    norms = np.linalg.svd(m, compute_uv=False, hermitian=True).sum(axis=-1)
     return float(norms) if m.ndim == 2 else norms

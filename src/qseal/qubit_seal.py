@@ -11,8 +11,8 @@ Two flavors of Alice's distinguishing probability against that cheat are
 reported side by side and deliberately never equated:
 
 * ``p_dist_lower_paper``   -- the closed form 1/2 + sqrt(2 p (1-p)) / 4;
-* ``p_dist_lower_numeric`` -- 1/2 + ||Z(p) - |psi_1><psi_1|||_1 / 4, the
-  same 1/4 trace-norm convention used by ``states.helstrom_probability``.
+* ``p_dist_lower_numeric`` -- 1/2 + ||Z(p) - |psi_1><psi_1|||_1 / 4, through
+  the same 1/4 conversion, ``states.helstrom_from_norm``.
 
 The numeric floor is exactly 1/2 + sqrt(p (1-p)) / 2; the paper's form is
 the same expression with the Hilbert-Schmidt norm of Z(p) - |psi_1><psi_1|
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, seal
-from .states import DensityMatrix, Povm, PureState, densify
+from .states import DensityMatrix, Povm, PureState, densify, helstrom_from_norm
 
 _TWO_PI = 2.0 * math.pi
 # Sizes of the even phase grids of phi_invariance_spread and bloch_centroid.
@@ -113,7 +113,7 @@ class QubitSealFamily:
 def p_dist_lower_paper(p: float) -> float:
     """Closed-form detection floor 1/2 + sqrt(2 p (1-p)) / 4."""
     p = _require_p(p, low_open=False)
-    return 0.5 + math.sqrt(2.0 * p * (1.0 - p)) / 4.0
+    return helstrom_from_norm(math.sqrt(2.0 * p * (1.0 - p)))
 
 
 def p_dist_lower_numeric(p, phi: float = 0.0):
@@ -133,7 +133,7 @@ def p_dist_lower_numeric(p, phi: float = 0.0):
     pure = linalg.hermitian_part(psi_one[..., :, None] * psi_one.conj()[..., None, :])
     dephased = np.zeros(p.shape + (2, 2), dtype=np.complex128)
     dephased[..., [0, 1], [0, 1]] = np.stack([p, 1.0 - p], axis=-1)
-    return 0.5 + linalg.trace_norm(dephased - pure) / 4.0
+    return helstrom_from_norm(linalg.trace_norm(dephased - pure))
 
 
 def phi_invariance_spread(p: float) -> float:

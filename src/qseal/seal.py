@@ -215,7 +215,7 @@ def _detection(scheme: SealScheme, messages) -> list:
                                         for g in grams]))
     root = linalg.matrix_sqrt_psd(grams)
     signs = np.append(1.0, -np.ones(len(roots)))  # the diagonal of C
-    p_dist = 0.5 + linalg.trace_norm(root @ (signs[:, None] * root)) / 4.0
+    p_dist = states.helstrom_from_norm(linalg.trace_norm(root @ (signs[:, None] * root)))
     p_nfp = 1.0 - np.sum(np.abs(grams[:, 0, 1:]) ** 2, axis=-1)
     return list(zip(p_dist.tolist(), map(clamp_probability, p_nfp.tolist())))
 
@@ -235,7 +235,7 @@ def p_dist_upper_bound(p: float) -> float:
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"promise probability must lie in [0, 1], got {p!r}")
-    return 0.5 + gentle.unknown_outcome_bound(1.0 - p) / 4.0
+    return states.helstrom_from_norm(gentle.unknown_outcome_bound(1.0 - p))
 
 
 def p_nfp_numeric(scheme: SealScheme, m: int) -> float:

@@ -296,10 +296,15 @@ def coarse_grain(povm: Povm) -> Povm:
     return Povm(tuple(merged_elements(povm).items()))
 
 
+def helstrom_from_norm(d):
+    """Equal-prior Helstrom probability 1/2 + d / 4 at d = ||rho - sigma||_1."""
+    return 0.5 + d / 4.0
+
+
 def helstrom_probability(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Best two-hypothesis discrimination probability
     1/2 + ||rho - sigma||_1 / 4 (equal priors)."""
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    return 0.5 + linalg.trace_norm(rho.matrix - sigma.matrix) / 4.0
+    return helstrom_from_norm(linalg.trace_norm(rho.matrix - sigma.matrix))
 

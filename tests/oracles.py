@@ -7,8 +7,8 @@
   sweep's two formulas, so that the comparison can be bit for bit: the
   closed-form sqrt(I - w P) (``gentle.remainder_root``, cross-checked
   against the eigendecomposition root in ``test_gentle``) and the Hermitian
-  trace norm (``trace_norm(..., hermitian=True)``, cross-checked against the
-  SVD path in ``test_linalg``).  Tests compare the batched sweep against it
+  trace norm (``linalg.trace_norm``, cross-checked against the general SVD
+  in ``test_linalg``).  Tests compare the batched sweep against it
   cell by cell.
 * The POVM element checks and roots taken one label at a time
   (``povm_roots``), as ``qseal.states.povm_roots`` took them before it
@@ -136,12 +136,12 @@ def verify_instance(instance: GentleInstance, tol: float = VIOLATION_TOL) -> Gen
         branch = luders_branch(element, rho)
         unknown += branch
         if label == instance.dominant_label:
-            lhs_classic = linalg.trace_norm(rho - branch, hermitian=True)
+            lhs_classic = linalg.trace_norm(rho - branch)
         else:
-            off_norm_sum += linalg.trace_norm(branch, hermitian=True)
+            off_norm_sum += linalg.trace_norm(branch)
             off_prob += expectation(element, rho)
 
-    lhs_unknown = linalg.trace_norm(rho - unknown, hermitian=True)
+    lhs_unknown = linalg.trace_norm(rho - unknown)
     b_classic = classic_bound(instance.epsilon)
     b_unknown = unknown_outcome_bound(instance.epsilon)
     return GentleReport(

@@ -235,10 +235,14 @@ class TestTraceNorm:
         assert abs(trace_norm(h) - np.abs(np.linalg.eigvalsh(h)).sum()) < 1e-10
 
     def test_general_matrix_singular_value_oracle(self):
+        # a general matrix is not taken: every caller's matrix is Hermitian
         rng = np.random.default_rng(29)
         m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        oracle = np.sqrt(np.clip(np.linalg.eigvalsh(m.conj().T @ m), 0.0, None)).sum()
-        assert abs(trace_norm(m) - oracle) < 1e-10
+        with pytest.raises(ValueError, match="^m is not Hermitian: max") as exc:
+            trace_norm(m)
+        with pytest.raises(ValueError) as rule:
+            linalg.require_hermitian(m, "m")
+        assert str(exc.value) == str(rule.value)
 
     def test_unitary_invariance(self):
         rng = np.random.default_rng(31)
@@ -258,7 +262,8 @@ class TestTraceNorm:
             u @ half @ u.conj().T - random_density_matrix(dim, rng, rank=1).matrix,
             np.zeros((dim, dim)),
         ])
-        fast, svd = trace_norm(stack, hermitian=True), trace_norm(stack)
+        fast = trace_norm(stack)
+        svd = np.linalg.svd(stack, compute_uv=False).sum(axis=-1)  # general SVD
         # each of the dim singular values lies within 4 dim eps ||m||_2 of
         # the exact one on both paths
         eps = np.finfo(float).eps
@@ -266,7 +271,7 @@ class TestTraceNorm:
         assert np.all(np.abs(fast - svd) <= tol)
         assert fast[-1] == 0.0
         for m, norm in zip(stack, fast):
-            assert trace_norm(m, hermitian=True) == norm  # a float, same bits
+            assert trace_norm(m) == norm  # a float, same bits
 
     @pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4)])
     def test_hermitian_path_rejects_non_hermitian(self, shape):
@@ -274,7 +279,7 @@ class TestTraceNorm:
         m = linalg.hermitian_part(rng.normal(size=shape) + 1j * rng.normal(size=shape))
         m[..., 0, 2] += 1e-6  # only the upper triangle
         with pytest.raises(ValueError) as exc:
-            trace_norm(m, hermitian=True)
+            trace_norm(m)
         with pytest.raises(ValueError) as rule:
             linalg.require_hermitian(m, "m")
         assert str(exc.value) == str(rule.value)

@@ -83,3 +83,15 @@ def test_traced_commands_write_the_same_csv(tracing, tmp_path):
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1], argv
         assert tracer.calls["cli.main"] == 1
+
+
+def test_traced_gentle_sweep_counts_its_trace_norms(tracing, tmp_path):
+    # the sweep calls ``linalg.trace_norm`` by name, so the span sees it
+    argv = ["verify", "gentle", "--dim", "4", "--outcomes", "3", "--instances", "9"]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(argv + ["--seed", "3", "--out", str(tmp_path / "g.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["linalg.trace_norm"] >= 1

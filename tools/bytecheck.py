@@ -5,7 +5,9 @@ and the working tree.
 
 REV is put in a temporary directory with ``git archive`` and each command
 runs in both trees, ``src/`` first on the path.  The commands are the six of
-acceptance criterion 10, ``verify gentle`` at the benchmark's shape and
+acceptance criterion 10, ``simulate achieve`` at a second promise level
+(p = 0.6, whose numeric floor rounds differently from p = 0.75 when the
+trace norm changes), ``verify gentle`` at the benchmark's shape and
 ``simulate naive`` at q = 2, 3, 40 and 1000, and ``seal eval`` on a second
 scheme: the seeded (M, dimA, dimB) = (4, 2, 8) entangled scheme of
 ``perfbench/schemes.py``, so that more than two messages share one stacked
@@ -40,6 +42,7 @@ COMMANDS = (
     ["verify", "gentle", "--dim", "8", "--outcomes", "4", "--instances", "50"],
     ["simulate", "naive", "--q", "2", "--trials", "20000"],
     ["simulate", "achieve", "--p", "0.75"],
+    ["simulate", "achieve", "--p", "0.6"],
     ["seal", "eval", "--scheme", SCHEME],
     ["verify", "gentle", "--dim", "16", "--outcomes", "4", "--instances", "100"],
     ["simulate", "naive", "--q", "3", "--trials", "20000"],
