@@ -86,9 +86,6 @@ def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 def is_diagonal(m: np.ndarray):
     """True iff every nonzero entry of ``m`` sits on the main diagonal, as a
     numpy bool; for a stack, one flag per matrix."""
-    if m.ndim == 2:  # no boolean temporary the size of a large matrix
-        # np.bool_ whatever integer type this numpy's count_nonzero returns
-        return np.bool_(np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)))
     return (np.count_nonzero(m, axis=(-2, -1))
             == np.count_nonzero(np.diagonal(m, axis1=-2, axis2=-1), axis=-1))
 

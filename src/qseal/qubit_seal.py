@@ -5,7 +5,9 @@ phi: |psi_1> = sqrt(p)|0> + e^{i phi} sqrt(1-p)|1>, with |psi_2> mirroring
 the weights.  Bob's prescribed POVM is the standard basis ((1, 1) -> |0><0|,
 (2, 1) -> |1><1|), and his merged cheat measurement hands back exactly
 Z(p) = diag(p, 1-p) for message 1 (Z(1-p) for message 2) -- the same dephased
-state for every phi, which is what makes the family a clean worst case.
+state for every phi, which is what makes the family a clean worst case
+(``returned_state``; acceptance criterion 07 checks it against the dense
+cheat state over a (p, phi) grid).
 
 Two flavors of Alice's distinguishing probability against that cheat are
 reported side by side and deliberately never equated:
@@ -27,12 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, seal
-from .states import DensityMatrix, Povm, PureState, densify, helstrom_from_norm
+from .states import DensityMatrix, Povm, PureState, helstrom_from_norm
 
 _TWO_PI = 2.0 * math.pi
-# Sizes of the even phase grids of phi_invariance_spread and bloch_centroid.
+# Size of the even phase grid of phi_invariance_spread.
 _SPREAD_PHASES = 64
-_CENTROID_PHASES = 360
 
 
 def _require_p(p: float, low_open: bool) -> float:
@@ -141,36 +142,3 @@ def phi_invariance_spread(p: float) -> float:
     values = [p_dist_lower_numeric(p, phi)
               for phi in np.linspace(0.0, _TWO_PI, _SPREAD_PHASES, endpoint=False)]
     return max(values) - min(values)
-
-
-def bloch_vector(rho: DensityMatrix) -> np.ndarray:
-    """(x, y, z) with rho = (I + x X + y Y + z Z) / 2."""
-    if rho.dim != 2:
-        raise ValueError(f"Bloch coordinates need a qubit, got dimension {rho.dim}")
-    m = rho.matrix
-    return np.array([2.0 * m[0, 1].real,
-                     2.0 * m[1, 0].imag,
-                     (m[0, 0] - m[1, 1]).real])
-
-
-def state_from_bloch(vec) -> DensityMatrix:
-    """Inverse of ``bloch_vector`` (requires |vec| <= 1)."""
-    x, y, z = (float(c) for c in np.asarray(vec, dtype=np.float64))
-    if math.hypot(x, y, z) > 1.0 + 1e-12:
-        raise ValueError(f"Bloch vector {vec!r} lies outside the unit ball")
-    return DensityMatrix(0.5 * np.array([[1.0 + z, x - 1j * y],
-                                         [x + 1j * y, 1.0 - z]]))
-
-
-def bloch_centroid(p: float) -> np.ndarray:
-    """Average Bloch vector of |psi_1> over an even grid of phases.
-
-    The pure states at fixed p trace a circle at height 2p - 1; their
-    centroid is the Bloch vector of Z(p), which is how the dephased return
-    sits at the circle's center.
-    """
-    total = np.zeros(3)
-    for phi in np.linspace(0.0, _TWO_PI, _CENTROID_PHASES, endpoint=False):
-        psi_one, _ = state_pair(p, phi)
-        total += bloch_vector(densify(psi_one))
-    return total / _CENTROID_PHASES

@@ -201,13 +201,18 @@ def projector_scheme(rng: np.random.Generator, n_messages: int, dim_a: int,
     )
 
 
-def perfbench_module(name: str) -> types.ModuleType:
-    """``perfbench/<name>.py``, compiled from its text so that no bytecode
-    is written next to it; the benchmark's files are only read."""
-    path = PERFBENCH / f"{name}.py"
-    module = types.ModuleType(f"perfbench_{name}")
+def source_module(path: Path) -> types.ModuleType:
+    """The module in ``path``, compiled from its text so that no bytecode
+    is written next to it; the file is only read."""
+    module = types.ModuleType(f"{path.parent.name}_{path.stem}")
+    module.__file__ = str(path)
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     return module
+
+
+def perfbench_module(name: str) -> types.ModuleType:
+    """``perfbench/<name>.py``; the benchmark's files are only read."""
+    return source_module(PERFBENCH / f"{name}.py")
 
 
 def perfbench_pool(seed: int) -> list:

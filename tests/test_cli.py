@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import qseal
-from conftest import random_scheme
+from conftest import random_scheme, source_module
 from qseal import gentle, naive
 from qseal.cli import (MAX_GRID_POINTS, MAX_M, MAX_Q, RunConfig, build_parser, format_cell,
                        main)
@@ -21,6 +21,7 @@ from qseal.seal import SealScheme, pairs_from_array, save_scheme
 from qseal.states import PureState
 
 SRC = Path(qseal.__file__).resolve().parent.parent
+BYTECHECK = source_module(Path(__file__).resolve().parent.parent / "tools" / "bytecheck.py")
 
 
 def run(capsys, *argv):
@@ -727,3 +728,71 @@ class TestParser:
         code, out, _ = run_to_exit(capsys, *command.split(), "--help")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.HELP_SHA256[command], out
+
+
+def numeric_build() -> str:
+    """The numpy version and the BLAS and LAPACK libraries it was built with."""
+    deps = np.show_config(mode="dicts")["Build Dependencies"]
+    return f"numpy {np.__version__}, " + ", ".join(
+        f"{kind} {deps[kind]['name']} {deps[kind].get('version', '?')}"
+        for kind in ("blas", "lapack"))
+
+
+class TestOutputBytes:
+    # (exit code, sha256 of stdout, sha256 of stderr) of each command of
+    # tools/bytecheck.py at its seed, taken with numpy 2.4.6 on scipy-openblas
+    # 0.3.31; a deliberate change to a command's bytes updates its row here
+    OUTPUT_SHA256 = {
+        "bounds dist": (
+            0, "b5dd925217bac941d67c6f17c5761f1814bab0a3faec067ae06c47f82ed0f07b",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "bounds nfp": (
+            0, "0947afa491c327d659639a927d4ee4ce21834e24bb96a39f4224683eaa76222e",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "verify gentle --dim 8 --outcomes 4 --instances 50": (
+            0, "b3393e3625974f3cd5775ef83ee6e63a57868a2bc37ab722eff6653691b5a979",
+            "71be1669a39f6bedca9883023cb2657e482c7f5cc508c59130cc1f367d76157a"),
+        "simulate naive --q 2 --trials 20000": (
+            0, "d5362b8963a724db0981372954bd8a7050324f98d12800f82d838c6ac7b7fec3",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "simulate achieve --p 0.75": (
+            0, "cf58e759c92555a0b2968af3fb6e84d56ea7a80882e9980e2e2b894c6702adc8",
+            "e9909c5a03edc57d868ada37265c8e609e10c7de2ff9efdaef3632820fe2786a"),
+        "simulate achieve --p 0.6": (
+            0, "16c63546f4dd600d41ae918aef5507acf607cbe41a18a803c223913cb88415a1",
+            "e9909c5a03edc57d868ada37265c8e609e10c7de2ff9efdaef3632820fe2786a"),
+        "seal eval --scheme family.json": (
+            0, "04b9dceb57f2b0e32a7aa68597c130665f87217eaa7be1401932cc262aa92fb7",
+            "4484bf439fbcd68ab0486648a21517a77f0555d55d7243a05bc72549bbc64896"),
+        "verify gentle --dim 16 --outcomes 4 --instances 100": (
+            0, "344129e7ef5f5acc8f7318ca0e169cd42a4974b981363ee763ccd23137409bf1",
+            "6eacd36aded01d76777624a07a7e00464f1f275f7153da716b3fd4b956bd6f1e"),
+        "simulate naive --q 3 --trials 20000": (
+            0, "9983ab8b3777b4c26bd7a3a2b39be622ac798fc0721d9c0a5078ee3aa0a12f0a",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "simulate naive --q 40 --trials 20000": (
+            0, "c411d038e1026b65ba47f65508ffb2370554e7cd89d89feaaace7cc2977bda50",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "simulate naive --q 1000 --trials 2000": (
+            0, "9f7aa0f5345f60a247784d1ea15ffeab0098d27bb656d321d06089c1eb22920d",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "seal eval --scheme entangled.json": (
+            0, "8ee1007612b0f83ff05182e8a366805178d24bd499fe21b66d5dad88e2a676dd",
+            "5292d0b289334fd60001502f4482f48903520d3d9de5a73bc52a2d335534953f"),
+    }
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bytecheck")
+        BYTECHECK.write_schemes(path)
+        return path
+
+    @pytest.mark.parametrize("argv", BYTECHECK.COMMANDS, ids=" ".join)
+    def test_output_bytes_are_unchanged(self, capsys, monkeypatch, workdir, argv):
+        monkeypatch.chdir(workdir)
+        code, out, err = run_to_exit(capsys, *argv, *BYTECHECK.SEED)
+        digests = (code, hashlib.sha256(out.encode()).hexdigest(),
+                   hashlib.sha256(err.encode()).hexdigest())
+        command = " ".join(argv)
+        assert digests == self.OUTPUT_SHA256.get(command), (
+            f"{command}: output bytes changed under {numeric_build()}")

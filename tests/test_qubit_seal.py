@@ -6,12 +6,9 @@ from oracles import measure_probabilities
 from qseal.linalg import trace_norm
 from qseal.qubit_seal import (
     QubitSealFamily,
-    bloch_centroid,
-    bloch_vector,
     p_dist_lower_numeric,
     p_dist_lower_paper,
     phi_invariance_spread,
-    state_from_bloch,
     state_pair,
     z_state,
 )
@@ -158,44 +155,17 @@ class TestDetectionValues:
 
 
 class TestBlochGeometry:
-    def test_cardinal_states(self):
-        np.testing.assert_allclose(bloch_vector(z_state(0.5)), [0, 0, 0],
-                                   atol=1e-15)
-        np.testing.assert_allclose(bloch_vector(z_state(1.0)), [0, 0, 1],
-                                   atol=1e-15)
-        plus = densify(state_pair(0.5)[0])
-        np.testing.assert_allclose(bloch_vector(plus), [1, 0, 0], atol=1e-14)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(199)
-        for _ in range(20):
-            rho = random_density_matrix(2, rng)
-            back = state_from_bloch(bloch_vector(rho))
-            np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-10)
-
-    def test_rejects_outside_unit_ball(self):
-        with pytest.raises(ValueError):
-            state_from_bloch([1.0, 1.0, 1.0])
-        with pytest.raises(ValueError):
-            state_from_bloch([0.0, 0.0])  # needs three coordinates
-
-    def test_rejects_non_qubit_input(self):
-        from qseal.states import DensityMatrix
-        with pytest.raises(ValueError):
-            bloch_vector(DensityMatrix(np.eye(3) / 3.0))
-
     def test_trace_norm_is_half_euclidean_gap(self):
+        # ||a - b||_1 is the Euclidean distance of the Bloch vectors, with
+        # rho = (I + x X + y Y + z Z) / 2
+        def bloch(rho):
+            m = rho.matrix
+            return np.array([2.0 * m[0, 1].real, 2.0 * m[1, 0].imag, (m[0, 0] - m[1, 1]).real])
+
         rng = np.random.default_rng(211)
         for _ in range(10):
             a = random_density_matrix(2, rng)
             b = random_density_matrix(2, rng)
-            euclid = np.linalg.norm(bloch_vector(a) - bloch_vector(b))
+            euclid = np.linalg.norm(bloch(a) - bloch(b))
             assert trace_norm(a.matrix - b.matrix) == pytest.approx(euclid,
                                                                     abs=1e-10)
-
-    @pytest.mark.parametrize("p", [0.55, 0.75, 0.9, 1.0])
-    def test_centroid_collapses_to_z_axis(self, p):
-        # averaging the pure-state Bloch vectors over the phase circle lands
-        # on the dephased state's vector
-        np.testing.assert_allclose(bloch_centroid(p), [0.0, 0.0, 2.0 * p - 1.0],
-                                   atol=1e-6)

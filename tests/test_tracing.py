@@ -8,12 +8,26 @@ and only read.
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
+import qseal
 from conftest import perfbench_module
 from qseal import cli
 from qseal.qubit_seal import QubitSealFamily
 from qseal.seal import save_scheme
+
+
+# Test references kept in their modules, where the spans and the tests find
+# them; the package namespace does not export them.
+MODULE_ONLY = {
+    "linalg": ("tensor_product", "partial_trace"),
+    "states": ("coarse_grain", "helstrom_probability"),
+    "gentle": ("random_instance", "verify_instance"),
+    "seal": ("coarse_cheat_state",),
+    "naive": ("dense_state", "majority_projector_povm", "verify_nondisturbing"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +55,14 @@ def test_every_span_resolves_in_qseal(tracing):
         if not hasattr(owner, attr):
             missing.append(f"{path}.{attr} ({name})")
     assert missing == []
+
+
+def test_package_exports_no_test_reference():
+    unexported = [name for names in MODULE_ONLY.values() for name in names]
+    assert [name for name in unexported + ["bloch_vector"] if hasattr(qseal, name)] == []
+    for module, names in MODULE_ONLY.items():
+        owner = importlib.import_module(f"qseal.{module}")
+        assert [name for name in names if not hasattr(owner, name)] == [], module
 
 
 def test_install_then_uninstall_restores_every_original(tracing):

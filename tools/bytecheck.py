@@ -19,6 +19,10 @@ summary) are compared, and one line is printed per command: ``same`` or
 names every command it equals or is a word prefix of, so ``--expect
 "verify gentle"`` names both gentle commands), else 0.  Nothing is
 fetched: REV must be in the local repository.
+
+Tier-1 pins the same command set: ``tests/test_cli.py`` ``TestOutputBytes``
+runs each command in-process, with the scheme files of ``write_schemes``,
+and holds its exit code and the sha256 of its stdout and stderr.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,25 +61,26 @@ _MAIN = ("import sys, qseal, qseal.cli\n"
          "if not qseal.__file__.startswith(sys.argv[1]):\n"
          "    sys.exit(f'qseal imported from {qseal.__file__}')\n"
          "sys.exit(qseal.cli.main(sys.argv[2:]))\n")
-# Writes the two scheme files; perfbench/schemes.py is read, not imported,
-# so nothing is written under perfbench/.
-_SAVE_SCHEMES = """\
-import sys, types
-import numpy as np
-from qseal.qubit_seal import QubitSealFamily
-from qseal.seal import SealScheme, save_scheme
-from qseal.states import Povm, PureState
-schemes_py, family_path, entangled_path = sys.argv[1:]
-save_scheme(QubitSealFamily(0.75).scheme(), family_path)
-schemes = types.ModuleType("schemes")
-with open(schemes_py, encoding="utf-8") as source:
-    exec(compile(source.read(), schemes_py, "exec"), schemes.__dict__)
-a = schemes.generate_scheme(4, 2, 8, np.random.default_rng(7))
-dims = (a["dimA"], a["dimB"])
-save_scheme(SealScheme(a["M"], *dims, a["promised_p"],
-                       tuple(PureState(v, dims) for v in a["states"]),
-                       Povm(tuple(a["povm"]))), entangled_path)
-"""
+
+def write_schemes(workdir: Path) -> None:
+    """Write the two scheme files the ``seal eval`` commands read into
+    ``workdir``, with the qseal that is imported.  ``perfbench/schemes.py``
+    is read, not imported, so nothing is written under perfbench/."""
+    import numpy as np
+    from qseal.qubit_seal import QubitSealFamily
+    from qseal.seal import SealScheme, save_scheme
+    from qseal.states import Povm, PureState
+
+    save_scheme(QubitSealFamily(0.75).scheme(), workdir / SCHEME)
+    schemes_py = ROOT / "perfbench" / "schemes.py"
+    schemes = types.ModuleType("schemes")
+    exec(compile(schemes_py.read_text(encoding="utf-8"), str(schemes_py), "exec"),
+         schemes.__dict__)
+    a = schemes.generate_scheme(4, 2, 8, np.random.default_rng(7))
+    dims = (a["dimA"], a["dimB"])
+    save_scheme(SealScheme(a["M"], *dims, a["promised_p"],
+                           tuple(PureState(v, dims) for v in a["states"]),
+                           Povm(tuple(a["povm"]))), workdir / ENTANGLED)
 
 
 def _env(tree: Path) -> dict:
@@ -125,9 +131,9 @@ def main(argv=None) -> int:
         old_tree.mkdir()
         workdir.mkdir()
         _archive(args.rev, old_tree)
-        subprocess.run([sys.executable, "-c", _SAVE_SCHEMES,
-                        str(ROOT / "perfbench" / "schemes.py"), SCHEME, ENTANGLED],
-                       cwd=workdir, env=_env(ROOT), check=True)
+        sys.dont_write_bytecode = True
+        sys.path.insert(0, str(ROOT / "src"))
+        write_schemes(workdir)
         for argv_ in COMMANDS:
             command = " ".join(argv_)
             difference = _first_difference(_run(old_tree, argv_, workdir),
