@@ -157,6 +157,10 @@ def sqrt_psd(m, name: str) -> np.ndarray:
     """
     m = require_hermitian(as_complex_stack(m, name), name)
     full = np.logical_not(is_diagonal(m))
+    if full.all():  # no copy of the stack, and no scatter into a zero one
+        vals, vecs = np.linalg.eigh(m)
+        del m  # free the symmetrized copy before the product makes two more
+        return _root_from_eigh(clamp_psd_spectrum(vals, name), vecs)
     vals = np.diagonal(m, axis1=-2, axis2=-1).real.copy()
     if full.any():
         vals[full], vecs = np.linalg.eigh(m[full])
@@ -165,9 +169,16 @@ def sqrt_psd(m, name: str) -> np.ndarray:
     diag = np.arange(m.shape[-1])
     root[..., diag, diag] = np.sqrt(vals)
     if full.any():
-        root[full] = ((vecs * np.sqrt(vals[full])[..., None, :])
-                      @ vecs.conj().swapaxes(-1, -2))
+        root[full] = _root_from_eigh(vals[full], vecs)
     return root
+
+
+def _root_from_eigh(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """V diag(sqrt(vals)) V^dag from a clamped spectrum and its eigenvectors
+    V, scaling ``vecs`` in place."""
+    adjoint = vecs.conj().swapaxes(-1, -2)
+    vecs *= np.sqrt(vals)[..., None, :]
+    return vecs @ adjoint
 
 
 def trace_norm(m):

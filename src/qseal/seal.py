@@ -340,25 +340,51 @@ def pairs_from_array(array: np.ndarray) -> list:
     return _pair_floats(array).tolist()
 
 
+def _flat_floats(value):
+    """The flat float64 array of ``value``'s numbers if ``value`` is a list of
+    [re, im] pairs of JSON numbers (``int`` or ``float``, never ``bool``)
+    that all fit a float, with the bits ``complex(re, im)`` gives; else None.
+
+    The rule is checked over the whole list at once and the numbers are
+    converted in one pass."""
+    if not (isinstance(value, list) and set(map(type, value)) <= {list}
+            and set(map(len, value)) <= {2}
+            and set(map(type, chain.from_iterable(value))) <= {int, float}):
+        return None
+    try:
+        return np.fromiter(chain.from_iterable(value), np.float64, 2 * len(value))
+    except OverflowError:
+        return None
+
+
+def _convert_matrix(obj: dict) -> dict:
+    """``json`` object hook: replace a ``"matrix"`` list that passes
+    ``_flat_floats`` by its array, as soon as the scanner closes its object,
+    so one POVM matrix's pairs are alive as Python objects at a time.  Any
+    other value is left as decoded."""
+    flat = _flat_floats(obj.get("matrix"))
+    if flat is not None:
+        obj["matrix"] = flat
+    return obj
+
+
 def _vector_from_pairs(pairs, expected_len: int, what: str) -> np.ndarray:
     """The complex vector of ``expected_len`` [re, im] pairs of JSON numbers
     (``int`` or ``float``, never ``bool``), with the bits ``complex(re, im)``
     gives.
 
-    The rule is checked over the whole list at once; a list that breaks it
-    is walked pair by pair to name its first bad pair.
+    ``pairs`` is a decoded JSON value, or the array ``_convert_matrix`` made
+    of one, which only needs its length checked.  A list that breaks the
+    rule is walked pair by pair to name its first bad pair.
     """
-    if not isinstance(pairs, list) or len(pairs) != expected_len:
+    if isinstance(pairs, list) and len(pairs) == expected_len:
+        flat = _flat_floats(pairs)
+        if flat is None:
+            _check_pairs(pairs, what)
+        pairs = flat
+    if not isinstance(pairs, np.ndarray) or len(pairs) != 2 * expected_len:
         raise ValueError(f"scheme file: {what} must list {expected_len} [re, im] pairs")
-    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}
-            and set(map(type, chain.from_iterable(pairs))) <= {int, float}):
-        _check_pairs(pairs, what)
-    try:
-        flat = np.fromiter(chain.from_iterable(pairs), np.float64, 2 * expected_len)
-    except OverflowError:
-        _check_pairs(pairs, what)
-        raise
-    return flat.view(np.complex128)
+    return pairs.view(np.complex128)
 
 
 def _check_pairs(pairs: list, what: str) -> None:
@@ -397,24 +423,49 @@ def save_scheme(scheme: SealScheme, path) -> None:
     """Write ``scheme`` as a scheme file: the bytes ``json.dumps`` writes at
     ``indent=1`` for the document of ``M``, ``dimA``, ``dimB``,
     ``promised_p``, the states and the POVM entries, and a newline, without
-    running ``json``'s pure-Python indenting encoder over every float."""
+    running ``json``'s pure-Python indenting encoder over every float.
+
+    The header and every label line are formatted before ``path`` is opened,
+    so a scheme whose header or labels cannot be written leaves it as it
+    was; then each state's and each POVM element's pair list is rendered
+    and written in turn, so no more than one list's text is held at once.
+    """
     head = ('{\n "M": %s,\n "dimA": %s,\n "dimB": %s,\n "promised_p": %s,\n'
+            ' "states": [\n  '
             % tuple(map(json.dumps, (scheme.n_messages, scheme.dim_a,
                                      scheme.dim_b, scheme.promised_p))))
-    states = ",\n  ".join(_pair_list(s.amplitudes, 2) for s in scheme.joint_states)
-    povm = ",\n  ".join(
-        '{\n   "label": [\n    %d,\n    %d\n   ],\n   "matrix": %s\n  }'
-        % (label[0], label[1], _pair_list(element, 3))
-        for label, element in scheme.bob_povm.elements)
-    Path(path).write_text(
-        head + ' "states": [\n  ' + states + '\n ],\n "povm": [\n  ' + povm + "\n ]\n}\n",
-        encoding="utf-8")
+    elements = scheme.bob_povm.elements
+    label_lines = ['{\n   "label": [\n    %d,\n    %d\n   ],\n   "matrix": '
+                   % (label[0], label[1]) for label, _ in elements]
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write(head)
+        for k, state in enumerate(scheme.joint_states):
+            out.write(",\n  " if k else "")
+            out.write(_pair_list(state.amplitudes, 2))
+        out.write('\n ],\n "povm": [\n  ')
+        for k, (line, (_, element)) in enumerate(zip(label_lines, elements)):
+            out.write(",\n  " if k else "")
+            out.write(line)
+            out.write(_pair_list(element, 3))
+            out.write("\n  }")
+        out.write("\n ]\n}\n")
 
 
 def load_scheme(path) -> SealScheme:
+    """Read and validate a scheme file ``save_scheme`` (or any JSON writer)
+    wrote.
+
+    ``json`` parses the whole text, and ``_convert_matrix`` turns each POVM
+    matrix into an array as soon as its object closes, so the text plus one
+    matrix's pairs are held as Python objects; the states are converted
+    after parsing.  Any defect raises a one-line ``ValueError`` that starts
+    ``scheme file:`` (``CapacityError`` for a ``dimB`` above the dense cap),
+    or the one ``SealScheme`` raises.
+    """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"),
+                         object_hook=_convert_matrix)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"scheme file: not valid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ValueError("scheme file: top level must be an object")

@@ -215,17 +215,19 @@ def perfbench_module(name: str) -> types.ModuleType:
     return source_module(PERFBENCH / f"{name}.py")
 
 
+def generated_scheme(m_count: int, dim_a: int, dim_b: int,
+                     rng: np.random.Generator) -> SealScheme:
+    """The scheme ``perfbench/schemes.py`` generates for one shape."""
+    arrays = perfbench_module("schemes").generate_scheme(m_count, dim_a, dim_b, rng)
+    return SealScheme(
+        n_messages=m_count, dim_a=dim_a, dim_b=dim_b,
+        promised_p=arrays["promised_p"],
+        joint_states=tuple(PureState(v, (dim_a, dim_b)) for v in arrays["states"]),
+        bob_povm=Povm(tuple(arrays["povm"])))
+
+
 def perfbench_pool(seed: int) -> list:
     """The ``seal_eval`` workload's schemes at ``seed``, in pool order, built
     from ``perfbench/schemes.py`` as the workload builds them."""
-    schemes = perfbench_module("schemes")
-    pool = []
-    for k, (m_count, dim_a, dim_b) in enumerate(schemes.POOL_SHAPES):
-        arrays = schemes.generate_scheme(m_count, dim_a, dim_b,
-                                         np.random.default_rng([seed, k]))
-        pool.append(SealScheme(
-            n_messages=m_count, dim_a=dim_a, dim_b=dim_b,
-            promised_p=arrays["promised_p"],
-            joint_states=tuple(PureState(v, (dim_a, dim_b)) for v in arrays["states"]),
-            bob_povm=Povm(tuple(arrays["povm"]))))
-    return pool
+    return [generated_scheme(*shape, np.random.default_rng([seed, k]))
+            for k, shape in enumerate(perfbench_module("schemes").POOL_SHAPES)]

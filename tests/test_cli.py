@@ -392,6 +392,16 @@ class TestSealEval:
         assert code == 2
         assert "scheme file" in err
 
+    def test_rejects_file_that_is_not_utf8(self, capsys, tmp_path):
+        # JSON text is UTF-8; a file that does not decode is not valid JSON
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "seal", "eval", "--scheme", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: scheme file: not valid JSON ('utf-8' codec")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_rejects_deeply_nested_file(self, capsys, tmp_path):
         # json.loads raises RecursionError long before the nesting ends
         path = tmp_path / "nested.json"

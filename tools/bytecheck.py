@@ -11,14 +11,18 @@ trace norm changes), ``verify gentle`` at the benchmark's shape and
 ``simulate naive`` at q = 2, 3, 40 and 1000, and ``seal eval`` on a second
 scheme: the seeded (M, dimA, dimB) = (4, 2, 8) entangled scheme of
 ``perfbench/schemes.py``, so that more than two messages share one stacked
-evaluation.  Both trees read the same two scheme files, written once by the
+evaluation.  Both trees read the same two scheme files, written by the
 working tree.  Each command's exit code, stdout (the CSV) and stderr (the
 summary) are compared, and one line is printed per command: ``same`` or
-``differs``, the latter with its first differing line.  The exit code is
-1 when a command differs that no ``--expect`` names (an ``--expect`` value
+``differs``, the latter with its first differing line.  Each tree also
+writes the two scheme files with its own ``save_scheme`` (``write_schemes``
+in a subprocess, that tree's ``src/`` first), and one more such line is
+printed per file, named ``save_scheme FILE``.  The exit code is 1 when a
+command or file differs that no ``--expect`` names (an ``--expect`` value
 names every command it equals or is a word prefix of, so ``--expect
-"verify gentle"`` names both gentle commands), else 0.  Nothing is
-fetched: REV must be in the local repository.
+"verify gentle"`` names both gentle commands and ``--expect save_scheme``
+both files), else 0.  Nothing is fetched: REV must be in the local
+repository.
 
 Tier-1 pins the same command set: ``tests/test_cli.py`` ``TestOutputBytes``
 runs each command in-process, with the scheme files of ``write_schemes``,
@@ -35,6 +39,7 @@ import sys
 import tarfile
 import tempfile
 import types
+from itertools import chain
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,12 +60,15 @@ COMMANDS = (
     ["simulate", "naive", "--q", "1000", "--trials", "2000"],
     ["seal", "eval", "--scheme", ENTANGLED],
 )
-# Runs the CLI of the tree whose src/ is first on the path, and refuses to
-# run another copy of the package.
-_MAIN = ("import sys, qseal, qseal.cli\n"
-         "if not qseal.__file__.startswith(sys.argv[1]):\n"
-         "    sys.exit(f'qseal imported from {qseal.__file__}')\n"
-         "sys.exit(qseal.cli.main(sys.argv[2:]))\n")
+# Imports the qseal of the tree whose src/ is first on the path, and refuses
+# to run another copy of the package; then runs its CLI, or writes the
+# scheme files with it through this file's ``write_schemes``.
+_GUARD = ("import sys, qseal\n"
+          "if not qseal.__file__.startswith(sys.argv[1]):\n"
+          "    sys.exit(f'qseal imported from {qseal.__file__}')\n")
+_MAIN = _GUARD + "import qseal.cli\nsys.exit(qseal.cli.main(sys.argv[2:]))\n"
+_WRITE = _GUARD + ("import pathlib, runpy\n"
+                   "runpy.run_path(sys.argv[2])['write_schemes'](pathlib.Path(sys.argv[3]))\n")
 
 def write_schemes(workdir: Path) -> None:
     """Write the two scheme files the ``seal eval`` commands read into
@@ -102,17 +110,38 @@ def _run(tree: Path, argv: list, workdir: Path) -> tuple:
     return done.returncode, done.stdout, done.stderr
 
 
+def _write(tree: Path, into: Path) -> None:
+    done = subprocess.run(
+        [sys.executable, "-c", _WRITE, str(tree / "src"), __file__, str(into)],
+        env=_env(tree), capture_output=True, text=True)
+    if done.returncode:
+        sys.exit(f"writing the scheme files with {tree}:\n{done.stderr.strip()}")
+
+
+def _line_difference(what: str, a: str, b: str) -> str:
+    a, b = a.splitlines(), b.splitlines()
+    for number, (line_a, line_b) in enumerate(zip(a, b), 1):
+        if line_a != line_b:
+            return f"{what} line {number}:\n  - {line_a}\n  + {line_b}"
+    if len(a) != len(b):
+        return f"{what}: {len(a)} -> {len(b)} lines"
+    return ""
+
+
 def _first_difference(old: tuple, new: tuple) -> str:
     if old[0] != new[0]:
         return f"exit code {old[0]} -> {new[0]}"
-    for stream, a, b in (("stdout", old[1], new[1]), ("stderr", old[2], new[2])):
-        a, b = a.splitlines(), b.splitlines()
-        for number, (line_a, line_b) in enumerate(zip(a, b), 1):
-            if line_a != line_b:
-                return f"{stream} line {number}:\n  - {line_a}\n  + {line_b}"
-        if len(a) != len(b):
-            return f"{stream}: {len(a)} -> {len(b)} lines"
-    return ""
+    return (_line_difference("stdout", old[1], new[1])
+            or _line_difference("stderr", old[2], new[2]))
+
+
+def _file_difference(old: Path, new: Path) -> str:
+    a, b = old.read_bytes(), new.read_bytes()
+    if a == b:
+        return ""
+    return (_line_difference("file", a.decode("utf-8", "replace"),
+                             b.decode("utf-8", "replace"))
+            or f"{len(a)} -> {len(b)} bytes")
 
 
 def _expected(command: str, expect: list) -> bool:
@@ -123,27 +152,31 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare the working tree with")
     parser.add_argument("--expect", action="append", default=[], metavar="CMD",
-                        help="a command (or word prefix of commands) allowed to differ")
+                        help="a command or 'save_scheme FILE' (or a word prefix of"
+                             " them) allowed to differ")
     args = parser.parse_args(argv)
     unexpected = 0
     with tempfile.TemporaryDirectory(prefix="bytecheck-") as tmp:
-        old_tree, workdir = Path(tmp) / "rev", Path(tmp) / "work"
-        old_tree.mkdir()
-        workdir.mkdir()
+        old_tree, old_files, workdir = (Path(tmp) / name
+                                        for name in ("rev", "rev-files", "work"))
+        for directory in (old_tree, old_files, workdir):
+            directory.mkdir()
         _archive(args.rev, old_tree)
-        sys.dont_write_bytecode = True
-        sys.path.insert(0, str(ROOT / "src"))
-        write_schemes(workdir)
-        for argv_ in COMMANDS:
-            command = " ".join(argv_)
-            difference = _first_difference(_run(old_tree, argv_, workdir),
-                                           _run(ROOT, argv_, workdir))
+        _write(old_tree, old_files)
+        _write(ROOT, workdir)
+        differences = chain(
+            ((f"save_scheme {name}", _file_difference(old_files / name, workdir / name))
+             for name in (SCHEME, ENTANGLED)),
+            ((" ".join(argv_), _first_difference(_run(old_tree, argv_, workdir),
+                                                 _run(ROOT, argv_, workdir)))
+             for argv_ in COMMANDS))
+        for name, difference in differences:
             if not difference:
-                print(f"same     {command}")
+                print(f"same     {name}")
                 continue
-            expected = _expected(command, args.expect)
+            expected = _expected(name, args.expect)
             unexpected += not expected
-            print(f"differs  {command}{' (expected)' if expected else ''}: {difference}")
+            print(f"differs  {name}{' (expected)' if expected else ''}: {difference}")
     return 1 if unexpected else 0
 
 
