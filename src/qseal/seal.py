@@ -19,13 +19,12 @@ two handles on that:
   ``p_nfp_upper_bound``.
 
 Both metrics depend only on the M+1 vectors psi_m and
-v_i = (I (x) sqrt(F_i)) psi_m, so they are read off their (M+1)x(M+1) Gram
-matrix; no operator on H_A (x) H_B is built.  One Gram matrix is built per
-message, and one root call and one trace-norm call serve all of a scheme's
-messages (M <= 39; larger M takes one pair per 1 MiB stack of Grams).  Only
-Bob's dim_b x dim_b matrices are dense, which is why ``load_scheme`` caps
-dim_b, not the joint dimension.  ``coarse_cheat_state`` builds the returned
-state densely, as the tests' reference.
+v_i = (I (x) sqrt(F_i)) psi_m, the columns of W, so they are read off W and
+the R factor of its QR decomposition; no operator on H_A (x) H_B is built.
+One W is built at a time, one message after another.  Only Bob's
+dim_b x dim_b matrices are dense, which is why ``load_scheme`` caps dim_b,
+not the joint dimension.  ``coarse_cheat_state`` builds the returned state
+densely, as the tests' reference.
 
 ``DetectionReport`` averages the per-message values under a uniform prior
 over m; ``per_message`` holds them for any other weighting.
@@ -48,9 +47,6 @@ from .states import DensityMatrix, Povm, PureState, clamp_probability, densify
 
 PROMISE_TOL = 1e-9
 _MONOTONE_TOL = 1e-12
-# Gram entries stacked for one root call (1 MiB): a stack of all M Grams
-# holds M (M+1)^2 entries, M times what one message needs.
-_GRAM_STACK_ENTRIES = 1 << 16
 
 
 def _integer(value, name: str) -> int:
@@ -196,34 +192,37 @@ def coarse_cheat_state(scheme: SealScheme, m: int) -> DensityMatrix:
     return DensityMatrix(total)
 
 
-def _detection(scheme: SealScheme, messages) -> list:
-    """(p_dist, p_nfp) of each message in ``messages``, as pairs of floats.
+def _detection(amplitudes, roots: np.ndarray, dim_a: int) -> list:
+    """(p_dist, p_nfp) of each message, as pairs of floats, from its joint
+    amplitudes (n vectors of length D), the merged roots sqrt(F_i)
+    (k, dB, dB) and dim_a.
 
-    |psi_m><psi_m| - cheat state = W C W^dag for W = [psi_m, v_1 .. v_k],
-    v_i = (I (x) sqrt(F_i)) psi_m and C = diag(1, -1, .., -1), so both
-    metrics are functions of the Gram matrix G = W^dag W.  W is built one
-    message at a time; the Grams are stacked for one root call and one
-    trace-norm call.  G's diagonal holds the traces of the two density
-    matrices; each must be 1 within ``TRACE_TOL``, checked in message order.
+    |psi><psi| - cheat state = W C W^dag for W = [psi, v_1 .. v_k],
+    v_i = (I (x) sqrt(F_i)) psi and C = diag(1, -1, .., -1).  With W = QR
+    (reduced QR, W laid out D x (k+1)), ||W C W^dag||_1 = ||R C R^dag||_1,
+    a min(D, k+1)-square Hermitian matrix.  W's squared column norms are the
+    traces of the two density matrices; each must be 1 within ``TRACE_TOL``.
+    One message is handled at a time, in order.
     """
-    roots = scheme.merged_roots.transpose(0, 2, 1)
-    amps = (scheme.state(m).amplitudes for m in messages)
-    ws = (np.vstack([a, (a.reshape(scheme.dim_a, -1) @ roots).reshape(len(roots), -1)])
-          for a in amps)
-    grams = np.stack([w.conj() @ w.T for w in ws])
-    states.require_unit_trace(np.array([(g[0, 0].real, g.diagonal().real[1:].sum())
-                                        for g in grams]))
-    root = linalg.matrix_sqrt_psd(grams)
+    roots = roots.transpose(0, 2, 1)
     signs = np.append(1.0, -np.ones(len(roots)))  # the diagonal of C
-    p_dist = states.helstrom_from_norm(linalg.trace_norm(root @ (signs[:, None] * root)))
-    p_nfp = 1.0 - np.sum(np.abs(grams[:, 0, 1:]) ** 2, axis=-1)
-    return list(zip(p_dist.tolist(), map(clamp_probability, p_nfp.tolist())))
+    pairs = []
+    for psi in amplitudes:
+        w_t = np.vstack([psi, (psi.reshape(dim_a, -1) @ roots).reshape(len(roots), -1)])
+        norms = np.sum(np.abs(w_t) ** 2, axis=-1)
+        states.require_unit_trace(np.array([norms[0], norms[1:].sum()]))
+        p_nfp = 1.0 - np.sum(np.abs(w_t[1:] @ psi.conj()) ** 2)
+        r = np.linalg.qr(w_t.T, mode="r")
+        p_dist = states.helstrom_from_norm(linalg.trace_norm((r * signs) @ r.conj().T))
+        pairs.append((p_dist, clamp_probability(float(p_nfp))))
+    return pairs
 
 
 def p_dist_numeric(scheme: SealScheme, m: int) -> float:
     """Helstrom probability of telling the cheat state from |psi_m>:
-    1/2 + ||W C W^dag||_1 / 4, where ||W C W^dag||_1 = ||G^1/2 C G^1/2||_1."""
-    return _detection(scheme, [m])[0][0]
+    1/2 + ||W C W^dag||_1 / 4, where ||W C W^dag||_1 = ||R C R^dag||_1."""
+    return _detection([scheme.state(m).amplitudes], scheme.merged_roots,
+                      scheme.dim_a)[0][0]
 
 
 def p_dist_upper_bound(p: float) -> float:
@@ -240,8 +239,9 @@ def p_dist_upper_bound(p: float) -> float:
 
 def p_nfp_numeric(scheme: SealScheme, m: int) -> float:
     """Probability the cheat state fails Alice's rank-one test for |psi_m>:
-    1 - sum_i |<psi_m| I (x) sqrt(F_i) |psi_m>|^2 = 1 - sum_i |G_0i|^2."""
-    return _detection(scheme, [m])[0][1]
+    1 - sum_i |<psi_m| I (x) sqrt(F_i) |psi_m>|^2 = 1 - sum_i |v_i^dag psi_m|^2."""
+    return _detection([scheme.state(m).amplitudes], scheme.merged_roots,
+                      scheme.dim_a)[0][1]
 
 
 def p_nfp_upper_bound(p: float, n_messages: int) -> float:
@@ -298,13 +298,12 @@ def evaluate_scheme(scheme: SealScheme) -> DetectionReport:
 
     Upper bounds are evaluated at each message's realized read probability
     (never below the scheme-wide promise), which is the tightest level the
-    bounds are valid at.  Both metrics come from one stacked Gram pass, or
-    from several when the M Grams exceed ``_GRAM_STACK_ENTRIES`` entries.
+    bounds are valid at.  Both metrics come from one pass over the messages,
+    one message at a time.
     """
     messages = range(1, scheme.n_messages + 1)
-    step = max(1, _GRAM_STACK_ENTRIES // (scheme.n_messages + 1) ** 2)
-    metrics = [pair for k in range(0, len(messages), step)
-               for pair in _detection(scheme, messages[k:k + step])]
+    metrics = _detection([s.amplitudes for s in scheme.joint_states],
+                         scheme.merged_roots, scheme.dim_a)
     rows = []
     for m, q, (dist, nfp) in zip(messages, scheme.read_probabilities, metrics):
         raw = p_dist_upper_bound(q)

@@ -38,7 +38,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 def count_decompositions(monkeypatch) -> dict:
     """Counts of the matrices ``np.linalg`` decomposes from here on, by call."""
-    counts = {"eigh": 0, "eigvalsh": 0, "svd": 0}
+    counts = {"eigh": 0, "eigvalsh": 0, "svd": 0, "qr": 0}
 
     def counting(name, original):
         def wrapper(a, *args, **kwargs):

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -740,18 +741,36 @@ class TestParser:
         assert hashlib.sha256(out.encode()).hexdigest() == self.HELP_SHA256[command], out
 
 
+def openblas_core() -> str:
+    """The kernel core numpy's bundled OpenBLAS picked at run time (which
+    ``OPENBLAS_CORETYPE`` overrides), or "unknown core" without that library.
+
+    The build string names the core OpenBLAS was configured for, which need
+    not be the one that runs."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown core"
+    corename.restype = ctypes.c_char_p
+    return f"{corename().decode()} core"
+
+
 def numeric_build() -> str:
-    """The numpy version and the BLAS and LAPACK libraries it was built with."""
+    """The numpy version, the BLAS and LAPACK libraries it was built with and
+    the OpenBLAS core it runs."""
     deps = np.show_config(mode="dicts")["Build Dependencies"]
     return f"numpy {np.__version__}, " + ", ".join(
         f"{kind} {deps[kind]['name']} {deps[kind].get('version', '?')}"
-        for kind in ("blas", "lapack"))
+        for kind in ("blas", "lapack")) + f", {openblas_core()}"
 
 
 class TestOutputBytes:
     # (exit code, sha256 of stdout, sha256 of stderr) of each command of
     # tools/bytecheck.py at its seed, taken with numpy 2.4.6 on scipy-openblas
-    # 0.3.31; a deliberate change to a command's bytes updates its row here
+    # 0.3.31 running its SkylakeX core; a deliberate change to a command's
+    # bytes updates its row here
     OUTPUT_SHA256 = {
         "bounds dist": (
             0, "b5dd925217bac941d67c6f17c5761f1814bab0a3faec067ae06c47f82ed0f07b",
@@ -772,8 +791,8 @@ class TestOutputBytes:
             0, "16c63546f4dd600d41ae918aef5507acf607cbe41a18a803c223913cb88415a1",
             "e9909c5a03edc57d868ada37265c8e609e10c7de2ff9efdaef3632820fe2786a"),
         "seal eval --scheme family.json": (
-            0, "04b9dceb57f2b0e32a7aa68597c130665f87217eaa7be1401932cc262aa92fb7",
-            "4484bf439fbcd68ab0486648a21517a77f0555d55d7243a05bc72549bbc64896"),
+            0, "610c849d895af846ba983b4674b9621dd667f2b1cd83e818883efe293a75a02e",
+            "33009df3ce70e25b2ee4d8a4355854c0dda7fc7587792779b15fb2c8e51a6a20"),
         "verify gentle --dim 16 --outcomes 4 --instances 100": (
             0, "344129e7ef5f5acc8f7318ca0e169cd42a4974b981363ee763ccd23137409bf1",
             "6eacd36aded01d76777624a07a7e00464f1f275f7153da716b3fd4b956bd6f1e"),
@@ -787,8 +806,8 @@ class TestOutputBytes:
             0, "9f7aa0f5345f60a247784d1ea15ffeab0098d27bb656d321d06089c1eb22920d",
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         "seal eval --scheme entangled.json": (
-            0, "8ee1007612b0f83ff05182e8a366805178d24bd499fe21b66d5dad88e2a676dd",
-            "5292d0b289334fd60001502f4482f48903520d3d9de5a73bc52a2d335534953f"),
+            0, "f078be6b741a1039140f0edf0403b9ac29105edb661654ed887a81fe8a082cdc",
+            "8d2820d93d36476aa1f3f09c2b81e2fe1b2dbda5cb841ffc75b3c0c726e6abf5"),
     }
 
     @pytest.fixture(scope="class")

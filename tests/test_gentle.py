@@ -340,8 +340,9 @@ class TestDenseOracle:
     def test_random_instance_runs_no_branch_pass(self, monkeypatch):
         counts = count_decompositions(monkeypatch)
         random_instance(6, 3, 0.1, np.random.default_rng(229))
-        # rho, the share total and the three elements
-        assert counts == {"eigh": 5, "eigvalsh": 0, "svd": 0}
+        # rho, the share total and the three elements; one QR draws rho's
+        # eigenbasis
+        assert counts == {"eigh": 5, "eigvalsh": 0, "svd": 0, "qr": 1}
 
 
 def both_reports(instance):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -22,7 +23,6 @@ from conftest import (
     random_scheme,
     random_unitary,
 )
-from qseal import seal
 from qseal.linalg import tensor_product, trace_norm
 from qseal.naive import build_message_states, dense_state, majority_projector_povm
 from qseal.qubit_seal import QubitSealFamily
@@ -232,8 +232,16 @@ def dense_metrics(scheme, m):
 def assert_matches_dense(scheme):
     for m in range(1, scheme.n_messages + 1):
         p_dist, p_nfp = dense_metrics(scheme, m)
-        assert abs(p_dist_numeric(scheme, m) - p_dist) <= 1e-12
+        got = p_dist_numeric(scheme, m)
+        assert abs(got - p_dist) <= 1e-12
         assert abs(p_nfp_numeric(scheme, m) - p_nfp) <= 1e-12
+        # the gap |psi><psi| - cheat is a rank-one projector minus a PSD
+        # matrix, so it has at most one positive eigenvalue; its trace is 0,
+        # so that eigenvalue is half its trace norm
+        gap = densify(scheme.state(m)).matrix - coarse_cheat_state(scheme, m).matrix
+        spectrum = np.linalg.eigvalsh(gap)
+        assert np.count_nonzero(spectrum > 1e-12) <= 1
+        assert abs(got - (0.5 + spectrum[-1] / 2.0)) <= 1e-12
 
 
 # (M, dim_a, dim_b) with M <= 4, dim_a <= 3, M <= dim_b <= 8; dim_a = 1 and
@@ -243,7 +251,7 @@ SMALL_SHAPES = st.integers(2, 4).flatmap(lambda m_count: st.tuples(
 
 
 class TestLowRankMetrics:
-    """The Gram-matrix metrics against the dense joint-space reference."""
+    """The low-rank (QR) metrics against the dense joint-space reference."""
 
     @settings(max_examples=100)
     @given(shape=SMALL_SHAPES, seed=st.integers(0, 2 ** 32 - 1))
@@ -420,19 +428,6 @@ class TestPNfp:
             monotonicity_check([1.2], 2)
 
 
-def record_root_stacks(monkeypatch) -> list:
-    """The shapes of the Gram stacks ``seal`` takes roots of from here on."""
-    stacks = []
-    root = seal.linalg.matrix_sqrt_psd
-
-    def recording(m):
-        stacks.append(m.shape)
-        return root(m)
-
-    monkeypatch.setattr(seal.linalg, "matrix_sqrt_psd", recording)
-    return stacks
-
-
 class TestEvaluate:
     def test_averages_are_plain_means(self):
         rng = np.random.default_rng(149)
@@ -450,8 +445,8 @@ class TestEvaluate:
            generate=st.sampled_from([random_scheme, projector_scheme]))
     @example(shape=(3, 2, 4), seed=157, generate=random_scheme)
     def test_rows_repeat_the_per_message_functions(self, shape, seed, generate):
-        # the one stacked call over all messages gives each message's
-        # one-message values bit for bit, in message order
+        # the one pass over all messages gives each message's one-message
+        # values bit for bit, in message order
         scheme = generate(np.random.default_rng(seed), *shape)
         rows = evaluate_scheme(scheme).per_message
         assert [row.message for row in rows] == list(range(1, shape[0] + 1))
@@ -477,32 +472,28 @@ class TestEvaluate:
         assert len(scheme.bob_povm.elements) > 3  # some messages merge pieces
         counts = count_decompositions(monkeypatch)
         evaluate_scheme(scheme)
-        # per message: its merged element's checks and root share one eigh,
-        # the Gram matrix's root takes one more and its trace norm one SVD
-        assert counts == {"eigh": 6, "eigvalsh": 0, "svd": 3}
+        # per merged element: its checks and root share one eigh; per
+        # message: one QR of W and one SVD for the trace norm of R C R^dag
+        assert counts == {"eigh": 3, "eigvalsh": 0, "svd": 3, "qr": 3}
 
-    def test_memory_holds_one_message_at_a_time(self, monkeypatch):
-        # only the (M+1) x (M+1) Grams are stacked, all 32 in one stack:
-        # W is joint x (M+1), 0.5 MiB here, and a stack of all 32 would take
-        # about 17 MiB
+    def test_memory_holds_one_message_at_a_time(self):
+        # W is joint x (M+1), 0.5 MiB here, and the W of all 32 messages
+        # would take about 17 MiB
         scheme = random_scheme(np.random.default_rng(241), 32, 32, 32)
         scheme.merged_roots  # taken once per scheme, outside the measurement
-        stacks = record_root_stacks(monkeypatch)
         tracemalloc.start()
         try:
             evaluate_scheme(scheme)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 2 ** 20  # measured 2.78 MiB
-        assert stacks == [(32, 33, 33)]
+        assert peak < 3 * 2 ** 20  # measured 1.55 MiB
 
-    def test_many_messages_are_stacked_in_bounded_runs(self, monkeypatch):
-        # 64 qubit messages read by F_m = (2/M) |u_m><u_m| around a great
-        # circle: one stack of all 64 Grams holds 64 * 65^2 entries, and its
-        # root several copies of that (29 MiB), where one message at a time
-        # peaks at 0.5 MiB
-        m_count = 64
+    def test_many_qubit_messages_take_little_time_and_memory(self):
+        # 256 qubit messages read by F_m = (2/M) |u_m><u_m| around a great
+        # circle: each W is 2 x 257, so its R is 2 x 257 and R C R^dag only
+        # 2 x 2, and no (M+1) x (M+1) matrix is built
+        m_count = 256
         angles = np.pi * np.arange(m_count) / m_count
         vecs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         scheme = SealScheme(m_count, 1, 2, 2.0 / m_count - 1e-12,
@@ -510,16 +501,17 @@ class TestEvaluate:
                             Povm(tuple(((m, 1), 2.0 / m_count * np.outer(v, v))
                                        for m, v in enumerate(vecs, 1))))
         scheme.merged_roots  # taken once per scheme, outside the measurement
-        stacks = record_root_stacks(monkeypatch)
+        start = time.perf_counter()
+        rows = evaluate_scheme(scheme).per_message
+        elapsed = time.perf_counter() - start
         tracemalloc.start()
         try:
-            rows = evaluate_scheme(scheme).per_message
+            evaluate_scheme(scheme)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2 ** 20
-        assert len(stacks) > 1 and sum(n for n, _, _ in stacks) == m_count
-        assert all(n * k * k <= seal._GRAM_STACK_ENTRIES for n, k, _ in stacks)
+        assert elapsed < 1.0  # measured 0.05 s
+        assert peak < 8 * 2 ** 20  # measured 0.06 MiB
         for row in rows:
             assert row.p_dist_numeric == p_dist_numeric(scheme, row.message)
             assert row.p_nfp_numeric == p_nfp_numeric(scheme, row.message)

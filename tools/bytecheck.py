@@ -10,18 +10,18 @@ acceptance criterion 10, ``simulate achieve`` at a second promise level
 trace norm changes), ``verify gentle`` at the benchmark's shape and
 ``simulate naive`` at q = 2, 3, 40 and 1000, and ``seal eval`` on a second
 scheme: the seeded (M, dimA, dimB) = (4, 2, 8) entangled scheme of
-``perfbench/schemes.py``, so that more than two messages share one stacked
-evaluation.  Both trees read the same two scheme files, written by the
-working tree.  Each command's exit code, stdout (the CSV) and stderr (the
-summary) are compared, and one line is printed per command: ``same`` or
-``differs``, the latter with its first differing line.  Each tree also
-writes the two scheme files with its own ``save_scheme`` (``write_schemes``
-in a subprocess, that tree's ``src/`` first), and one more such line is
-printed per file, named ``save_scheme FILE``.  The exit code is 1 when a
-command or file differs that no ``--expect`` names (an ``--expect`` value
-names every command it equals or is a word prefix of, so ``--expect
-"verify gentle"`` names both gentle commands and ``--expect save_scheme``
-both files), else 0.  Nothing is fetched: REV must be in the local
+``perfbench/schemes.py``, so that a scheme with more than two messages and
+entangled states is evaluated.  Both trees read the same two scheme files,
+written by the working tree.  Each command's exit code, stdout (the CSV)
+and stderr (the summary) are compared, and one line is printed per command:
+``same`` or ``differs``, the latter with its first differing line.  Each
+tree also writes the two scheme files with its own ``save_scheme``
+(``write_schemes`` in a subprocess, that tree's ``src/`` first), and one
+more such line is printed per file, named ``save_scheme FILE``.  The exit
+code is 1 when a command or file differs that no ``--expect`` names (an
+``--expect`` value names every command it equals or is a word prefix of, so
+``--expect "verify gentle"`` names both gentle commands and ``--expect
+save_scheme`` both files), else 0.  Nothing is fetched: REV must be in the local
 repository.
 
 Tier-1 pins the same command set: ``tests/test_cli.py`` ``TestOutputBytes``
