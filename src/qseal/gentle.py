@@ -13,9 +13,10 @@ sum_{i != j} ||sqrt(E_i) rho sqrt(E_i)||_1 = sum_{i != j} tr(E_i rho) <= eps;
 ``verify_instance`` checks those intermediate identities too.
 
 The sweep generates and verifies instances in chunks of stacked (n, d, d)
-arrays.  Each instance's random draws stay sequential, together with the one
-eigendecomposition of rho whose support count decides the draws after it;
-everything else runs batched over the chunk and its outcomes: one call
+arrays.  Each instance's random draws stay sequential; rho and the dominant
+projector come from one seeded Haar basis, so no decomposition sits between
+them and an instance depends on the seed alone.  Everything else runs
+batched over the chunk and its outcomes: one call checks every state, one
 checks and roots every POVM element, one trace-norm call takes every
 branch's norm.  The chunk size changes no draw and no bit of any result.
 The dominant element is built on sqrt(I - w P) for a projector P, which is
@@ -36,8 +37,6 @@ from .states import DensityMatrix, Povm
 
 # Slack allowed before a numerically evaluated bound counts as violated.
 VIOLATION_TOL = 1e-9
-# Eigenvalues above this are counted as support when building instances.
-_SUPPORT_TOL = 1e-12
 # Most outcomes a random instance may have; each is one dim x dim matrix.
 MAX_OUTCOMES = 256
 # Most instances one sweep may draw; every CSV row is kept until rendering.
@@ -159,22 +158,20 @@ def _reports(rho: np.ndarray, elements: np.ndarray, roots: np.ndarray,
     return reports
 
 
-def _random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random pure state, or a random-rank mixture (sometimes degenerate);
-    unchecked, ``_build`` checks it."""
-    if rng.random() < 0.5:
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        v /= np.linalg.norm(v)
-        return np.outer(v, v.conj())
-    rank = int(rng.integers(1, dim + 1))
+def _random_density(dim: int, rng: np.random.Generator) -> tuple:
+    """rho = sum_k w_k q_k q_k^dag over the first ``rank`` columns of a seeded
+    Haar basis q: pure half the time, else of random rank, with equal
+    weights (exactly degenerate) or Dirichlet weights sorted descending.
+    Returns the unchecked rho (``_build`` checks it), w and q."""
+    rank = 1 if rng.random() < 0.5 else int(rng.integers(1, dim + 1))
     if rng.random() < 0.25:
-        weights = np.full(rank, 1.0 / rank)  # exactly degenerate spectrum
+        weights = np.full(rank, 1.0 / rank)
     else:
-        weights = rng.dirichlet(np.ones(rank))
+        weights = np.sort(rng.dirichlet(np.ones(rank)))[::-1]
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, _ = np.linalg.qr(g)
-    basis = q[:, :rank]
-    return (basis * weights) @ basis.conj().T
+    basis = np.linalg.qr(g)[0]
+    support = basis[:, :rank]
+    return (support * weights) @ support.conj().T, weights, basis
 
 
 def remainder_root(weight, projectors: np.ndarray) -> np.ndarray:
@@ -200,36 +197,32 @@ def _require_shape(dim: int, n_outcomes: int) -> None:
 
 
 def _draw(eps_target: float, shares: np.ndarray, rng: np.random.Generator) -> tuple:
-    """One instance's random draws in stream order, and the work that decides
-    them.  Writes its shares, (outcomes, d, d), into ``shares``.
+    """One instance's random draws in stream order.  Writes its shares,
+    (outcomes, d, d), into ``shares``.
 
-    Returns the target, the raw rho, its spectrum, the dominant index, and
-    None for a zero target, else (kept weight, projector).
+    Returns the target, the raw rho, the dominant index, and None for a zero
+    target, else (kept weight, projector).  P spans the leading columns of
+    rho's own basis: its support, less trailing weight, or widened past it.
     """
     n_outcomes, dim = shares.shape[0], shares.shape[-1]
-    raw = _random_density(dim, rng)
+    raw, weights, basis = _random_density(dim, rng)
     dominant = int(rng.integers(0, n_outcomes))
-
-    spectrum, vecs = np.linalg.eigh(linalg.hermitian_part(raw))
-    order = np.argsort(spectrum)[::-1]
-    vals, vecs = spectrum[order], vecs[:, order]
 
     if eps_target == 0.0:
         shares[:] = 0.0
         shares[dominant] = np.eye(dim)
-        return eps_target, raw, spectrum, dominant, None
+        return eps_target, raw, dominant, None
 
-    support = int(np.sum(vals > _SUPPORT_TOL))
-    keep = support
-    if support >= 2 and rng.random() < 0.5:
+    keep = len(weights)
+    if keep >= 2 and rng.random() < 0.5:
         # drop trailing support directions worth at most 0.3 * eps_target
         budget = 0.3 * eps_target
-        while keep > 1 and vals[keep - 1:support].sum() <= budget:
+        while keep > 1 and weights[keep - 1:].sum() <= budget:
             keep -= 1
     # occasionally widen P beyond the support (harmless for epsilon)
     if keep < dim and rng.random() < 0.5:
         keep = int(rng.integers(keep, dim + 1))
-    projector = linalg.hermitian_part(vecs[:, :keep] @ vecs[:, :keep].conj().T)
+    projector = linalg.hermitian_part(basis[:, :keep] @ basis[:, :keep].conj().T)
     weight = 1.0 - eps_target * rng.uniform(0.4, 1.3)
 
     def grams(run: np.ndarray) -> None:
@@ -244,17 +237,17 @@ def _draw(eps_target: float, shares: np.ndarray, rng: np.random.Generator) -> tu
     scale = rng.uniform(0.0, 0.1)  # keeps the dominant residue small
     grams(shares[dominant + 1:])
     shares[dominant] *= scale
-    return eps_target, raw, spectrum, dominant, (weight, projector)
+    return eps_target, raw, dominant, (weight, projector)
 
 
 def _stack(elements: np.ndarray, draws) -> tuple:
     """The targets of ``draws``, one ``_draw`` per instance of ``elements``,
-    and their dominant indices, raw states and spectra, stacked.  Turns the
-    shares into the POVM elements in place, batched over the instances with
-    a nonzero target and their outcomes; nothing else of the draws outlives
+    and their dominant indices and raw states, stacked.  Turns the shares
+    into the POVM elements in place, batched over the instances with a
+    nonzero target and their outcomes; nothing else of the draws outlives
     this call."""
-    targets, raw, spectra, dominant, extras = zip(*draws)
-    raw, spectra, dominant = np.array(raw), np.array(spectra), np.array(dominant)
+    targets, raw, dominant, extras = zip(*draws)
+    raw, dominant = np.array(raw), np.array(dominant)
     active = np.flatnonzero(np.array(targets) > 0.0)
     if active.size:
         weight, projectors = map(np.array, zip(*(extras[i] for i in active)))
@@ -268,16 +261,15 @@ def _stack(elements: np.ndarray, draws) -> tuple:
         mine = np.arange(active.size), dominant[active]
         pieces[mine] = pieces[mine] + weight * projectors
         elements[active] = linalg.hermitian_part(pieces)
-    return targets, dominant, raw, spectra
+    return targets, dominant, raw
 
 
 def _build(elements: np.ndarray, draws) -> tuple:
     """The targets of ``draws`` (as ``_stack`` takes them), their checked
     instances, symmetrized states (n, d, d), element roots (n, outcomes, d,
-    d) and dominant indices.  ``states`` checks each matrix once; the PSD
-    check of the states reads the spectra ``_draw`` took."""
-    targets, dominant, raw, spectra = _stack(elements, draws)
-    rho = states.check_density(raw, spectra)
+    d) and dominant indices.  ``states`` checks each matrix once."""
+    targets, dominant, raw = _stack(elements, draws)
+    rho = states.check_density(raw)
     roots = states.povm_roots(elements, range(elements.shape[1]))
     # the instances keep read-only views of these, not copies
     rho.setflags(write=False)

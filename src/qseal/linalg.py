@@ -128,7 +128,7 @@ def partial_trace(m, dims: tuple[int, int], traced: str) -> np.ndarray:
     raise ValueError(f"traced must be 'A' or 'B', got {traced!r}")
 
 
-def clamp_psd_spectrum(vals: np.ndarray, name: str = "matrix") -> np.ndarray:
+def clamp_psd_eigenvalues(vals: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Zero out eigenvalues in [-PSD_TOL, 0); reject lower ones and NaN.
 
     ``vals`` holds one spectrum, or one per matrix of a stack along its last
@@ -160,11 +160,11 @@ def sqrt_psd(m, name: str) -> np.ndarray:
     if full.all():  # no copy of the stack, and no scatter into a zero one
         vals, vecs = np.linalg.eigh(m)
         del m  # free the symmetrized copy before the product makes two more
-        return _root_from_eigh(clamp_psd_spectrum(vals, name), vecs)
+        return _root_from_eigh(clamp_psd_eigenvalues(vals, name), vecs)
     vals = np.diagonal(m, axis1=-2, axis2=-1).real.copy()
     if full.any():
         vals[full], vecs = np.linalg.eigh(m[full])
-    vals = clamp_psd_spectrum(vals, name)
+    vals = clamp_psd_eigenvalues(vals, name)
     root = np.zeros_like(m)
     diag = np.arange(m.shape[-1])
     root[..., diag, diag] = np.sqrt(vals)

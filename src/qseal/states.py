@@ -83,26 +83,19 @@ def _check_psd(m: np.ndarray, name: str) -> None:
     (dimension up to 4096) out of the dense eigensolver.
     """
     if m.ndim == 2 and is_diagonal(m):
-        linalg.clamp_psd_spectrum(m.diagonal().real, name)
+        linalg.clamp_psd_eigenvalues(m.diagonal().real, name)
     else:
-        linalg.clamp_psd_spectrum(np.linalg.eigvalsh(m), name)
+        linalg.clamp_psd_eigenvalues(np.linalg.eigvalsh(m), name)
 
 
-def check_density(m, spectrum: np.ndarray | None = None) -> np.ndarray:
+def check_density(m) -> np.ndarray:
     """The symmetrized copy of a density matrix, or of each matrix of a
     stack (..., d, d).  Rejects non-finite entries, then the first matrix
-    that is not Hermitian, not of unit trace or not PSD.
-
-    ``spectrum`` may hold the eigenvalues of the Hermitian parts, (..., d),
-    when the caller has them; otherwise the PSD check computes them.
-    """
+    that is not Hermitian, not of unit trace or not PSD."""
     name = "density matrix"
     m = require_hermitian(as_complex_stack(m, name), name)
     require_unit_trace(np.trace(m, axis1=-2, axis2=-1).real)
-    if spectrum is None:
-        _check_psd(m, name)
-    else:
-        linalg.clamp_psd_spectrum(spectrum, name)
+    _check_psd(m, name)
     return m
 
 

@@ -3,13 +3,14 @@
 * The gentle-measurement sweep written one instance at a time: every state
   and POVM goes through its validating constructor, every square root and
   trace norm is a 2-D ``linalg`` call, and every random draw is made in the
-  order the batched sweep in ``qseal.gentle`` must reproduce.  It uses the
-  sweep's two formulas, so that the comparison can be bit for bit: the
-  closed-form sqrt(I - w P) (``gentle.remainder_root``, cross-checked
-  against the eigendecomposition root in ``test_gentle``) and the Hermitian
-  trace norm (``linalg.trace_norm``, cross-checked against the general SVD
-  in ``test_linalg``).  Tests compare the batched sweep against it
-  cell by cell.
+  order the batched sweep in ``qseal.gentle`` must reproduce, with rho and
+  the dominant projector taken from the columns of one seeded Haar basis.
+  It uses the sweep's two formulas, so that the comparison can be bit for
+  bit: the closed-form sqrt(I - w P) (``gentle.remainder_root``,
+  cross-checked against the eigendecomposition root in ``test_gentle``) and
+  the Hermitian trace norm (``linalg.trace_norm``, cross-checked against the
+  general SVD in ``test_linalg``).  Tests compare the batched sweep against
+  it cell by cell.
 * The POVM element checks and roots taken one label at a time
   (``povm_roots``), as ``qseal.states.povm_roots`` took them before it
   checked a whole stack in one call.  Tests require the one-call version to
@@ -55,7 +56,6 @@ from qseal.states import (
     require_same_dim,
 )
 
-SUPPORT_TOL = 1e-12
 # tr(E rho) may stray this far outside [0, 1] before we call it a bug.
 PROB_WINDOW_TOL = 1e-12
 # Outcomes at or below this probability get no post-measurement state.
@@ -157,20 +157,18 @@ def verify_instance(instance: GentleInstance, tol: float = VIOLATION_TOL) -> Gen
     )
 
 
-def _random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    if rng.random() < 0.5:
-        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        v /= np.linalg.norm(v)
-        return DensityMatrix(np.outer(v, v.conj()))
-    rank = int(rng.integers(1, dim + 1))
+def _random_density(dim: int, rng: np.random.Generator) -> tuple:
+    """rho over the first ``rank`` columns of a seeded Haar basis, its
+    weights (descending) and the basis."""
+    rank = 1 if rng.random() < 0.5 else int(rng.integers(1, dim + 1))
     if rng.random() < 0.25:
         weights = np.full(rank, 1.0 / rank)
     else:
-        weights = rng.dirichlet(np.ones(rank))
+        weights = np.sort(rng.dirichlet(np.ones(rank)))[::-1]
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, _ = np.linalg.qr(g)
-    basis = q[:, :rank]
-    return DensityMatrix((basis * weights) @ basis.conj().T)
+    support = q[:, :rank]
+    return DensityMatrix((support * weights) @ support.conj().T), weights, q
 
 
 def _inverse_sqrt_pd(m: np.ndarray) -> np.ndarray:
@@ -180,12 +178,8 @@ def _inverse_sqrt_pd(m: np.ndarray) -> np.ndarray:
 
 def random_instance(dim: int, n_outcomes: int, eps_target: float,
                     rng: np.random.Generator) -> GentleInstance:
-    rho = _random_density(dim, rng)
+    rho, weights, basis = _random_density(dim, rng)
     dominant = int(rng.integers(0, n_outcomes))
-
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    order = np.argsort(vals)[::-1]
-    vals, vecs = vals[order], vecs[:, order]
 
     if eps_target == 0.0:
         elements = [(k, np.zeros((dim, dim), dtype=np.complex128))
@@ -193,15 +187,14 @@ def random_instance(dim: int, n_outcomes: int, eps_target: float,
         elements[dominant] = (dominant, np.eye(dim, dtype=np.complex128))
         return GentleInstance(rho, Povm(tuple(elements)), dominant)
 
-    support = int(np.sum(vals > SUPPORT_TOL))
-    keep = support
-    if support >= 2 and rng.random() < 0.5:
+    keep = len(weights)
+    if keep >= 2 and rng.random() < 0.5:
         budget = 0.3 * eps_target
-        while keep > 1 and vals[keep - 1:support].sum() <= budget:
+        while keep > 1 and weights[keep - 1:].sum() <= budget:
             keep -= 1
     if keep < dim and rng.random() < 0.5:
         keep = int(rng.integers(keep, dim + 1))
-    projector = vecs[:, :keep] @ vecs[:, :keep].conj().T
+    projector = basis[:, :keep] @ basis[:, :keep].conj().T
     projector = (projector + projector.conj().T) / 2.0
 
     delta = eps_target * rng.uniform(0.4, 1.3)

@@ -742,8 +742,9 @@ class TestParser:
 
 
 def openblas_core() -> str:
-    """The kernel core numpy's bundled OpenBLAS picked at run time (which
-    ``OPENBLAS_CORETYPE`` overrides), or "unknown core" without that library.
+    """The name of the kernel core numpy's bundled OpenBLAS picked at run
+    time (which ``OPENBLAS_CORETYPE`` overrides), or "unknown" without that
+    library.
 
     The build string names the core OpenBLAS was configured for, which need
     not be the one that runs."""
@@ -752,9 +753,9 @@ def openblas_core() -> str:
     try:
         corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
     except (IndexError, OSError, AttributeError):
-        return "unknown core"
+        return "unknown"
     corename.restype = ctypes.c_char_p
-    return f"{corename().decode()} core"
+    return corename().decode()
 
 
 def numeric_build() -> str:
@@ -763,14 +764,16 @@ def numeric_build() -> str:
     deps = np.show_config(mode="dicts")["Build Dependencies"]
     return f"numpy {np.__version__}, " + ", ".join(
         f"{kind} {deps[kind]['name']} {deps[kind].get('version', '?')}"
-        for kind in ("blas", "lapack")) + f", {openblas_core()}"
+        for kind in ("blas", "lapack")) + f", {openblas_core()} core"
 
 
 class TestOutputBytes:
     # (exit code, sha256 of stdout, sha256 of stderr) of each command of
     # tools/bytecheck.py at its seed, taken with numpy 2.4.6 on scipy-openblas
-    # 0.3.31 running its SkylakeX core; a deliberate change to a command's
-    # bytes updates its row here
+    # 0.3.31; a deliberate change to a command's bytes updates its row here.
+    # The rows whose last digits follow the OpenBLAS kernels hold one digest
+    # per core that ``openblas_core`` names (Zen runs the Haswell core, and
+    # OPENBLAS_CORETYPE=Prescott the Katmai core); any other core fails them
     OUTPUT_SHA256 = {
         "bounds dist": (
             0, "b5dd925217bac941d67c6f17c5761f1814bab0a3faec067ae06c47f82ed0f07b",
@@ -778,9 +781,23 @@ class TestOutputBytes:
         "bounds nfp": (
             0, "0947afa491c327d659639a927d4ee4ce21834e24bb96a39f4224683eaa76222e",
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-        "verify gentle --dim 8 --outcomes 4 --instances 50": (
-            0, "b3393e3625974f3cd5775ef83ee6e63a57868a2bc37ab722eff6653691b5a979",
-            "71be1669a39f6bedca9883023cb2657e482c7f5cc508c59130cc1f367d76157a"),
+        "verify gentle --dim 8 --outcomes 4 --instances 50": {
+            "SkylakeX": (
+                0, "54c0dca57730d7e376e66c7afe5ae674f57fc6cf7f142e7dfb28594be64edcdb",
+                "858b254739063c124924ea97f7c44b9d3176c970b2ab6bf871ec7a7a21f35ac2"),
+            "Haswell": (
+                0, "23580de65ed3074b48cb14e82855f9eb77d2eb01cf72bed1f124601cf155f303",
+                "b42038446df4b74fc57edb20f44feb761961a54c4d89583a10f7a8fbaf60f15c"),
+            "Sandybridge": (
+                0, "da97f8e0529e8a25c0c7fd8827baba17e0cc939a4b7be52234c9dceda44c5b7c",
+                "f123929f9501f38880fb74301cd2e25a89d354de5c5d0e81554ec3f674b86f6a"),
+            "Nehalem": (
+                0, "90234bec13301be70f7b16ac1ad5d7b834e5504768ed41c0019a1203023e912d",
+                "f6d9d7c95fcd20132ab840d789fba3f601f3189254f42e6ee43e00ae66e7730e"),
+            "Katmai": (
+                0, "c35e323b86d8d437022b4033b5771fe61383027f92a407996ce6dc3fb9417136",
+                "af948353ff10714b6dbd8b29062749076ed9123a589b3d3e2da5e279c0e98a2c"),
+        },
         "simulate naive --q 2 --trials 20000": (
             0, "d5362b8963a724db0981372954bd8a7050324f98d12800f82d838c6ac7b7fec3",
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -793,9 +810,23 @@ class TestOutputBytes:
         "seal eval --scheme family.json": (
             0, "610c849d895af846ba983b4674b9621dd667f2b1cd83e818883efe293a75a02e",
             "33009df3ce70e25b2ee4d8a4355854c0dda7fc7587792779b15fb2c8e51a6a20"),
-        "verify gentle --dim 16 --outcomes 4 --instances 100": (
-            0, "344129e7ef5f5acc8f7318ca0e169cd42a4974b981363ee763ccd23137409bf1",
-            "6eacd36aded01d76777624a07a7e00464f1f275f7153da716b3fd4b956bd6f1e"),
+        "verify gentle --dim 16 --outcomes 4 --instances 100": {
+            "SkylakeX": (
+                0, "9c28dca3bdd550c8e2b72a34cecceda513e2589434db0723dc7148774d7f1c82",
+                "c830bc4910a2ff4811787b84b897a573591d34f50b30c2e0b86ee7337584e07d"),
+            "Haswell": (
+                0, "4d91463d2f3c8c057976544794e9cca1df21e258b26a32b106928a0e5ecf5023",
+                "7dc9086fdbe59385da48a6c00981fb656673a36f9db0830e26a5b4f70752f93c"),
+            "Sandybridge": (
+                0, "ea1055f470500ccdfecb48bb8934d08a9a375ebef3d8e5f7a1f123deeb1e3b40",
+                "2a452e30932ed898684b323b58ddee3261e55fef2e123580e20f2b2b49a7754b"),
+            "Nehalem": (
+                0, "44ab2892b955ebd43b0c6feeeaa4cf6e204cfc91d0b43d450646f6551fc9ffe2",
+                "4fec46e8f6e8c11e4918468b7fd04fbb3d0e554be41415e63d57dfc6e1e56bcd"),
+            "Katmai": (
+                0, "ded37ba13b7529a81554f0dc121240376c06904d82222230fb934fa0228282ed",
+                "e9b3efbd22e53dcb466130d355b1809f680f4c915382ae4ed7d1a4edebaf3b62"),
+        },
         "simulate naive --q 3 --trials 20000": (
             0, "9983ab8b3777b4c26bd7a3a2b39be622ac798fc0721d9c0a5078ee3aa0a12f0a",
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -805,9 +836,23 @@ class TestOutputBytes:
         "simulate naive --q 1000 --trials 2000": (
             0, "9f7aa0f5345f60a247784d1ea15ffeab0098d27bb656d321d06089c1eb22920d",
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-        "seal eval --scheme entangled.json": (
-            0, "f078be6b741a1039140f0edf0403b9ac29105edb661654ed887a81fe8a082cdc",
-            "8d2820d93d36476aa1f3f09c2b81e2fe1b2dbda5cb841ffc75b3c0c726e6abf5"),
+        "seal eval --scheme entangled.json": {
+            "SkylakeX": (
+                0, "f078be6b741a1039140f0edf0403b9ac29105edb661654ed887a81fe8a082cdc",
+                "8d2820d93d36476aa1f3f09c2b81e2fe1b2dbda5cb841ffc75b3c0c726e6abf5"),
+            "Haswell": (
+                0, "0098356d50d9b6743b1bc14073093598ea8a2023c45f0c3d33a7d8cda25ba50c",
+                "4bcc3c1d7479fd134c9ae4c495d87c46ff2b10957c47c1d781d3f8627026f7fb"),
+            "Sandybridge": (
+                0, "5181619ac79886ec94d3ba9c3bbf1f417677e696e09bac3fb500659b66f3a2b2",
+                "ef8143c08ac03d0c3c098cd9827670b8dc8aed92929f4274b691ece1544dd0c6"),
+            "Nehalem": (
+                0, "6a24a50d53013c985c692dc989a797d565a2ef6077b56417bc8006fe6996b706",
+                "0fa5f35f576e12e6ec6b480b41de18c46c1d145aa2937aca493194b6d86a38b9"),
+            "Katmai": (
+                0, "51acb98011b8e4f4efb080bf01377d7727fa9a4957bdd0b585d8a568f34accfa",
+                "a15ca9e07a937289d18491a25029fcfc2b656ea53a10c353e38b0b1c28588dca"),
+        },
     }
 
     @pytest.fixture(scope="class")
@@ -823,5 +868,8 @@ class TestOutputBytes:
         digests = (code, hashlib.sha256(out.encode()).hexdigest(),
                    hashlib.sha256(err.encode()).hexdigest())
         command = " ".join(argv)
-        assert digests == self.OUTPUT_SHA256.get(command), (
+        expected = self.OUTPUT_SHA256.get(command)
+        if isinstance(expected, dict):
+            expected = expected.get(openblas_core())
+        assert digests == expected, (
             f"{command}: output bytes changed under {numeric_build()}")

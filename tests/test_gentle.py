@@ -192,8 +192,9 @@ class TestRandomInstance:
 
 
 def sweep_projector(dim: int, keep: int, rng) -> np.ndarray:
-    """A rank-``keep`` projector built as ``gentle._draw`` builds P, from the
-    eigenvectors of a random Hermitian matrix."""
+    """A rank-``keep`` projector hermitian_part(V V^dag), the form in which
+    ``gentle._draw`` builds P, here from the eigenvectors of a random
+    Hermitian matrix."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     vecs = np.linalg.eigh(hermitian_part(g))[1][:, :keep]
     return hermitian_part(vecs @ vecs.conj().T)
@@ -225,6 +226,23 @@ class TestRemainderRoot:
                 assert np.linalg.norm(closed - dense) <= tol, (dim, keep, w)
 
 
+def rotating_eigh(original, rng):
+    """``np.linalg.eigh`` that turns the eigenvectors of each cluster of equal
+    eigenvalues (relative gap at most 1e-12) by a seeded random unitary:
+    still a valid answer, in another basis of each degenerate eigenspace."""
+    def eigh(a, *args, **kwargs):
+        vals, vecs = original(a, *args, **kwargs)
+        vecs = vecs.copy()
+        for lam, v in zip(vals.reshape(-1, vals.shape[-1]),
+                          vecs.reshape((-1,) + vecs.shape[-2:])):
+            gaps = np.diff(lam) > 1e-12 * max(np.abs(lam).max(), np.finfo(float).tiny)
+            for cluster in np.split(np.arange(len(lam)), np.flatnonzero(gaps) + 1):
+                if len(cluster) > 1:
+                    v[:, cluster] = v[:, cluster] @ random_unitary(len(cluster), rng)
+        return vals, vecs
+    return eigh
+
+
 class TestSweep:
     @pytest.mark.parametrize("dim", [2, 8])
     def test_no_violations_and_identities(self, dim):
@@ -254,6 +272,25 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"instances must lie in 0 to {MAX_INSTANCES}"):
             next(sweep_instances(4, 3, instances, rng))
         assert rng.bit_generator.state == before
+
+    def test_independent_of_the_eigenbasis_lapack_returns(self, monkeypatch):
+        # an instance is a function of the seed alone: any valid basis of
+        # each degenerate eigenspace gives the same instance up to rounding
+        def sweep():
+            return list(sweep_instances(16, 4, 100, np.random.default_rng(7)))
+
+        plain = sweep()
+        monkeypatch.setattr(np.linalg, "eigh",
+                            rotating_eigh(np.linalg.eigh, np.random.default_rng(11)))
+        for (_, a, report_a), (_, b, report_b) in zip(plain, sweep(), strict=True):
+            assert np.abs(a.rho.matrix - b.rho.matrix).max() <= 1e-12
+            assert a.dominant_label == b.dominant_label
+            for (label_a, ea), (label_b, eb) in zip(a.povm.elements, b.povm.elements,
+                                                    strict=True):
+                assert label_a == label_b
+                assert np.abs(ea - eb).max() <= 1e-12
+            for name in ("epsilon", "lhs_classic", "lhs_unknown"):
+                assert abs(getattr(report_a, name) - getattr(report_b, name)) <= 1e-12
 
 
 def cells(sweep) -> list:
@@ -329,20 +366,22 @@ class TestDenseOracle:
             dim, n_outcomes, count, np.random.default_rng(223))]
         active = sum(t > 0.0 for t in targets)
         assert 0 < active < count
-        # rho once each; the share total and every element of a generic
-        # instance once each (its remainder's root is in closed form); the
-        # exact instances' elements are diagonal and take no decomposition
-        assert counts["eigh"] == count + active * (1 + n_outcomes)
-        assert counts["eigvalsh"] == 0
+        # the share total and every element of a generic instance once each
+        # (its remainder's root is in closed form); the exact instances'
+        # elements are diagonal and take no decomposition
+        assert counts["eigh"] == active * (1 + n_outcomes)
+        # rho's PSD check, once each; one QR draws each rho's basis
+        assert counts["eigvalsh"] == count
+        assert counts["qr"] == count
         # every branch and each unknown-outcome difference, once
         assert counts["svd"] == count * (n_outcomes + 1)
 
     def test_random_instance_runs_no_branch_pass(self, monkeypatch):
         counts = count_decompositions(monkeypatch)
         random_instance(6, 3, 0.1, np.random.default_rng(229))
-        # rho, the share total and the three elements; one QR draws rho's
-        # eigenbasis
-        assert counts == {"eigh": 5, "eigvalsh": 0, "svd": 0, "qr": 1}
+        # the share total and the three elements, rho's PSD check; one QR
+        # draws rho's basis
+        assert counts == {"eigh": 4, "eigvalsh": 1, "svd": 0, "qr": 1}
 
 
 def both_reports(instance):

@@ -176,9 +176,9 @@ class TestMatrixSqrt:
 class TestChecksAtExtremeMagnitudes:
     def test_nan_spectrum_is_rejected(self):
         with pytest.raises(ValueError, match="negative eigenvalue nan"):
-            linalg.clamp_psd_spectrum(np.array([0.5, np.nan]))
+            linalg.clamp_psd_eigenvalues(np.array([0.5, np.nan]))
         with pytest.raises(ValueError, match="negative eigenvalue nan"):
-            linalg.clamp_psd_spectrum(np.array([[0.5, 0.5], [1.0, np.nan]]))
+            linalg.clamp_psd_eigenvalues(np.array([[0.5, 0.5], [1.0, np.nan]]))
 
     @pytest.mark.parametrize("m", [np.full((2, 2), 1e308),
                                    np.array([[0.0, 1e308], [-1e308, 0.0]]),

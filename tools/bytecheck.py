@@ -26,7 +26,8 @@ repository.
 
 Tier-1 pins the same command set: ``tests/test_cli.py`` ``TestOutputBytes``
 runs each command in-process, with the scheme files of ``write_schemes``,
-and holds its exit code and the sha256 of its stdout and stderr.
+and holds its exit code and the sha256 of its stdout and stderr (one per
+OpenBLAS core for the rows whose last digits differ between cores).
 """
 
 from __future__ import annotations
