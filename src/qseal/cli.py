@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gentle, naive, qubit_seal, seal
+from . import gentle, naive, qubit_seal, seal, states
 from .rng import derive_rng
 
 _POPULATE_TOL = 1e-12
@@ -112,21 +112,20 @@ def _emit(table: CsvTable, config: RunConfig, summary_lines: list) -> None:
 
 
 def cmd_bounds_fig1(config: RunConfig, grid: int = DEFAULT_GRID) -> CsvTable:
-    """Distinguishability cap and both detection floors over p in [0.5, 1]."""
+    """Distinguishability cap and both detection floors over p in [0.5, 1],
+    one call of each on the whole grid."""
     _require_grid(grid)
     ps = np.clip(np.linspace(0.5, 1.0, grid), 0.5, 1.0)
-    rows = [[p,
-             seal.clamp_probability(seal.p_dist_upper_bound(p)),
-             qubit_seal.p_dist_lower_paper(p),
-             numeric]
-            for p, numeric in zip(ps.tolist(),
-                                  qubit_seal.p_dist_lower_numeric(ps).tolist())]
-    return CsvTable(
-        ["p", "p_dist_upper", "p_dist_lower_paper", "p_dist_lower_numeric"], rows)
+    numeric = qubit_seal.p_dist_lower_numeric(ps)  # first: its temporaries peak
+    curves = (ps, seal.clamp_probability(seal.p_dist_upper_bound(ps)),
+              qubit_seal.p_dist_lower_paper(ps), numeric)
+    return CsvTable(["p", "p_dist_upper", "p_dist_lower_paper", "p_dist_lower_numeric"],
+                    np.column_stack(curves).tolist())
 
 
 def cmd_bounds_fig2(config: RunConfig, m_list=None, grid: int = DEFAULT_GRID) -> CsvTable:
-    """False-negative cap over p in [0, 1]; blank where p < 1/M."""
+    """False-negative cap over p in [0, 1]; blank where p < 1/M.  One call
+    of the cap per M, on the grid points where its column is filled."""
     _require_grid(grid)
     ms = list(dict.fromkeys(int(m) for m in m_list or DEFAULT_M))
     too_small = [m for m in ms if m < 2]
@@ -135,17 +134,13 @@ def cmd_bounds_fig2(config: RunConfig, m_list=None, grid: int = DEFAULT_GRID) ->
     too_large = [m for m in ms if m > MAX_M]
     if too_large:
         raise ValueError(f"every M must be at most {MAX_M}, got {too_large[0]}")
-    rows = []
-    for raw_p in np.linspace(0.0, 1.0, grid):
-        p = seal.clamp_probability(raw_p)
-        row = [p]
-        for m in ms:
-            if p >= 1.0 / m - _POPULATE_TOL:
-                row.append(seal.p_nfp_upper_bound(seal.clamp_promise(p, m), m))
-            else:
-                row.append(None)
-        rows.append(row)
-    return CsvTable(["p"] + [f"p_nfp_upper_M{m}" for m in ms], rows)
+    ps = seal.clamp_probability(np.linspace(0.0, 1.0, grid))
+    cells = np.full((grid, 1 + len(ms)), None)  # Python floats, None for a blank
+    cells[:, 0] = ps
+    for column, m in enumerate(ms, 1):
+        filled = ps >= 1.0 / m - _POPULATE_TOL
+        cells[filled, column] = seal.p_nfp_upper_bound(seal.clamp_promise(ps[filled], m), m)
+    return CsvTable(["p"] + [f"p_nfp_upper_M{m}" for m in ms], cells.tolist())
 
 
 def _serialize_instance(instance: gentle.GentleInstance) -> str:
@@ -200,8 +195,7 @@ def cmd_verify_gentle(config: RunConfig, tol: float, dim: int, outcomes: int,
 
 def cmd_simulate_naive(config: RunConfig, trials: int, q: int) -> CsvTable:
     """Non-disturbance of the projector read plus the repair-attack Monte Carlo."""
-    if not 1 <= q <= MAX_Q:
-        raise ValueError(f"q must lie in 1 to {MAX_Q}, got {q}")
+    states.require_within(q, 1 <= q <= MAX_Q, "q", f"1 to {MAX_Q}")
     sigma = derive_rng(config.seed, "simulate-naive", q, "sigma")
     tau = derive_rng(config.seed, "simulate-naive", q, "tau")
     state_one, state_two = naive.build_message_states(q, sigma, tau)

@@ -18,7 +18,8 @@ projector come from one seeded Haar basis, so no decomposition sits between
 them and an instance depends on the seed alone.  Everything else runs
 batched over the chunk and its outcomes: one call checks every state, one
 checks and roots every POVM element, one trace-norm call takes every
-branch's norm.  The chunk size changes no draw and no bit of any result.
+branch's norm, and each bound, which takes a number or an array, is one
+call on every epsilon.  The chunk size changes no draw and no bit.
 The dominant element is built on sqrt(I - w P) for a projector P, which is
 taken in closed form (``remainder_root``).  Every branch gap is Hermitian,
 as ``linalg.trace_norm`` requires; ``seal`` turns the unknown-outcome cap
@@ -48,22 +49,19 @@ MAX_INSTANCES = 100_000
 _CHUNK_BYTES = 1 << 16
 
 
-def _require_epsilon(epsilon: float) -> float:
-    eps = float(epsilon)
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon!r}")
-    return eps
+def classic_bound(epsilon):
+    """Disturbance cap 2 sqrt(eps) when the dominant outcome is kept: a float
+    for a number in [0, 1], an array of one cap per entry for an array."""
+    eps = np.asarray(epsilon, dtype=np.float64)
+    states.require_within(eps, (eps >= 0.0) & (eps <= 1.0), "epsilon", "[0, 1]")
+    return states.number_or_array(2.0 * np.sqrt(eps))
 
 
-def classic_bound(epsilon: float) -> float:
-    """Disturbance cap 2 sqrt(eps) when the dominant outcome is kept."""
-    return 2.0 * math.sqrt(_require_epsilon(epsilon))
-
-
-def unknown_outcome_bound(epsilon: float) -> float:
-    """Disturbance cap 2 sqrt(eps) + eps when the outcome is discarded."""
-    eps = _require_epsilon(epsilon)
-    return 2.0 * math.sqrt(eps) + eps
+def unknown_outcome_bound(epsilon):
+    """Disturbance cap 2 sqrt(eps) + eps when the outcome is discarded; takes
+    what ``classic_bound`` takes."""
+    eps = np.asarray(epsilon, dtype=np.float64)
+    return states.number_or_array(classic_bound(eps) + eps)
 
 
 @dataclass(frozen=True)
@@ -81,13 +79,13 @@ class GentleInstance:
         dominant = self.povm.element(label)  # KeyError if the label is absent
         states.require_same_dim(self.rho, self.povm)
         object.__setattr__(self, "dominant_label", label)
-        object.__setattr__(self, "epsilon", float(_epsilons(dominant, self.rho.matrix)))
+        object.__setattr__(self, "epsilon", _epsilons(dominant, self.rho.matrix))
 
 
 def _epsilons(dominant: np.ndarray, rho: np.ndarray):
     """epsilon = 1 - tr(E_dominant rho) clamped to [0, 1], of one instance's
-    matrices or of each instance of two stacks."""
-    return np.clip(1.0 - states.expectation(dominant, rho), 0.0, 1.0)
+    matrices (a float) or of each instance of two stacks (an array)."""
+    return states.clamp_probability(1.0 - states.expectation(dominant, rho))
 
 
 @dataclass(frozen=True)
@@ -139,23 +137,13 @@ def _reports(rho: np.ndarray, elements: np.ndarray, roots: np.ndarray,
     # another order, and the probabilities must keep their per-pair bits
     probs = states.expectation(elements, np.repeat(rho[:, None], n_outcomes, axis=1))
     off_prob = sum(np.where(off, probs, 0.0).T)
-    reports = []
-    for eps, classic, lhs_unknown, off_norm, prob in zip(
-            epsilons, norms[kept], norms[:, n_outcomes], off_norm_sum, off_prob):
-        b_classic = classic_bound(eps)
-        b_unknown = unknown_outcome_bound(eps)
-        reports.append(GentleReport(
-            epsilon=eps,
-            lhs_classic=float(classic),
-            bound_classic=b_classic,
-            satisfied_classic=bool(classic <= b_classic + tol),
-            lhs_unknown=float(lhs_unknown),
-            bound_unknown=b_unknown,
-            satisfied_unknown=bool(lhs_unknown <= b_unknown + tol),
-            off_dominant_trace_norm_sum=float(off_norm),
-            off_dominant_probability=float(prob),
-        ))
-    return reports
+    eps = np.asarray(epsilons, dtype=np.float64)
+    lhs_classic, b_classic = norms[kept], classic_bound(eps)
+    lhs_unknown, b_unknown = norms[:, n_outcomes], unknown_outcome_bound(eps)
+    columns = (eps, lhs_classic, b_classic, lhs_classic <= b_classic + tol,
+               lhs_unknown, b_unknown, lhs_unknown <= b_unknown + tol,
+               off_norm_sum, off_prob)  # in GentleReport's field order
+    return [GentleReport(*fields) for fields in zip(*(c.tolist() for c in columns))]
 
 
 def _random_density(dim: int, rng: np.random.Generator) -> tuple:
@@ -187,13 +175,11 @@ def _inverse_sqrt_pd(m: np.ndarray) -> np.ndarray:
 
 
 def _require_shape(dim: int, n_outcomes: int) -> None:
-    if not 2 <= dim <= 64:
-        raise ValueError(f"dim must lie in [2, 64], got {dim}")
+    states.require_within(dim, 2 <= dim <= 64, "dim", "[2, 64]")
     if n_outcomes < 2:
         raise ValueError(f"need at least 2 outcomes, got {n_outcomes}")
-    if n_outcomes > MAX_OUTCOMES:
-        raise ValueError(
-            f"outcomes must lie in 2 to {MAX_OUTCOMES}, got {n_outcomes}")
+    states.require_within(n_outcomes, n_outcomes <= MAX_OUTCOMES, "outcomes",
+                          f"2 to {MAX_OUTCOMES}")
 
 
 def _draw(eps_target: float, shares: np.ndarray, rng: np.random.Generator) -> tuple:
@@ -301,8 +287,7 @@ def random_instance(dim: int, n_outcomes: int, epsilon_target: float,
     """
     _require_shape(dim, n_outcomes)
     eps_target = float(epsilon_target)
-    if not 0.0 <= eps_target < 1.0:
-        raise ValueError(f"epsilon_target must lie in [0, 1), got {epsilon_target}")
+    states.require_within(epsilon_target, 0.0 <= eps_target < 1.0, "epsilon_target", "[0, 1)")
     elements = np.empty((1, n_outcomes, dim, dim), dtype=np.complex128)
     return _build(elements, [_draw(eps_target, elements[0], rng)])[1][0]
 
@@ -327,8 +312,8 @@ def sweep_instances(dim: int, n_outcomes: int, instances: int,
     """
     # before the first draw, even for 0 instances
     _require_shape(dim, n_outcomes)
-    if not 0 <= instances <= MAX_INSTANCES:
-        raise ValueError(f"instances must lie in 0 to {MAX_INSTANCES}, got {instances}")
+    states.require_within(instances, 0 <= instances <= MAX_INSTANCES, "instances",
+                          f"0 to {MAX_INSTANCES}")
     size = _chunk_size(dim, n_outcomes)
     for start in range(0, instances, size):
         yield from _sweep_chunk(dim, n_outcomes, min(size, instances - start), rng, tol)

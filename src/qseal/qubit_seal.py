@@ -16,6 +16,9 @@ reported side by side and deliberately never equated:
 * ``p_dist_lower_numeric`` -- 1/2 + ||Z(p) - |psi_1><psi_1|||_1 / 4, through
   the same 1/4 conversion, ``states.helstrom_from_norm``.
 
+Both floors take a number (and return a float) or an array of levels (and
+return one value per entry), so a sweep makes one call of each.
+
 The numeric floor is exactly 1/2 + sqrt(p (1-p)) / 2; the paper's form is
 the same expression with the Hilbert-Schmidt norm of Z(p) - |psi_1><psi_1|
 in place of its trace norm.
@@ -29,19 +32,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, seal
-from .states import DensityMatrix, Povm, PureState, helstrom_from_norm
+from .states import (DensityMatrix, Povm, PureState, helstrom_from_norm, number_or_array,
+                     require_within)
 
 _TWO_PI = 2.0 * math.pi
 # Size of the even phase grid of phi_invariance_spread.
 _SPREAD_PHASES = 64
 
 
-def _require_p(p: float, low_open: bool) -> float:
-    p = float(p)
-    lo_ok = p > 0.5 if low_open else p >= 0.5
-    if not (lo_ok and p <= 1.0):
-        bracket = "(1/2, 1]" if low_open else "[1/2, 1]"
-        raise ValueError(f"p must lie in {bracket}, got {p!r}")
+def _require_p(p, low_open: bool) -> np.ndarray:
+    """The level p, or each entry of an array of levels, as float64, checked
+    against (1/2, 1] or [1/2, 1]."""
+    p = np.asarray(p, dtype=np.float64)
+    low_ok = p > 0.5 if low_open else p >= 0.5
+    require_within(p, low_ok & (p <= 1.0), "p", "(1/2, 1]" if low_open else "[1/2, 1]")
     return p
 
 
@@ -66,8 +70,7 @@ def _ket(weight_0, weight_1, phi: float) -> np.ndarray:
 def z_state(x: float) -> DensityMatrix:
     """Dephased qubit Z(x) = diag(x, 1-x)."""
     x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x!r}")
+    require_within(x, 0.0 <= x <= 1.0, "x", "[0, 1]")
     return DensityMatrix(np.diag([x, 1.0 - x]).astype(np.complex128))
 
 
@@ -79,10 +82,9 @@ class QubitSealFamily:
     phi: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _require_p(self.p, low_open=True))
+        object.__setattr__(self, "p", float(_require_p(self.p, low_open=True)))
         phi = float(self.phi)
-        if not 0.0 <= phi < _TWO_PI:
-            raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi!r}")
+        require_within(self.phi, 0.0 <= phi < _TWO_PI, "phi", "[0, 2*pi)")
         object.__setattr__(self, "phi", phi)
 
     def states(self) -> tuple:
@@ -111,10 +113,11 @@ class QubitSealFamily:
         raise ValueError(f"message index must be 1 or 2, got {m}")
 
 
-def p_dist_lower_paper(p: float) -> float:
-    """Closed-form detection floor 1/2 + sqrt(2 p (1-p)) / 4."""
+def p_dist_lower_paper(p):
+    """Closed-form detection floor 1/2 + sqrt(2 p (1-p)) / 4: a float for a
+    number in [1/2, 1], an array of one floor per entry for an array."""
     p = _require_p(p, low_open=False)
-    return helstrom_from_norm(math.sqrt(2.0 * p * (1.0 - p)))
+    return number_or_array(helstrom_from_norm(np.sqrt(2.0 * p * (1.0 - p))))
 
 
 def p_dist_lower_numeric(p, phi: float = 0.0):
@@ -126,10 +129,7 @@ def p_dist_lower_numeric(p, phi: float = 0.0):
     p.  The levels are checked once, and both states are built as (..., 2,
     2) stacks from them, so a sweep takes one batched trace norm.
     """
-    p = np.asarray(p, dtype=np.float64)
-    bad = linalg.first_offender(p, ~((p >= 0.5) & (p <= 1.0)))
-    if bad is not None:
-        _require_p(bad, low_open=False)
+    p = _require_p(p, low_open=False)
     psi_one = _ket(p, 1.0 - p, phi)
     pure = linalg.hermitian_part(psi_one[..., :, None] * psi_one.conj()[..., None, :])
     dephased = np.zeros(p.shape + (2, 2), dtype=np.complex128)

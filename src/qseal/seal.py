@@ -27,7 +27,8 @@ not the joint dimension.  ``coarse_cheat_state`` builds the returned state
 densely, as the tests' reference.
 
 ``DetectionReport`` averages the per-message values under a uniform prior
-over m; ``per_message`` holds them for any other weighting.
+over m; ``per_message`` holds them for any other weighting.  Both caps take
+a number or an array of levels, so a report makes one call of each.
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ def _integer(value, name: str) -> int:
             f"{name} must be an integer, got {type(value).__name__}") from None
 
 
-def clamp_promise(p: float, n_messages: int) -> float:
-    """Clamp a promise level to [1/M, 1], where the false-negative cap is defined."""
-    return min(max(p, 1.0 / n_messages), 1.0)
+def clamp_promise(p, n_messages: int):
+    """Clamp a promise level to [1/M, 1], where the false-negative cap is
+    defined: a float for a number, an array for an array."""
+    return states.number_or_array(np.clip(p, 1.0 / n_messages, 1.0))
 
 
 @dataclass(frozen=True)
@@ -98,9 +100,8 @@ class SealScheme:
         if len(joint_states) != m_count:  # before 1/M, which a huge M overflows
             raise ValueError(
                 f"expected {m_count} joint states, got {len(joint_states)}")
-        if not (1.0 / m_count < p <= 1.0):
-            raise ValueError(
-                f"promised_p must lie in (1/{m_count}, 1], got {p!r}")
+        states.require_within(p, 1.0 / m_count < p <= 1.0, "promised_p",
+                              f"(1/{m_count}, 1]")
         for m, state in enumerate(joint_states, 1):
             if not isinstance(state, PureState):
                 raise ValueError(f"state of message {m} is a {type(state).__name__},"
@@ -225,15 +226,16 @@ def p_dist_numeric(scheme: SealScheme, m: int) -> float:
                       scheme.dim_a)[0][0]
 
 
-def p_dist_upper_bound(p: float) -> float:
-    """Distinguishability cap 1/2 + (2 sqrt(1-p) + (1-p)) / 4 at promise p.
+def p_dist_upper_bound(p):
+    """Distinguishability cap 1/2 + (2 sqrt(1-p) + (1-p)) / 4 at promise p:
+    a float for a number in [0, 1], an array of one cap per entry for an
+    array.
 
     Raw value; it exceeds 1 for small p, so reports clamp it with
     ``clamp_probability``.
     """
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"promise probability must lie in [0, 1], got {p!r}")
+    p = np.asarray(p, dtype=np.float64)
+    states.require_within(p, (p >= 0.0) & (p <= 1.0), "promise probability", "[0, 1]")
     return states.helstrom_from_norm(gentle.unknown_outcome_bound(1.0 - p))
 
 
@@ -244,16 +246,20 @@ def p_nfp_numeric(scheme: SealScheme, m: int) -> float:
                       scheme.dim_a)[0][1]
 
 
-def p_nfp_upper_bound(p: float, n_messages: int) -> float:
-    """False-negative cap 1 - p^2 - (1-p)^2 / (M-1) for promise p >= 1/M."""
+def p_nfp_upper_bound(p, n_messages: int):
+    """False-negative cap 1 - p^2 - (1-p)^2 / (M-1) for promise p >= 1/M: a
+    float for a number, an array of one cap per entry for an array.
+
+    (1-p)^2 is libm's pow, as Python's ``**`` of a float takes it; numpy's
+    ``**`` squares, which differs in the last bit for about 1 p in 1,200.
+    """
     m_count = int(n_messages)
     if m_count < 2:
         raise ValueError(f"need at least 2 messages, got {n_messages}")
-    p = float(p)
-    if not 1.0 / m_count <= p <= 1.0:
-        raise ValueError(
-            f"promise probability must lie in [1/{m_count}, 1], got {p!r}")
-    return 1.0 - p * p - (1.0 - p) ** 2 / (m_count - 1)
+    p = np.asarray(p, dtype=np.float64)
+    states.require_within(p, (p >= 1.0 / m_count) & (p <= 1.0), "promise probability",
+                          f"[1/{m_count}, 1]")
+    return states.number_or_array(1.0 - p * p - np.float_power(1.0 - p, 2) / (m_count - 1))
 
 
 def monotonicity_check(values, n_messages: int) -> bool:
@@ -262,11 +268,8 @@ def monotonicity_check(values, n_messages: int) -> bool:
     ``values`` must stay within [1/M, 1]; the cap strictly decreases there,
     so an ascending grid must map to a non-increasing sequence.
     """
-    m_count = int(n_messages)
-    grid = [float(v) for v in values]
-    bounds = [p_nfp_upper_bound(v, m_count) for v in grid]
-    return all(later <= earlier + _MONOTONE_TOL
-               for earlier, later in zip(bounds, bounds[1:]))
+    caps = p_nfp_upper_bound(values, n_messages)
+    return bool(np.all(caps[1:] <= caps[:-1] + _MONOTONE_TOL))
 
 
 @dataclass(frozen=True)
@@ -298,25 +301,20 @@ def evaluate_scheme(scheme: SealScheme) -> DetectionReport:
 
     Upper bounds are evaluated at each message's realized read probability
     (never below the scheme-wide promise), which is the tightest level the
-    bounds are valid at.  Both metrics come from one pass over the messages,
-    one message at a time.
+    bounds are valid at, with one call of each cap on all the messages.
+    Both metrics come from one pass over the messages, one message at a
+    time.
     """
-    messages = range(1, scheme.n_messages + 1)
     metrics = _detection([s.amplitudes for s in scheme.joint_states],
                          scheme.merged_roots, scheme.dim_a)
-    rows = []
-    for m, q, (dist, nfp) in zip(messages, scheme.read_probabilities, metrics):
-        raw = p_dist_upper_bound(q)
-        rows.append(MessageDetection(
-            message=m,
-            promise_probability=q,
-            p_dist_numeric=dist,
-            p_dist_upper=clamp_probability(raw),
-            p_dist_upper_raw=raw,
-            p_nfp_numeric=nfp,
-            p_nfp_upper=p_nfp_upper_bound(clamp_promise(q, scheme.n_messages),
-                                          scheme.n_messages),
-        ))
+    levels = np.array(scheme.read_probabilities)
+    raw = p_dist_upper_bound(levels)
+    nfp_upper = p_nfp_upper_bound(clamp_promise(levels, scheme.n_messages),
+                                  scheme.n_messages)
+    rows = [MessageDetection(m, q, dist, dist_upper, dist_raw, nfp, nfp_cap)
+            for m, q, (dist, nfp), dist_upper, dist_raw, nfp_cap in zip(
+                range(1, scheme.n_messages + 1), scheme.read_probabilities, metrics,
+                clamp_probability(raw).tolist(), raw.tolist(), nfp_upper.tolist())]
     means = {name: float(np.mean([getattr(r, name) for r in rows])) for name in
              ("p_dist_numeric", "p_dist_upper", "p_nfp_numeric", "p_nfp_upper")}
     return DetectionReport(per_message=tuple(rows), **means)

@@ -50,8 +50,24 @@ def _one_line(value) -> str:
     return " ".join(repr(value).split())
 
 
-def clamp_probability(x: float) -> float:
-    return min(max(float(x), 0.0), 1.0)
+def number_or_array(value):
+    """``value`` as a float if it has no axes, else as it is: the return
+    rule of every closed form that takes a number or an array."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def require_within(x, ok, name: str, interval: str) -> None:
+    """Reject a number ``x`` unless ``ok``, or an array ``x`` unless every
+    entry of the equally shaped ``ok`` holds, quoting its first offender
+    in C order.  Every interval check of the package raises this message."""
+    value = linalg.first_offender(x, np.logical_not(ok))
+    if value is not None:
+        raise ValueError(f"{name} must lie in {interval}, got {np.asarray(value).item()!r}")
+
+
+def clamp_probability(x):
+    """``x`` clamped to [0, 1]: a float for a number, an array for an array."""
+    return number_or_array(np.clip(x, 0.0, 1.0))
 
 
 def require_unit_trace(traces: np.ndarray) -> None:
@@ -260,8 +276,7 @@ def require_same_dim(rho: DensityMatrix, povm: Povm) -> None:
 def expectation(element: np.ndarray, rho: np.ndarray):
     """Raw tr(E rho): no window check, no clamp.  A float for two matrices,
     an array of one value per pair for stacks."""
-    value = np.einsum("...ab,...ba->...", element, rho).real
-    return float(value) if value.ndim == 0 else value
+    return number_or_array(np.einsum("...ab,...ba->...", element, rho).real)
 
 
 def merged_elements(povm: Povm) -> dict[int, np.ndarray]:

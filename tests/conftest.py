@@ -7,11 +7,14 @@ fixtures or oracles.
 
 from __future__ import annotations
 
+import sys
 import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from qseal.seal import SealScheme
 from qseal.states import DensityMatrix, Povm, PureState
@@ -49,6 +52,74 @@ def count_decompositions(monkeypatch) -> dict:
     for name in counts:
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     return counts
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """The names of the functions that call ``module.name`` from here on, one
+    per call, with the shape of each call's first argument."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append((sys._getframe(1).f_code.co_name, np.shape(args[0])))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def level_arrays(low: float, high: float, edges) -> st.SearchStrategy:
+    """Float arrays of 1 or 2 axes whose entries are ``edges`` or lie in
+    [low, high]: a list of them, folded into two rows when a drawn flag says
+    so and its length is even."""
+    entries = st.lists(st.one_of(st.sampled_from(edges), st.floats(low, high)),
+                       min_size=1, max_size=24)
+    return st.tuples(entries, st.booleans()).map(
+        lambda case: np.array(case[0]).reshape(
+            (2, -1) if case[1] and len(case[0]) % 2 == 0 else -1))
+
+
+def with_offenders(arrays: st.SearchStrategy, low: float, high: float) -> st.SearchStrategy:
+    """Arrays of ``arrays`` with one to three entries made NaN, infinite, or
+    a float outside [low, high], the nearest ones included."""
+    bad = [np.nan, -np.inf, np.inf, low - 1.0, high + 1.0,
+           np.nextafter(low, -np.inf), np.nextafter(high, np.inf)]
+    spots = st.lists(st.tuples(st.integers(0, 200), st.sampled_from(bad)),
+                     min_size=1, max_size=3)
+
+    def spoil(case):
+        values, changes = case
+        flat = values.reshape(-1)
+        for index, value in changes:
+            flat[index % flat.size] = value
+        return values
+
+    return st.tuples(arrays, spots).map(spoil)
+
+
+def assert_entrywise(cap, values: np.ndarray, reference=None) -> None:
+    """``cap`` on the array ``values`` against its scalar calls on each
+    entry in C order.  If a scalar call raises, the array call raises the
+    first such message.  Else each scalar call returns a float, and the array
+    call an array of the same shape with the same bits; so does the float
+    formula ``reference`` if given."""
+    scalars = []
+    for value in values.ravel().tolist():
+        try:
+            scalars.append(cap(value))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                cap(values)
+            assert str(raised.value) == str(exc)
+            return
+    assert all(type(s) is float for s in scalars)
+    bits = np.array(scalars, dtype=np.float64).view(np.uint64)
+    out = cap(values)
+    assert isinstance(out, np.ndarray) and out.shape == values.shape
+    assert np.array_equal(out.ravel().view(np.uint64), bits)
+    if reference is not None:
+        expected = [reference(value) for value in values.ravel().tolist()]
+        assert np.array_equal(np.array(expected, dtype=np.float64).view(np.uint64), bits)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

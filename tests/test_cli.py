@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import qseal
-from conftest import random_scheme, source_module
-from qseal import gentle, naive
-from qseal.cli import (MAX_GRID_POINTS, MAX_M, MAX_Q, RunConfig, build_parser, format_cell,
-                       main)
+from conftest import count_calls, random_scheme, source_module
+from qseal import gentle, naive, seal
+from qseal.cli import (MAX_GRID_POINTS, MAX_M, MAX_Q, RunConfig, build_parser,
+                       cmd_bounds_fig1, cmd_bounds_fig2, format_cell, main)
 from qseal.qubit_seal import QubitSealFamily
 from qseal.rng import derive_rng
 from qseal.seal import SealScheme, pairs_from_array, save_scheme
@@ -92,8 +92,22 @@ class TestBoundsDist:
         assert target.read_text().startswith("p,p_dist_upper")
         assert target.read_bytes().count(b"\r") == 0
 
+    def test_one_cap_call_per_curve(self, monkeypatch):
+        calls = count_calls(monkeypatch, seal, "p_dist_upper_bound")
+        cmd_bounds_fig1(RunConfig(), 1001)
+        assert calls == [("cmd_bounds_fig1", (1001,))]
+
 
 class TestBoundsNfp:
+    def test_one_cap_call_per_column(self, monkeypatch):
+        calls = count_calls(monkeypatch, seal, "p_nfp_upper_bound")
+        table = cmd_bounds_fig2(RunConfig(), [2, 3, 7], 1001)
+        # each column's call takes the grid points it fills, p >= 1/M
+        filled = [sum(cell is not None for cell in column)
+                  for column in list(zip(*table.rows))[1:]]
+        assert filled == [501, 667, 858]
+        assert calls == [("cmd_bounds_fig2", (n,)) for n in filled]
+
     def test_default_message_counts(self, capsys):
         code, out, _ = run(capsys, "bounds", "nfp", "--grid", "101")
         assert code == 0
@@ -190,7 +204,7 @@ class TestVerifyGentle:
         # a bound no instance above epsilon 0.01 can meet
         real = gentle.unknown_outcome_bound
         monkeypatch.setattr(gentle, "unknown_outcome_bound",
-                            lambda eps: -1.0 if eps > 0.01 else real(eps))
+                            lambda eps: np.where(eps > 0.01, -1.0, real(eps)))
         shape = dict(dim=4, outcomes=3, instances=30)
         code, out, err = run(capsys, "verify", "gentle",
                              *(f"--{k}={v}" for k, v in shape.items()))
@@ -853,6 +867,15 @@ class TestOutputBytes:
                 0, "51acb98011b8e4f4efb080bf01377d7727fa9a4957bdd0b585d8a568f34accfa",
                 "a15ca9e07a937289d18491a25029fcfc2b656ea53a10c353e38b0b1c28588dca"),
         },
+        "bounds dist --grid 10001": (
+            0, "a381a844b17c618e8704d8118c5febe617a062ad81294a9ae4b3adb3cc7c2d54",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "bounds nfp --grid 10001": (
+            0, "ff5b3aaac338b2169df42e6d4ea2021627ece86202a0f02c2664f9c7a61fec4a",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "bounds nfp --grid 10001 --M 2 --M 3 --M 7 --M 1000": (
+            0, "562e4cdbe127a0962925b1ea94cdd3100490432efe943214daa4904bdc199f65",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     }
 
     @pytest.fixture(scope="class")

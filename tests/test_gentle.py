@@ -1,12 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
 
 import oracles
 from conftest import (
+    assert_entrywise,
+    count_calls,
     count_decompositions,
+    level_arrays,
     random_density_matrix,
     random_povm,
     random_unitary,
+    with_offenders,
 )
 from qseal import gentle
 from qseal.cli import format_cell
@@ -53,6 +60,19 @@ class TestBoundFormulas:
                 classic_bound(bad)
             with pytest.raises(ValueError):
                 unknown_outcome_bound(bad)
+
+    EPSILONS = level_arrays(0.0, 1.0, [0.0, 0.5, 1.0])
+
+    @given(values=EPSILONS)
+    def test_array_matches_scalar_calls(self, values):
+        assert_entrywise(classic_bound, values, lambda eps: 2.0 * math.sqrt(eps))
+        assert_entrywise(unknown_outcome_bound, values,
+                         lambda eps: 2.0 * math.sqrt(eps) + eps)
+
+    @given(values=with_offenders(EPSILONS, 0.0, 1.0))
+    def test_array_names_first_offender(self, values):
+        assert_entrywise(classic_bound, values)
+        assert_entrywise(unknown_outcome_bound, values)
 
 
 class TestVerifyInstance:
@@ -375,6 +395,16 @@ class TestDenseOracle:
         assert counts["qr"] == count
         # every branch and each unknown-outcome difference, once
         assert counts["svd"] == count * (n_outcomes + 1)
+
+    def test_each_chunk_calls_each_bound_once(self, monkeypatch):
+        calls = (count_calls(monkeypatch, gentle, "classic_bound"),
+                 count_calls(monkeypatch, gentle, "unknown_outcome_bound"))
+        size = gentle._chunk_size(8, 4)
+        list(sweep_instances(8, 4, 2 * size + 1, np.random.default_rng(5)))
+        # one call of each bound per chunk, on all of the chunk's epsilons
+        for bound in calls:
+            assert [shape for caller, shape in bound if caller == "_reports"] == [
+                (size,), (size,), (1,)]
 
     def test_random_instance_runs_no_branch_pass(self, monkeypatch):
         counts = count_decompositions(monkeypatch)

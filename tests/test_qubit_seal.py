@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
 
-from conftest import random_density_matrix
+from conftest import assert_entrywise, level_arrays, random_density_matrix, with_offenders
 from oracles import measure_probabilities
 from qseal.linalg import trace_norm
 from qseal.qubit_seal import (
@@ -144,6 +147,18 @@ class TestDetectionValues:
             gap = z_state(p).matrix - densify(state_pair(p, phi)[0]).matrix
             assert abs(p_dist_lower_paper(p)
                        - (0.5 + np.linalg.norm(gap, "fro") / 4.0)) <= 1e-14
+
+    LEVELS = level_arrays(0.5, 1.0, [0.5, 1.0])
+
+    @given(values=LEVELS)
+    def test_paper_floor_array_matches_scalar_calls(self, values):
+        assert_entrywise(p_dist_lower_paper, values,
+                         lambda p: 0.5 + math.sqrt(2.0 * p * (1.0 - p)) / 4.0)
+
+    @given(values=with_offenders(LEVELS, 0.5, 1.0))
+    def test_floor_array_names_first_offender(self, values):
+        assert_entrywise(p_dist_lower_paper, values)
+        assert_entrywise(p_dist_lower_numeric, values)
 
     def test_both_conventions_are_reported(self):
         # the two lower-bound flavors are emitted side by side; nothing in

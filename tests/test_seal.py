@@ -16,13 +16,18 @@ from hypothesis import strategies as st
 import oracles
 from conftest import (
     PERFBENCH,
+    assert_entrywise,
+    count_calls,
     count_decompositions,
     generated_scheme,
+    level_arrays,
     perfbench_pool,
     projector_scheme,
     random_scheme,
     random_unitary,
+    with_offenders,
 )
+from qseal import seal
 from qseal.linalg import tensor_product, trace_norm
 from qseal.naive import build_message_states, dense_state, majority_projector_povm
 from qseal.qubit_seal import QubitSealFamily
@@ -31,6 +36,8 @@ from qseal.seal import (
     _bob_marginal,
     _convert_matrix,
     _vector_from_pairs,
+    clamp_probability,
+    clamp_promise,
     coarse_cheat_state,
     evaluate_scheme,
     load_scheme,
@@ -317,6 +324,21 @@ class TestPDist:
         with pytest.raises(ValueError):
             p_dist_upper_bound(1.1)
 
+    LEVELS = level_arrays(0.0, 1.0, [0.0, 0.5, 1.0])
+
+    @given(values=LEVELS)
+    def test_upper_bound_array_matches_scalar_calls(self, values):
+        assert_entrywise(p_dist_upper_bound, values,
+                         lambda p: 0.5 + (2.0 * math.sqrt(1.0 - p) + (1.0 - p)) / 4.0)
+
+    @given(values=with_offenders(LEVELS, 0.0, 1.0))
+    def test_upper_bound_array_names_first_offender(self, values):
+        assert_entrywise(p_dist_upper_bound, values)
+
+    @given(values=level_arrays(-2.0, 2.0, [0.0, 0.5, 1.0, np.nan, -np.inf, np.inf]))
+    def test_clamp_probability_array_matches_scalar_calls(self, values):
+        assert_entrywise(clamp_probability, values, lambda x: min(max(x, 0.0), 1.0))
+
     def test_numeric_respects_bound_on_random_schemes(self):
         rng = np.random.default_rng(131)
         for _ in range(10):
@@ -402,6 +424,46 @@ class TestPNfp:
         with pytest.raises(ValueError):
             p_nfp_upper_bound(0.5, 1)
 
+    @staticmethod
+    def levels(draw_offenders: bool):
+        """(M, levels in [1/M, 1], with offenders if asked) for one M."""
+        def at(m_count):
+            arrays = level_arrays(1.0 / m_count, 1.0, [1.0 / m_count, 0.5, 1.0])
+            if draw_offenders:
+                arrays = with_offenders(arrays, 1.0 / m_count, 1.0)
+            return st.tuples(st.just(m_count), arrays)
+        return st.sampled_from([2, 3, 4, 7, 1000, 10 ** 6]).flatmap(at)
+
+    @staticmethod
+    def float_formula(m_count):
+        return lambda p: 1.0 - p * p - (1.0 - p) ** 2 / (m_count - 1)
+
+    @given(case=levels(False))
+    def test_upper_bound_array_matches_scalar_calls(self, case):
+        m_count, values = case
+        assert_entrywise(lambda p: p_nfp_upper_bound(p, m_count), values,
+                         self.float_formula(m_count))
+
+    @pytest.mark.parametrize("m_count", [2, 3, 7, 1000])
+    def test_upper_bound_array_keeps_the_float_square(self, m_count):
+        # (1-p)**2 of a Python float is libm's pow; numpy's square of an
+        # array differs from it in about 1 uniform level in 1,200, which the
+        # simple floats hypothesis favours do not show
+        values = np.random.default_rng(m_count).uniform(1.0 / m_count, 1.0, 20_000)
+        expected = list(map(self.float_formula(m_count), values.tolist()))
+        assert p_nfp_upper_bound(values, m_count).tolist() == expected
+
+    @given(case=levels(True))
+    def test_upper_bound_array_names_first_offender(self, case):
+        m_count, values = case
+        assert_entrywise(lambda p: p_nfp_upper_bound(p, m_count), values)
+
+    @given(m_count=st.sampled_from([2, 3, 7, 10 ** 6]),
+           values=level_arrays(-2.0, 2.0, [0.0, 0.5, 1.0, np.nan, -np.inf, np.inf]))
+    def test_clamp_promise_array_matches_scalar_calls(self, m_count, values):
+        assert_entrywise(lambda p: clamp_promise(p, m_count), values,
+                         lambda p: min(max(p, 1.0 / m_count), 1.0))
+
     def test_numeric_respects_bound_on_random_schemes(self):
         rng = np.random.default_rng(139)
         for _ in range(10):
@@ -426,6 +488,11 @@ class TestPNfp:
             monotonicity_check([0.4], 2)  # below 1/M
         with pytest.raises(ValueError):
             monotonicity_check([1.2], 2)
+
+    def test_monotonicity_check_makes_one_cap_call(self, monkeypatch):
+        calls = count_calls(monkeypatch, seal, "p_nfp_upper_bound")
+        assert monotonicity_check(np.linspace(1.0 / 3, 1.0, 1000), 3)
+        assert calls == [("monotonicity_check", (1000,))]
 
 
 class TestEvaluate:
@@ -455,7 +522,21 @@ class TestEvaluate:
             assert row.promise_probability == promise_probability(scheme, m)
             assert row.p_dist_numeric == p_dist_numeric(scheme, m)
             assert row.p_nfp_numeric == p_nfp_numeric(scheme, m)
+            level, m_count = row.promise_probability, scheme.n_messages
+            assert row.p_dist_upper_raw == p_dist_upper_bound(level)
+            assert row.p_dist_upper == clamp_probability(p_dist_upper_bound(level))
+            assert row.p_nfp_upper == p_nfp_upper_bound(clamp_promise(level, m_count),
+                                                        m_count)
         assert_matches_dense(scheme)
+
+    def test_one_call_of_each_cap_per_scheme(self, monkeypatch):
+        calls = [count_calls(monkeypatch, seal, name) for name in
+                 ("p_dist_upper_bound", "p_nfp_upper_bound", "clamp_promise",
+                  "clamp_probability")]
+        scheme = random_scheme(np.random.default_rng(151), 5, 1, 6)
+        evaluate_scheme(scheme)
+        for cap in calls:
+            assert [shape for caller, shape in cap if caller == "evaluate_scheme"] == [(5,)]
 
     def test_reported_bounds_are_clamped(self):
         rng = np.random.default_rng(151)

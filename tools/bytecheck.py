@@ -11,8 +11,11 @@ trace norm changes), ``verify gentle`` at the benchmark's shape and
 ``simulate naive`` at q = 2, 3, 40 and 1000, and ``seal eval`` on a second
 scheme: the seeded (M, dimA, dimB) = (4, 2, 8) entangled scheme of
 ``perfbench/schemes.py``, so that a scheme with more than two messages and
-entangled states is evaluated.  Both trees read the same two scheme files,
-written by the working tree.  Each command's exit code, stdout (the CSV)
+entangled states is evaluated; and both bound sweeps at ``--grid 10001``,
+``bounds nfp`` also at M = 2, 3, 7 and 1000, whose tables hold enough
+points for a last-bit change in a closed form (one square in about 1,200)
+to show.  Both trees read the same two scheme files, written by the
+working tree.  Each command's exit code, stdout (the CSV)
 and stderr (the summary) are compared, and one line is printed per command:
 ``same`` or ``differs``, the latter with its first differing line.  Each
 tree also writes the two scheme files with its own ``save_scheme``
@@ -60,6 +63,9 @@ COMMANDS = (
     ["simulate", "naive", "--q", "40", "--trials", "20000"],
     ["simulate", "naive", "--q", "1000", "--trials", "2000"],
     ["seal", "eval", "--scheme", ENTANGLED],
+    ["bounds", "dist", "--grid", "10001"],
+    ["bounds", "nfp", "--grid", "10001"],
+    ["bounds", "nfp", "--grid", "10001", "--M", "2", "--M", "3", "--M", "7", "--M", "1000"],
 )
 # Imports the qseal of the tree whose src/ is first on the path, and refuses
 # to run another copy of the package; then runs its CLI, or writes the
