@@ -107,11 +107,11 @@ class GentleReport:
 
 def verify_instance(instance: GentleInstance) -> GentleReport:
     """Evaluate both disturbance inequalities and the branch-weight identities."""
-    labels = instance.povm.labels
     elements = np.stack([m for _, m in instance.povm.elements])[None]
-    dominant = np.array([labels.index(instance.dominant_label)])
+    dominant = np.array([instance.povm.labels.index(instance.dominant_label)])
+    # its Povm checked the elements; this takes only their roots
     return _reports(instance.rho.matrix[None], elements,
-                    states.povm_roots(elements, labels), dominant,
+                    linalg.sqrt_psd(elements, "element"), dominant,
                     [instance.epsilon], VIOLATION_TOL)[0]
 
 
@@ -186,9 +186,11 @@ def _draw(eps_target: float, shares: np.ndarray, rng: np.random.Generator) -> tu
     """One instance's random draws in stream order.  Writes its shares,
     (outcomes, d, d), into ``shares``.
 
-    Returns the target, the raw rho, the dominant index, and None for a zero
-    target, else (kept weight, projector).  P spans the leading columns of
-    rho's own basis: its support, less trailing weight, or widened past it.
+    Returns the target, the raw rho, the dominant index, the kept weight w
+    and the projector P.  P spans the leading columns of rho's own basis:
+    its support, less trailing weight, or widened past it.  A zero target
+    keeps all of I (w = 1, P = I), so its remainder's root is exactly 0 and
+    its elements come out exactly I and 0.
     """
     n_outcomes, dim = shares.shape[0], shares.shape[-1]
     raw, weights, basis = _random_density(dim, rng)
@@ -197,7 +199,7 @@ def _draw(eps_target: float, shares: np.ndarray, rng: np.random.Generator) -> tu
     if eps_target == 0.0:
         shares[:] = 0.0
         shares[dominant] = np.eye(dim)
-        return eps_target, raw, dominant, None
+        return eps_target, raw, dominant, 1.0, np.eye(dim)
 
     keep = len(weights)
     if keep >= 2 and rng.random() < 0.5:
@@ -223,30 +225,26 @@ def _draw(eps_target: float, shares: np.ndarray, rng: np.random.Generator) -> tu
     scale = rng.uniform(0.0, 0.1)  # keeps the dominant residue small
     grams(shares[dominant + 1:])
     shares[dominant] *= scale
-    return eps_target, raw, dominant, (weight, projector)
+    return eps_target, raw, dominant, weight, projector
 
 
 def _stack(elements: np.ndarray, draws) -> tuple:
     """The targets of ``draws``, one ``_draw`` per instance of ``elements``,
     and their dominant indices and raw states, stacked.  Turns the shares
-    into the POVM elements in place, batched over the instances with a
-    nonzero target and their outcomes; nothing else of the draws outlives
-    this call."""
-    targets, raw, dominant, extras = zip(*draws)
-    raw, dominant = np.array(raw), np.array(dominant)
-    active = np.flatnonzero(np.array(targets) > 0.0)
-    if active.size:
-        weight, projectors = map(np.array, zip(*(extras[i] for i in active)))
-        weight = weight[:, None, None]
-        root = remainder_root(weight, projectors)
-        shares = elements[active]
-        # summed in outcome order, as one instance at a time
-        inv_root_total = _inverse_sqrt_pd(sum(np.moveaxis(shares, 1, 0)))
-        pieces = ((root @ inv_root_total)[:, None] @ shares
-                  @ inv_root_total[:, None] @ root[:, None])
-        mine = np.arange(active.size), dominant[active]
-        pieces[mine] = pieces[mine] + weight * projectors
-        elements[active] = linalg.hermitian_part(pieces)
+    into the POVM elements in place, batched over the instances and their
+    outcomes (a zero target's zero remainder root leaves w P = I alone);
+    nothing else of the draws outlives this call."""
+    targets, raw, dominant, weight, projectors = zip(*draws)
+    raw, dominant, projectors = np.array(raw), np.array(dominant), np.array(projectors)
+    weight = np.array(weight)[:, None, None]
+    root = remainder_root(weight, projectors)
+    # summed in outcome order, as one instance at a time
+    inv_root_total = _inverse_sqrt_pd(sum(np.moveaxis(elements, 1, 0)))
+    pieces = ((root @ inv_root_total)[:, None] @ elements
+              @ inv_root_total[:, None] @ root[:, None])
+    mine = np.arange(len(dominant)), dominant
+    pieces[mine] = pieces[mine] + weight * projectors
+    elements[:] = linalg.hermitian_part(pieces)
     return targets, dominant, raw
 
 

@@ -45,17 +45,13 @@ _CHUNK_DRAWS = 1 << 20
 # Largest trials * q the attack accepts: 2^32 fair bits, about 4 s (q = 1)
 # to 18 s (q = 1000) per message.
 MAX_ATTACK_BITS = 1 << 32
-# A chunk holds about _CHUNK_DRAWS / q trials.  Below this q, q
-# count_nonzero passes over its per-trial counts cost less than one
-# bincount, which first copies them to intp.  Measured crossover: q = 12
-# to 13 (median of 31 calls per 2^20-bit chunk, 4 runs at q = 11 to 18,
-# one pinned CPU, numpy 2.4).
-_BINCOUNT_FROM_Q = 12
-# From this q on, one row sum of a chunk's bits costs less than its q
-# strided column adds: per 2^20-bit chunk 0.89-0.94 vs 1.18-1.29 ms at
-# q = 32, 0.13 vs 3.0 ms at q = 1000.  Measured crossover: q = 28 to 32
-# (median of 61 calls per chunk, two runs at q = 20 to 36, one pinned CPU,
-# numpy 2.4).
+# A chunk holds about _CHUNK_DRAWS / q trials.  From this q on, one row sum
+# of a chunk's bits and one bincount of the per-trial counts cost less than
+# q strided column adds and q count_nonzero passes: per 2^20-bit chunk the
+# sums take 0.89-0.94 vs 1.18-1.29 ms at q = 32, 0.13 vs 3.0 ms at
+# q = 1000 (median of 61 calls, one pinned CPU, numpy 2.4).  The counting
+# half alone would cross earlier (bincount 0.05-0.14 ms, count_nonzero
+# 0.10-0.13 ms at q = 12 to 31), but moves a 1.1 ms chunk by 0.08 ms at most.
 _ROW_SUM_FROM_Q = 32
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -309,18 +305,16 @@ def simulate_qubitwise_attack(state: ProductState, trials: int,
     while remaining:
         size = min(rows, remaining)
         bits = _fair_bits(rng, size * q).reshape(size, q)
-        if q >= _ROW_SUM_FROM_Q:
-            ones = bits.sum(axis=1, dtype=np.min_scalar_type(q))
-        else:  # column adds: np.sum(axis=1) is slow on narrow rows
+        if q < _ROW_SUM_FROM_Q:  # column adds: np.sum(axis=1) is slow on narrow rows
             ones = (np.add(bits[:, 0], bits[:, -1], dtype=np.min_scalar_type(q))
                     if q > 1 else bits[:, 0])
             for column in bits.T[1:-1]:
                 ones += column
-        if q < _BINCOUNT_FROM_Q:  # trials with no ones: the rest
             with_ones = [np.count_nonzero(ones == j) for j in range(1, q + 1)]
             ones_histogram[1:] += with_ones
-            ones_histogram[0] += size - sum(with_ones)
+            ones_histogram[0] += size - sum(with_ones)  # trials with no ones
         else:
+            ones = bits.sum(axis=1, dtype=np.min_scalar_type(q))
             ones_histogram += np.bincount(ones, minlength=q + 1)
         remaining -= size
     counts = ones_histogram.tolist()  # counts[j]: trials with j ones

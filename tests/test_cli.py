@@ -876,6 +876,12 @@ class TestOutputBytes:
         "bounds nfp --grid 10001 --M 2 --M 3 --M 7 --M 1000": (
             0, "562e4cdbe127a0962925b1ea94cdd3100490432efe943214daa4904bdc199f65",
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "simulate naive --q 12 --trials 20000": (
+            0, "3a94fde49f918332fe3612b71db1a8452849988d561c26bb74b1808d781a822f",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "simulate naive --q 31 --trials 20000": (
+            0, "256ef603de96af07dfb068ba41e1d78caa893bff3ba80f2a86addda1e4f58de2",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     }
 
     @pytest.fixture(scope="class")

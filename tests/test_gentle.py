@@ -355,8 +355,12 @@ class TestDenseOracle:
         # chunks of 4 mixing exact (diagonal) and generic instances
         monkeypatch.setattr(gentle, "_CHUNK_BYTES", 4 * 16 * 3 * 5 * 5)
         rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
-        batched = cells(sweep_instances(5, 3, 30, rng))
+        swept = list(sweep_instances(5, 3, 30, rng))
+        batched = cells(swept)
         assert batched == cells(oracles.sweep_instances(5, 3, 30, oracle_rng))
+        for target, instance, _ in swept:
+            if target == 0.0:
+                assert_exact_limit(instance)
         targets = [float(row[0]) for row in batched]
         assert targets.count(0.0) >= 2
         assert any(0.0 in targets[k:k + 4] and max(targets[k:k + 4]) > 0.0
@@ -386,10 +390,11 @@ class TestDenseOracle:
             dim, n_outcomes, count, np.random.default_rng(223))]
         active = sum(t > 0.0 for t in targets)
         assert 0 < active < count
-        # the share total and every element of a generic instance once each
-        # (its remainder's root is in closed form); the exact instances'
-        # elements are diagonal and take no decomposition
-        assert counts["eigh"] == active * (1 + n_outcomes)
+        # every instance's share total once (an exact instance's is I, taken
+        # on the batched path with the rest) and every element of a generic
+        # instance once (its remainder's root is in closed form); the exact
+        # instances' elements are diagonal and take no decomposition
+        assert counts["eigh"] == count + active * n_outcomes
         # rho's PSD check, once each; one QR draws each rho's basis
         assert counts["eigvalsh"] == count
         assert counts["qr"] == count
@@ -427,6 +432,15 @@ def random_pure(dim, rng):
     return densify(PureState(v / np.linalg.norm(v)))
 
 
+def assert_exact_limit(instance):
+    """A zero target's elements: exactly I for the dominant label, exactly
+    zero for the rest."""
+    dim = instance.rho.dim
+    for label, element in instance.povm.elements:
+        exact = np.eye(dim) if label == instance.dominant_label else 0.0
+        assert np.array_equal(element, exact + np.zeros((dim, dim)))
+
+
 class TestLimitCases:
     """Winter's gentle lemma at its ends, degenerate states, rank-deficient
     elements, and the two ends of the Helstrom probability."""
@@ -435,9 +449,7 @@ class TestLimitCases:
     def test_zero_target_is_the_exact_limit(self, dim):
         for seed in range(4):
             instance = random_instance(dim, 3, 0.0, np.random.default_rng([dim, seed]))
-            for label, element in instance.povm.elements:
-                exact = np.eye(dim) if label == instance.dominant_label else 0.0
-                assert np.array_equal(element, exact + np.zeros((dim, dim)))
+            assert_exact_limit(instance)
             report = both_reports(instance)
             # epsilon is only the trace roundoff of rho
             assert report.epsilon <= 4 * np.finfo(float).eps

@@ -484,8 +484,7 @@ def assert_attack_matches_oracle(state, trials, streamed, reference):
     assert_same_next_words(streamed, reference)
 
 
-@pytest.mark.parametrize("q", [naive._BINCOUNT_FROM_Q - 1, naive._BINCOUNT_FROM_Q,
-                               naive._ROW_SUM_FROM_Q - 1, naive._ROW_SUM_FROM_Q])
+@pytest.mark.parametrize("q", [11, 12, naive._ROW_SUM_FROM_Q - 1, naive._ROW_SUM_FROM_Q])
 def test_counting_crossover_matches_oracle(monkeypatch, q):
     monkeypatch.setattr(naive, "_CHUNK_DRAWS", 100 * q)
     for trials in (1, 99, 100, 301):
@@ -494,8 +493,7 @@ def test_counting_crossover_matches_oracle(monkeypatch, q):
 
 
 @settings(max_examples=150)
-@given(q=st.one_of(st.integers(1, 12), st.integers(naive._ROW_SUM_FROM_Q - 4,
-                                                    naive._ROW_SUM_FROM_Q + 4)),
+@given(q=st.integers(1, naive._ROW_SUM_FROM_Q + 4),
        trials=st.integers(1, 400),
        advance=st.integers(0, 3), message=st.sampled_from([1, 2]),
        chunk_draws=st.sampled_from([36, 64, 100]),
