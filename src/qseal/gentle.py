@@ -174,12 +174,14 @@ def _inverse_sqrt_pd(m: np.ndarray) -> np.ndarray:
     return (vecs / np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def _require_shape(dim: int, n_outcomes: int) -> None:
+def _require_shape(dim: int, n_outcomes: int) -> tuple:
+    dim, n_outcomes = states.as_integer(dim, "dim"), states.as_integer(n_outcomes, "outcomes")
     states.require_within(dim, 2 <= dim <= 64, "dim", "[2, 64]")
     if n_outcomes < 2:
         raise ValueError(f"need at least 2 outcomes, got {n_outcomes}")
     states.require_within(n_outcomes, n_outcomes <= MAX_OUTCOMES, "outcomes",
                           f"2 to {MAX_OUTCOMES}")
+    return dim, n_outcomes
 
 
 def _draw(eps_target: float, shares: np.ndarray, rng: np.random.Generator) -> tuple:
@@ -283,7 +285,7 @@ def random_instance(dim: int, n_outcomes: int, epsilon_target: float,
     random PSD convex combination.  ``epsilon_target = 0`` yields the exact
     limiting instance: dominant element I, all other elements zero.
     """
-    _require_shape(dim, n_outcomes)
+    dim, n_outcomes = _require_shape(dim, n_outcomes)
     eps_target = float(epsilon_target)
     states.require_within(epsilon_target, 0.0 <= eps_target < 1.0, "epsilon_target", "[0, 1)")
     elements = np.empty((1, n_outcomes, dim, dim), dtype=np.complex128)
@@ -309,7 +311,8 @@ def sweep_instances(dim: int, n_outcomes: int, instances: int,
     draws of a whole chunk when the chunk's first instance is yielded.
     """
     # before the first draw, even for 0 instances
-    _require_shape(dim, n_outcomes)
+    dim, n_outcomes = _require_shape(dim, n_outcomes)
+    instances = states.as_integer(instances, "instances")
     states.require_within(instances, 0 <= instances <= MAX_INSTANCES, "instances",
                           f"0 to {MAX_INSTANCES}")
     size = _chunk_size(dim, n_outcomes)

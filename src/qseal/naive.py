@@ -34,13 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import states
 from .linalg import MAX_DENSE_DIM, CapacityError
 from .states import Povm, PureState
 
 ZERO, ONE, PLUS = "zero", "one", "plus"
 
-# Bits drawn per chunk of the attack Monte Carlo (rounded down to whole
-# trials, a multiple of 4 bits).
+# Bits drawn per chunk of the attack Monte Carlo (rounded down to a multiple
+# of 8 trials, so that a chunk takes an even number of 32-bit words).
 _CHUNK_DRAWS = 1 << 20
 # Largest trials * q the attack accepts: 2^32 fair bits, about 4 s (q = 1)
 # to 18 s (q = 1000) per message.
@@ -76,7 +77,7 @@ class ProductState:
     permutation: tuple
 
     def __post_init__(self):
-        q = int(self.q)
+        q = states.as_integer(self.q, "q")
         if q < 1:
             raise ValueError(f"q must be positive, got {self.q}")
         labels = tuple(self.labels)
@@ -91,7 +92,7 @@ class ProductState:
             raise ValueError(
                 "labels must be 2q zeros (message 1) or 2q ones (message 2) "
                 f"plus q plus-registers; got counts {counts}")
-        perm = tuple(int(x) for x in self.permutation)
+        perm = tuple(states.as_integer(x, "permutation entry") for x in self.permutation)
         if sorted(perm) != list(range(3 * q)):
             raise ValueError(f"permutation must be a bijection on 0..{3 * q - 1}")
         object.__setattr__(self, "q", q)
@@ -191,7 +192,7 @@ def repaired_state(state: ProductState, plus_outcomes) -> PureState:
     the repair replaces wrong-bit registers (1s for message 1, 0s for
     message 2) with fresh |+>.
     """
-    bits = tuple(int(b) for b in plus_outcomes)
+    bits = tuple(states.as_integer(b, "outcome bit") for b in plus_outcomes)
     if len(bits) != state.q or any(b not in (0, 1) for b in bits):
         raise ValueError(f"expected {state.q} outcome bits, got {plus_outcomes!r}")
     _require_dense_capacity(state.q)
@@ -220,6 +221,7 @@ class AttackResult:
 
 def mean_fidelity_exact(q: int) -> float:
     """E[(1/2)^k] with k ~ Binomial(q, 1/2): exactly (3/4)^q."""
+    q = states.as_integer(q, "q")
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
     return 0.75 ** q
@@ -285,21 +287,22 @@ def simulate_qubitwise_attack(state: ProductState, trials: int,
     memory does not depend on ``trials``; ``trials * q`` is capped at
     ``MAX_ATTACK_BITS``.  Each chunk's bits come from whole 32-bit words
     (``_fair_bits``), one byte per bit exactly as a bounded uint8 draw takes
-    them, and ``rows * q`` is a multiple of 4, so the chunks consume exactly
+    them, and ``rows`` is a multiple of 8, so the chunks consume exactly
     the bits one ``rng.integers(0, 2, (trials, q), dtype=np.uint8)`` draw
     would and leave ``rng`` where it would: the result does not depend on
-    the chunk size.  ``rng`` needs a bit generator with numpy's buffered
-    32-bit half-word; MT19937 raises ``ValueError`` before anything is
-    drawn.  The mean is the histogram's exact rational value, correctly
-    rounded.
+    the chunk size.  A full chunk takes an even number of words, so from a
+    fresh generator no chunk but the last finds a buffered half-word.
+    ``rng`` needs a bit generator with numpy's buffered 32-bit half-word;
+    MT19937 raises ``ValueError`` before anything is drawn.  The mean is the
+    histogram's exact rational value, correctly rounded.
     """
+    q, trials = state.q, states.as_integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    q, trials = state.q, int(trials)
     if trials * q > MAX_ATTACK_BITS:
         raise ValueError(f"trials * q must be at most {MAX_ATTACK_BITS}, "
                          f"got {trials} * {q}")
-    rows = max(4, (_CHUNK_DRAWS // q) // 4 * 4)
+    rows = max(8, (_CHUNK_DRAWS // q) // 8 * 8)
     ones_histogram = np.zeros(q + 1, dtype=np.int64)
     remaining = trials
     while remaining:

@@ -8,8 +8,9 @@ correct message is read with probability at least ``promised_p``.
 
 Bob's least-disturbing way to read early is to merge each message's elements
 into F_i = sum_j E_(i,j), measure {F_i}, and hand back the unknown-outcome
-state sum_i (I (x) sqrt(F_i)) |psi_m><psi_m| (I (x) sqrt(F_i)).  Alice gets
-two handles on that:
+state sum_i (I (x) sqrt(F_i)) |psi_m><psi_m| (I (x) sqrt(F_i)).  A
+``SealScheme`` checks the merged elements and takes sqrt(F_i) when it is
+built.  Alice gets two handles on the cheat:
 
 * ``p_dist_numeric`` -- her best probability of distinguishing the returned
   state from the original (equal-prior Helstrom test on the joint state),
@@ -18,10 +19,10 @@ two handles on that:
   rank-one test {|psi_m><psi_m|, I - |psi_m><psi_m|}, capped by
   ``p_nfp_upper_bound``.
 
-Both metrics depend only on the M+1 vectors psi_m and
-v_i = (I (x) sqrt(F_i)) psi_m, the columns of W, so they are read off W and
-the R factor of its QR decomposition; no operator on H_A (x) H_B is built.
-One W is built at a time, one message after another.  Only Bob's
+Both metrics, and the promise ||v_m||^2, depend only on the M+1 vectors psi_m
+and v_i = (I (x) sqrt(F_i)) psi_m, the columns of W, so they are read off W
+and the R factor of its QR decomposition; no operator on H_A (x) H_B is
+built.  One W is built at a time, one message after another.  Only Bob's
 dim_b x dim_b matrices are dense, which is why ``load_scheme`` caps dim_b,
 not the joint dimension.  ``coarse_cheat_state`` builds the returned state
 densely, as the tests' reference.
@@ -34,9 +35,7 @@ a number or an array of levels, so a report makes one call of each.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -50,15 +49,6 @@ PROMISE_TOL = 1e-9
 _MONOTONE_TOL = 1e-12
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int; only integer types pass, never a float."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(
-            f"{name} must be an integer, got {type(value).__name__}") from None
-
-
 def clamp_promise(p, n_messages: int):
     """Clamp a promise level to [1/M, 1], where the false-negative cap is
     defined: a float for a number, an array for an array."""
@@ -69,8 +59,10 @@ def clamp_promise(p, n_messages: int):
 class SealScheme:
     """M joint states plus Bob's pair-labelled POVM and the promise level.
 
-    ``read_probabilities[m - 1]`` is ``promise_probability(self, m)``, taken
-    once while the promise is checked.
+    ``merged_roots[m - 1]`` is sqrt(F_m) of the merged POVM F_m = sum_j E_(m,j)
+    (zero if no label reads m), whose elements get the checks of a ``Povm``
+    in the same words (``states.povm_roots``).  ``read_probabilities[m - 1]``
+    is ``promise_probability(self, m)``, taken once to check the promise.
     """
 
     n_messages: int
@@ -79,13 +71,15 @@ class SealScheme:
     promised_p: float
     joint_states: tuple
     bob_povm: Povm
+    merged_roots: np.ndarray = field(init=False, repr=False, compare=False)
     read_probabilities: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m_count = _integer(self.n_messages, "n_messages")
+        m_count = states.as_integer(self.n_messages, "n_messages")
         if m_count < 2:
             raise ValueError(f"need at least 2 messages, got {m_count}")
-        dim_a, dim_b = _integer(self.dim_a, "dim_a"), _integer(self.dim_b, "dim_b")
+        dim_a = states.as_integer(self.dim_a, "dim_a")
+        dim_b = states.as_integer(self.dim_b, "dim_b")
         if dim_a < 1 or dim_b < 1:
             raise ValueError(f"dimensions must be positive, got {dim_a}, {dim_b}")
         try:
@@ -122,12 +116,14 @@ class SealScheme:
             if not 1 <= label[0] <= m_count:
                 raise ValueError(
                     f"POVM label {label!r} names a message outside 1..{m_count}")
-        object.__setattr__(self, "n_messages", m_count)
-        object.__setattr__(self, "dim_a", dim_a)
-        object.__setattr__(self, "dim_b", dim_b)
-        object.__setattr__(self, "promised_p", p)
-        object.__setattr__(self, "joint_states", joint_states)
-        realized = tuple(promise_probability(self, m) for m in range(1, m_count + 1))
+        merged = states.merged_elements(self.bob_povm)
+        zero = np.zeros((dim_b, dim_b), dtype=np.complex128)
+        messages = range(1, m_count + 1)
+        roots = states.povm_roots(np.stack([merged.get(m, zero) for m in messages]), messages)
+        roots.setflags(write=False)
+        vars(self).update(n_messages=m_count, dim_a=dim_a, dim_b=dim_b, promised_p=p,
+                          joint_states=joint_states, merged_roots=roots)
+        realized = tuple(promise_probability(self, m) for m in messages)
         for m, value in enumerate(realized, 1):
             if value < p - PROMISE_TOL:
                 raise ValueError(
@@ -140,41 +136,14 @@ class SealScheme:
             raise ValueError(f"message index {m} outside 1..{self.n_messages}")
         return self.joint_states[m - 1]
 
-    @cached_property
-    def merged_roots(self) -> np.ndarray:
-        """sqrt(F_i) of the message-merged POVM F_i = sum_j E_(i,j), stacked
-        in message order.
-
-        The merged elements get the checks a ``Povm`` of them would run, in
-        the same words (``states.povm_roots``).
-        """
-        merged = states.merged_elements(self.bob_povm)
-        return states.povm_roots(np.stack(list(merged.values())), merged.keys())
-
-
-def _bob_marginal(scheme: SealScheme, m: int) -> np.ndarray:
-    """Bob's reduced state sum_a x_a x_a^dag, x_a the rows of psi_m reshaped
-    to dim_a x dim_b.
-
-    Summed row by row from elementwise products, which gives the same bits
-    as ``linalg.partial_trace`` of |psi_m><psi_m| without building it.  A
-    matrix product rounds differently, and one ulp of read probability near
-    1 moves the p_dist cap by about 1e-8: its slope is infinite at p = 1.
-    """
-    rho_b = np.zeros((scheme.dim_b, scheme.dim_b), dtype=np.complex128)
-    for row in scheme.state(m).amplitudes.reshape(scheme.dim_a, scheme.dim_b):
-        rho_b += np.multiply.outer(row, row.conj())
-    return rho_b
-
 
 def promise_probability(scheme: SealScheme, m: int) -> float:
-    """Probability that Bob's honest measurement reads message m from |psi_m>."""
-    rho_b = _bob_marginal(scheme, m)
-    total = 0.0
-    for label, element in scheme.bob_povm.elements:
-        if label[0] == m:
-            total += states.expectation(element, rho_b)
-    return clamp_probability(total)
+    """Probability that Bob's honest measurement reads message m from |psi_m>:
+    ||(I (x) sqrt(F_m)) psi_m||^2, with the product and sum that give
+    ``_detection`` the squared norm of W's column v_m, so the bits agree."""
+    branch = (scheme.state(m).amplitudes.reshape(scheme.dim_a, -1)
+              @ scheme.merged_roots[m - 1].T)
+    return clamp_probability(np.sum(np.abs(branch) ** 2))
 
 
 def coarse_cheat_state(scheme: SealScheme, m: int) -> DensityMatrix:
@@ -247,19 +216,17 @@ def p_nfp_numeric(scheme: SealScheme, m: int) -> float:
 
 
 def p_nfp_upper_bound(p, n_messages: int):
-    """False-negative cap 1 - p^2 - (1-p)^2 / (M-1) for promise p >= 1/M: a
-    float for a number, an array of one cap per entry for an array.
-
-    (1-p)^2 is libm's pow, as Python's ``**`` of a float takes it; numpy's
-    ``**`` squares, which differs in the last bit for about 1 p in 1,200.
-    """
-    m_count = int(n_messages)
+    """False-negative cap 1 - p^2 - (1-p)^2 / (M-1) for promise p >= 1/M, as
+    (1-p) ((1+p) - (1-p)/(M-1)), which cancels nothing near p = 1 and takes
+    only + - * /: a float for a number, an array with the scalar call's bits
+    per entry for an array."""
+    m_count = states.as_integer(n_messages, "n_messages")
     if m_count < 2:
         raise ValueError(f"need at least 2 messages, got {n_messages}")
     p = np.asarray(p, dtype=np.float64)
     states.require_within(p, (p >= 1.0 / m_count) & (p <= 1.0), "promise probability",
                           f"[1/{m_count}, 1]")
-    return states.number_or_array(1.0 - p * p - np.float_power(1.0 - p, 2) / (m_count - 1))
+    return states.number_or_array((1.0 - p) * ((1.0 + p) - (1.0 - p) / (m_count - 1)))
 
 
 def monotonicity_check(values, n_messages: int) -> bool:

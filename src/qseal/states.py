@@ -56,6 +56,15 @@ def number_or_array(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
+def as_integer(value, name: str) -> int:
+    """``value`` as an int; only integer types pass, never a float."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(
+            f"{name} must be an integer, got {type(value).__name__}") from None
+
+
 def require_within(x, ok, name: str, interval: str) -> None:
     """Reject a number ``x`` unless ``ok``, or an array ``x`` unless every
     entry of the equally shaped ``ok`` holds, quoting its first offender

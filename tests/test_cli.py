@@ -793,7 +793,7 @@ class TestOutputBytes:
             0, "b5dd925217bac941d67c6f17c5761f1814bab0a3faec067ae06c47f82ed0f07b",
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         "bounds nfp": (
-            0, "0947afa491c327d659639a927d4ee4ce21834e24bb96a39f4224683eaa76222e",
+            0, "8598d4087ac4d32c8c0fabccc4a1e757b4faf28eeb9f21f0366dafe754a1cd53",
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         "verify gentle --dim 8 --outcomes 4 --instances 50": {
             "SkylakeX": (
@@ -822,7 +822,7 @@ class TestOutputBytes:
             0, "16c63546f4dd600d41ae918aef5507acf607cbe41a18a803c223913cb88415a1",
             "e9909c5a03edc57d868ada37265c8e609e10c7de2ff9efdaef3632820fe2786a"),
         "seal eval --scheme family.json": (
-            0, "610c849d895af846ba983b4674b9621dd667f2b1cd83e818883efe293a75a02e",
+            0, "65674572ca51dd7e68ae6779644f6a492fba5ea2b7d3649b26f89c4acf5672c3",
             "33009df3ce70e25b2ee4d8a4355854c0dda7fc7587792779b15fb2c8e51a6a20"),
         "verify gentle --dim 16 --outcomes 4 --instances 100": {
             "SkylakeX": (
@@ -852,35 +852,38 @@ class TestOutputBytes:
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         "seal eval --scheme entangled.json": {
             "SkylakeX": (
-                0, "f078be6b741a1039140f0edf0403b9ac29105edb661654ed887a81fe8a082cdc",
+                0, "9cc071565e30642d8659e938920056dc689230925d70e389eb3a3eab473037f4",
                 "8d2820d93d36476aa1f3f09c2b81e2fe1b2dbda5cb841ffc75b3c0c726e6abf5"),
             "Haswell": (
-                0, "0098356d50d9b6743b1bc14073093598ea8a2023c45f0c3d33a7d8cda25ba50c",
+                0, "08c93a0344639a2fab0fe66598103ac3b01bd2748e0f89cdc3981fcabb42da94",
                 "4bcc3c1d7479fd134c9ae4c495d87c46ff2b10957c47c1d781d3f8627026f7fb"),
             "Sandybridge": (
-                0, "5181619ac79886ec94d3ba9c3bbf1f417677e696e09bac3fb500659b66f3a2b2",
+                0, "bba79932fb73ada167ce527bf4e925e54eb3a07ae238d0a3e7d9e196bbefb127",
                 "ef8143c08ac03d0c3c098cd9827670b8dc8aed92929f4274b691ece1544dd0c6"),
             "Nehalem": (
-                0, "6a24a50d53013c985c692dc989a797d565a2ef6077b56417bc8006fe6996b706",
+                0, "fd9e8792b680f31ebdd45e8fcf3190b4cf477c89fd45aef556be3aa8f1061bf5",
                 "0fa5f35f576e12e6ec6b480b41de18c46c1d145aa2937aca493194b6d86a38b9"),
             "Katmai": (
-                0, "51acb98011b8e4f4efb080bf01377d7727fa9a4957bdd0b585d8a568f34accfa",
+                0, "4a95487657d02c16487e3cba0b143ba54d1330ec9c979322a6b6ca3a4614673f",
                 "a15ca9e07a937289d18491a25029fcfc2b656ea53a10c353e38b0b1c28588dca"),
         },
         "bounds dist --grid 10001": (
             0, "a381a844b17c618e8704d8118c5febe617a062ad81294a9ae4b3adb3cc7c2d54",
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         "bounds nfp --grid 10001": (
-            0, "ff5b3aaac338b2169df42e6d4ea2021627ece86202a0f02c2664f9c7a61fec4a",
+            0, "417aa69019b0cfecad4aea1b73e08b5cfa9397b8a5bd87a5a31fc28aa2f19a49",
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         "bounds nfp --grid 10001 --M 2 --M 3 --M 7 --M 1000": (
-            0, "562e4cdbe127a0962925b1ea94cdd3100490432efe943214daa4904bdc199f65",
+            0, "2a6c1142e04335113228dec92fbff785b7b8a728234a7801a3b1a16243fb3bc5",
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         "simulate naive --q 12 --trials 20000": (
             0, "3a94fde49f918332fe3612b71db1a8452849988d561c26bb74b1808d781a822f",
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         "simulate naive --q 31 --trials 20000": (
             0, "256ef603de96af07dfb068ba41e1d78caa893bff3ba80f2a86addda1e4f58de2",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "simulate naive --q 11 --trials 200000": (
+            0, "97c39aac1505c68ac31ac223780d11d2084e45191dee2ba21c79cbcf97a157a6",
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     }
 

@@ -285,6 +285,26 @@ class TestSweep:
             next(sweep_instances(dim, n_outcomes, instances, rng))
         assert rng.bit_generator.state == before
 
+    @pytest.mark.parametrize("shape,message", [
+        ((16.0, 4, 10), "dim must be an integer, got float"),
+        ((16, 4.0, 10), "outcomes must be an integer, got float"),
+        ((16, 4, 10.0), "instances must be an integer, got float"),
+        ((16, 4, 2.5), "instances must be an integer, got float"),
+    ])
+    def test_counts_are_integers(self, shape, message):
+        # a float count is refused with a one-line ValueError before any draw
+        rng = np.random.default_rng(131)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError) as exc:
+            next(sweep_instances(*shape, rng))
+        assert str(exc.value) == message
+        assert rng.bit_generator.state == before
+
+    def test_instance_shape_is_integer(self):
+        with pytest.raises(ValueError) as exc:
+            random_instance(4, 3.0, 0.1, np.random.default_rng(131))
+        assert str(exc.value) == "outcomes must be an integer, got float"
+
     @pytest.mark.parametrize("instances", [-1, MAX_INSTANCES + 1])
     def test_instance_count_checked_before_first_draw(self, instances):
         rng = np.random.default_rng(131)

@@ -56,6 +56,18 @@ class TestProductState:
         with pytest.raises(ValueError):
             ProductState(1, (ZERO, ZERO, PLUS), (0, 1, 3))
 
+    @pytest.mark.parametrize("q,permutation,message", [
+        (2.7, (0, 1, 2, 3, 4, 5), "q must be an integer, got float"),
+        (2, (0.5, 1, 2, 3, 4, 5), "permutation entry must be an integer, got float"),
+        (2, (0, 1, 2, 3, 4, np.float64(5.0)),
+         "permutation entry must be an integer, got float64"),
+    ])
+    def test_integers_are_not_truncated(self, q, permutation, message):
+        # a float is refused, never truncated
+        with pytest.raises(ValueError) as exc:
+            ProductState(q, (ZERO,) * 4 + (PLUS,) * 2, permutation)
+        assert str(exc.value) == message
+
     def test_physical_layout(self):
         state = ProductState(1, (ZERO, ZERO, PLUS), (2, 1, 0))
         assert state.physical_labels == (PLUS, ZERO, ZERO)
@@ -206,6 +218,12 @@ class TestRepair:
         with pytest.raises(ValueError):
             repaired_state(state, (0, 2))
 
+    def test_outcome_bits_are_integers(self):
+        # a float bit is refused, never truncated
+        with pytest.raises(ValueError) as exc:
+            repaired_state(identity_state(1, 1), [0.5])
+        assert str(exc.value) == "outcome bit must be an integer, got float"
+
 
 class TestAttack:
     def test_exact_mean_matches_binomial_sum(self):
@@ -257,6 +275,19 @@ class TestAttack:
         with pytest.raises(ValueError):
             mean_fidelity_exact(0)
 
+    def test_counts_are_integers(self):
+        # a float count is refused before anything is drawn; a numpy integer passes
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError) as exc:
+            simulate_qubitwise_attack(identity_state(1, 1), 2.9, rng)
+        assert str(exc.value) == "trials must be an integer, got float"
+        assert rng.bit_generator.state == before
+        with pytest.raises(ValueError) as exc:
+            mean_fidelity_exact(2.5)
+        assert str(exc.value) == "q must be an integer, got float"
+        assert simulate_qubitwise_attack(identity_state(1, 1), np.int64(3), rng).trials == 3
+
 
 def all_at_once_attack(state, trials, rng):
     """Oracle: one (trials, q) draw, per-trial fidelities and np.unique."""
@@ -292,7 +323,7 @@ class TestStreamedAttack:
     @pytest.mark.parametrize("message", [1, 2])
     def test_chunk_edges_match_oracle(self, monkeypatch, q, message):
         monkeypatch.setattr(naive, "_CHUNK_DRAWS", 64)
-        rows = max(4, (64 // q) // 4 * 4)
+        rows = max(8, (64 // q) // 8 * 8)
         state = identity_state(q, message)
         for trials in (1, rows - 1, rows, rows + 1, 3 * rows + 3, 5000):
             assert_matches_oracle(state, trials, 211 + trials)
@@ -348,11 +379,14 @@ class TestWordDraw:
             assert_stream_matches_oracle(identity_state(q, 1 + trials % 2),
                                          trials, 233 + q, advance)
 
+    # (chunk bits, q) where rows rounded to a multiple of 4, not 8, would
+    # give every chunk an odd word count
     ODD_WORD_CHUNKS = [(36, 1), (36, 3), (36, 5), (36, 7), (68, 1), (68, 3),
                        (68, 5), (100, 1), (100, 5), (100, 7)]
 
     @pytest.mark.parametrize("chunk_draws,q", ODD_WORD_CHUNKS)
     def test_odd_word_count_per_chunk(self, monkeypatch, chunk_draws, q):
+        # these row counts now end mid-chunk or in an odd-word last chunk
         monkeypatch.setattr(naive, "_CHUNK_DRAWS", chunk_draws)
         rows = max(4, (chunk_draws // q) // 4 * 4)
         assert rows * q // 4 % 2 == 1
@@ -361,11 +395,28 @@ class TestWordDraw:
                 assert_stream_matches_oracle(identity_state(q, 2), trials,
                                              239 + trials, advance)
 
+    @pytest.mark.parametrize("chunk_draws,q", ODD_WORD_CHUNKS + [(naive._CHUNK_DRAWS, 11)])
+    def test_full_chunks_draw_even_word_counts(self, monkeypatch, chunk_draws, q):
+        # so from a fresh generator no full chunk finds a buffered half-word
+        # to prepend with a copy of its words
+        monkeypatch.setattr(naive, "_CHUNK_DRAWS", chunk_draws)
+        calls, words = [], naive._words
+
+        def spy(bit_generator, n):
+            calls.append((n, bit_generator.state["has_uint32"]))
+            return words(bit_generator, n)
+
+        monkeypatch.setattr(naive, "_words", spy)
+        rows = max(8, (chunk_draws // q) // 8 * 8)
+        simulate_qubitwise_attack(identity_state(q, 1), 3 * rows + 1,
+                                  np.random.default_rng(241))
+        assert calls[:-1] == [(rows * q // 4, 0)] * 3 and calls[0][0] % 2 == 0
+
     @pytest.mark.parametrize("q", [255, 256, MAX_Q])
     @pytest.mark.parametrize("message", [1, 2])
     def test_counts_wider_than_a_byte(self, q, message):
         # from q = 256 on the per-trial ones no longer fit in uint8
-        rows = (naive._CHUNK_DRAWS // q) // 4 * 4
+        rows = (naive._CHUNK_DRAWS // q) // 8 * 8
         for trials in (1, 3, 2 * rows + 3):
             assert_stream_matches_oracle(identity_state(q, message), trials,
                                          241 + q, trials % 4)

@@ -28,12 +28,11 @@ from conftest import (
     with_offenders,
 )
 from qseal import seal
-from qseal.linalg import tensor_product, trace_norm
+from qseal.linalg import partial_trace, tensor_product, trace_norm
 from qseal.naive import build_message_states, dense_state, majority_projector_povm
 from qseal.qubit_seal import QubitSealFamily
 from qseal.seal import (
     SealScheme,
-    _bob_marginal,
     _convert_matrix,
     _vector_from_pairs,
     clamp_probability,
@@ -129,6 +128,16 @@ class TestSchemeValidation:
         with pytest.raises(ValueError, match="message 2"):
             SealScheme(2, 1, 2, 0.9, (psi1, psi2), povm)
 
+    def test_message_no_label_reads_fails_its_promise(self):
+        # its merged element is zero, so it is read with probability exactly 0
+        psi1 = PureState(np.array([1.0, 0.0]), (1, 2))
+        psi2 = PureState(np.array([0.0, 1.0]), (1, 2))
+        povm = Povm((((1, 1), np.diag([1.0, 0.0])), ((2, 1), np.diag([0.0, 1.0]))))
+        with pytest.raises(ValueError) as exc:
+            SealScheme(3, 1, 2, 0.5, (psi1, psi2, psi1), povm)
+        assert str(exc.value) == ("promise violated for message 3: read probability"
+                                  " 0.0 < promised_p 0.5")
+
     def test_state_dims_must_match_scheme(self):
         psi1 = PureState(np.array([1.0, 0.0]))
         psi2 = PureState(np.array([0.0, 1.0]))
@@ -180,11 +189,27 @@ class TestPromise:
         for m in (1, 2):
             assert promise_probability(scheme, m) == pytest.approx(0.5, abs=1e-12)
 
-    def test_marginal_of_entangled_states(self):
-        scheme = entangled_scheme()
-        for m in (1, 2):
-            np.testing.assert_allclose(_bob_marginal(scheme, m),
-                                       np.eye(2) / 2.0, atol=1e-14)
+    @pytest.mark.parametrize("scheme", [
+        entangled_scheme(), random_scheme(np.random.default_rng(271), 3, 2, 4)])
+    def test_marginal_of_entangled_states(self, monkeypatch, scheme):
+        # the promise is tr(F_m rho_B) of Bob's marginal, and bit for bit the
+        # squared norm of the column v_m of the W that _detection factors
+        merged = merged_elements(scheme.bob_povm)
+        factored, original = [], np.linalg.qr
+
+        def qr(a, **kwargs):
+            factored.append(a.T.copy())
+            return original(a, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        evaluate_scheme(scheme)
+        assert len(factored) == scheme.n_messages
+        for m, w_t in enumerate(factored, 1):
+            rho_b = partial_trace(densify(scheme.state(m)).matrix,
+                                  (scheme.dim_a, scheme.dim_b), "A")
+            promise = promise_probability(scheme, m)
+            assert promise == pytest.approx(np.trace(merged[m] @ rho_b).real, abs=1e-14)
+            assert promise == np.sum(np.abs(w_t) ** 2, axis=-1)[m]
 
 
 class TestCheatState:
@@ -423,6 +448,10 @@ class TestPNfp:
             p_nfp_upper_bound(1.1, 2)
         with pytest.raises(ValueError):
             p_nfp_upper_bound(0.5, 1)
+        # a float M is refused, never truncated
+        with pytest.raises(ValueError) as exc:
+            p_nfp_upper_bound(0.5, 2.5)
+        assert str(exc.value) == "n_messages must be an integer, got float"
 
     @staticmethod
     def levels(draw_offenders: bool):
@@ -436,7 +465,7 @@ class TestPNfp:
 
     @staticmethod
     def float_formula(m_count):
-        return lambda p: 1.0 - p * p - (1.0 - p) ** 2 / (m_count - 1)
+        return lambda p: (1.0 - p) * ((1.0 + p) - (1.0 - p) / (m_count - 1))
 
     @given(case=levels(False))
     def test_upper_bound_array_matches_scalar_calls(self, case):
@@ -446,9 +475,10 @@ class TestPNfp:
 
     @pytest.mark.parametrize("m_count", [2, 3, 7, 1000])
     def test_upper_bound_array_keeps_the_float_square(self, m_count):
-        # (1-p)**2 of a Python float is libm's pow; numpy's square of an
-        # array differs from it in about 1 uniform level in 1,200, which the
-        # simple floats hypothesis favours do not show
+        # the cap takes only + - * /, which numpy rounds as Python does; a
+        # square or a pow in it would differ from Python's ``**`` in about 1
+        # uniform level in 1,200, which the simple floats hypothesis favours
+        # do not show
         values = np.random.default_rng(m_count).uniform(1.0 / m_count, 1.0, 20_000)
         expected = list(map(self.float_formula(m_count), values.tolist()))
         assert p_nfp_upper_bound(values, m_count).tolist() == expected
@@ -549,19 +579,22 @@ class TestEvaluate:
             assert 0.0 <= row.p_nfp_numeric <= 1.0
 
     def test_each_merged_element_decomposed_once(self, monkeypatch):
-        scheme = random_scheme(np.random.default_rng(233), 3, 2, 4)
-        assert len(scheme.bob_povm.elements) > 3  # some messages merge pieces
+        built = random_scheme(np.random.default_rng(233), 3, 2, 4)
+        assert len(built.bob_povm.elements) > 3  # some messages merge pieces
         counts = count_decompositions(monkeypatch)
+        scheme = SealScheme(built.n_messages, built.dim_a, built.dim_b, built.promised_p,
+                            built.joint_states, built.bob_povm)
+        # per merged element, at construction: its checks and root share one eigh
+        assert counts == {"eigh": 3, "eigvalsh": 0, "svd": 0, "qr": 0}
+        counts.update(dict.fromkeys(counts, 0))
         evaluate_scheme(scheme)
-        # per merged element: its checks and root share one eigh; per
-        # message: one QR of W and one SVD for the trace norm of R C R^dag
-        assert counts == {"eigh": 3, "eigvalsh": 0, "svd": 3, "qr": 3}
+        # per message: one QR of W and one SVD for the trace norm of R C R^dag
+        assert counts == {"eigh": 0, "eigvalsh": 0, "svd": 3, "qr": 3}
 
     def test_memory_holds_one_message_at_a_time(self):
         # W is joint x (M+1), 0.5 MiB here, and the W of all 32 messages
         # would take about 17 MiB
         scheme = random_scheme(np.random.default_rng(241), 32, 32, 32)
-        scheme.merged_roots  # taken once per scheme, outside the measurement
         tracemalloc.start()
         try:
             evaluate_scheme(scheme)
@@ -581,7 +614,6 @@ class TestEvaluate:
                             tuple(PureState(v, (1, 2)) for v in vecs),
                             Povm(tuple(((m, 1), 2.0 / m_count * np.outer(v, v))
                                        for m, v in enumerate(vecs, 1))))
-        scheme.merged_roots  # taken once per scheme, outside the measurement
         start = time.perf_counter()
         rows = evaluate_scheme(scheme).per_message
         elapsed = time.perf_counter() - start
@@ -602,11 +634,9 @@ class TestEvaluate:
         t = 0.8e-10
         povm = Povm((((1, 1), np.diag([-t, 0.5])), ((1, 2), np.diag([-t, 0.5])),
                      ((2, 1), np.diag([1.0 + 2.0 * t, 0.0]))))
-        scheme = SealScheme(2, 1, 2, 0.9, (PureState(np.array([0.0, 1.0]), (1, 2)),
-                                           PureState(np.array([1.0, 0.0]), (1, 2))),
-                            povm)
         with pytest.raises(ValueError) as exc:
-            evaluate_scheme(scheme)
+            SealScheme(2, 1, 2, 0.9, (PureState(np.array([0.0, 1.0]), (1, 2)),
+                                      PureState(np.array([1.0, 0.0]), (1, 2))), povm)
         assert str(exc.value) == ("element 1 has negative eigenvalue -1.600e-10"
                                   " beyond -1.0e-10")
 
@@ -623,10 +653,9 @@ class TestEvaluate:
         povm = Povm((((1, 1), piece(1.0 + 2.0 * (t2 + t3), 0.0, 0.0)),
                      ((2, 1), piece(-t2, 0.5, 0.0)), ((2, 2), piece(-t2, 0.5, 0.0)),
                      ((3, 1), piece(-t3, 0.0, 0.5)), ((3, 2), piece(-t3, 0.0, 0.5))))
-        scheme = SealScheme(3, 1, 3, 0.9, tuple(PureState(u[:, m], (1, 3))
-                                                for m in range(3)), povm)
         with pytest.raises(ValueError) as exc:
-            evaluate_scheme(scheme)
+            SealScheme(3, 1, 3, 0.9, tuple(PureState(u[:, m], (1, 3))
+                                           for m in range(3)), povm)
         merged = merged_elements(povm)
         with pytest.raises(ValueError) as per_label:
             oracles.povm_roots(np.stack(list(merged.values())), merged.keys())

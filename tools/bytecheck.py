@@ -9,7 +9,9 @@ acceptance criterion 10, ``simulate achieve`` at a second promise level
 (p = 0.6, whose numeric floor rounds differently from p = 0.75 when the
 trace norm changes), ``verify gentle`` at the benchmark's shape and
 ``simulate naive`` at q = 2, 3, 12, 31, 40 and 1000 (12 to 31 are the widest
-rows the attack counts by column adds), and ``seal eval`` on a second
+rows the attack counts by column adds) and at q = 11 with 200,000 trials
+(three chunks; the row count decides whether a chunk starts on the bit
+generator's buffered half-word), and ``seal eval`` on a second
 scheme: the seeded (M, dimA, dimB) = (4, 2, 8) entangled scheme of
 ``perfbench/schemes.py``, so that a scheme with more than two messages and
 entangled states is evaluated; and both bound sweeps at ``--grid 10001``,
@@ -69,6 +71,7 @@ COMMANDS = (
     ["bounds", "nfp", "--grid", "10001", "--M", "2", "--M", "3", "--M", "7", "--M", "1000"],
     ["simulate", "naive", "--q", "12", "--trials", "20000"],
     ["simulate", "naive", "--q", "31", "--trials", "20000"],
+    ["simulate", "naive", "--q", "11", "--trials", "200000"],
 )
 # Imports the qseal of the tree whose src/ is first on the path, and refuses
 # to run another copy of the package; then runs its CLI, or writes the
