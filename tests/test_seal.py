@@ -189,9 +189,20 @@ class TestPromise:
         for m in (1, 2):
             assert promise_probability(scheme, m) == pytest.approx(0.5, abs=1e-12)
 
-    @pytest.mark.parametrize("scheme", [
-        entangled_scheme(), random_scheme(np.random.default_rng(271), 3, 2, 4)])
-    def test_marginal_of_entangled_states(self, monkeypatch, scheme):
+    def test_marginal_of_entangled_states(self, monkeypatch):
+        scheme = entangled_scheme()
+        for m in (1, 2):
+            rho_b = partial_trace(densify(scheme.state(m)).matrix,
+                                  (scheme.dim_a, scheme.dim_b), "A")
+            np.testing.assert_allclose(rho_b, np.eye(2) / 2.0, atol=1e-14)
+        self.check_promise_reads_marginal(monkeypatch, scheme)
+
+    def test_marginal_of_random_entangled_states(self, monkeypatch):
+        scheme = random_scheme(np.random.default_rng(271), 3, 2, 4)
+        self.check_promise_reads_marginal(monkeypatch, scheme)
+
+    @staticmethod
+    def check_promise_reads_marginal(monkeypatch, scheme):
         # the promise is tr(F_m rho_B) of Bob's marginal, and bit for bit the
         # squared norm of the column v_m of the W that _detection factors
         merged = merged_elements(scheme.bob_povm)
