@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gentle, naive, qubit_seal, seal, states
+from .linalg import as_integer
 from .rng import derive_rng
 
 _POPULATE_TOL = 1e-12
@@ -55,7 +56,7 @@ class RunConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        seed = int(self.seed)
+        seed = as_integer(self.seed, "seed")
         if not 0 <= seed < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         object.__setattr__(self, "seed", seed)
@@ -127,7 +128,7 @@ def cmd_bounds_fig2(config: RunConfig, m_list=None, grid: int = DEFAULT_GRID) ->
     """False-negative cap over p in [0, 1]; blank where p < 1/M.  One call
     of the cap per M, on the grid points where its column is filled."""
     _require_grid(grid)
-    ms = list(dict.fromkeys(int(m) for m in m_list or DEFAULT_M))
+    ms = list(dict.fromkeys(as_integer(m, "M") for m in m_list or DEFAULT_M))
     too_small = [m for m in ms if m < 2]
     if too_small:
         raise ValueError(f"every M must be at least 2, got {too_small[0]}")

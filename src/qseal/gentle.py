@@ -175,7 +175,7 @@ def _inverse_sqrt_pd(m: np.ndarray) -> np.ndarray:
 
 
 def _require_shape(dim: int, n_outcomes: int) -> tuple:
-    dim, n_outcomes = states.as_integer(dim, "dim"), states.as_integer(n_outcomes, "outcomes")
+    dim, n_outcomes = linalg.as_integer(dim, "dim"), linalg.as_integer(n_outcomes, "outcomes")
     states.require_within(dim, 2 <= dim <= 64, "dim", "[2, 64]")
     if n_outcomes < 2:
         raise ValueError(f"need at least 2 outcomes, got {n_outcomes}")
@@ -312,7 +312,7 @@ def sweep_instances(dim: int, n_outcomes: int, instances: int,
     """
     # before the first draw, even for 0 instances
     dim, n_outcomes = _require_shape(dim, n_outcomes)
-    instances = states.as_integer(instances, "instances")
+    instances = linalg.as_integer(instances, "instances")
     states.require_within(instances, 0 <= instances <= MAX_INSTANCES, "instances",
                           f"0 to {MAX_INSTANCES}")
     size = _chunk_size(dim, n_outcomes)

@@ -3,15 +3,19 @@
 Everything here works on explicit 2-D complex ``numpy`` arrays; nothing is
 sparse or lazy.  ``matrix_sqrt_psd`` and ``trace_norm`` also take a stack of
 matrices, shape (..., d, d), and treat each matrix as the 2-D call would, with
-the same bits; both take Hermitian matrices only.  Inputs are validated up
-front: non-finite entries are rejected, matrices within ``HERMITICITY_TOL`` of
-Hermitian are symmetrized (farther ones rejected), and eigenvalues of
-nominally PSD matrices are clamped to zero only when they sit inside
-``-PSD_TOL``.  A check on a stack runs once per matrix and reports the first
-offender, in the words the 2-D check uses.
+the same bits; both take Hermitian matrices only, and each has one path for
+every matrix, diagonal or not: a root comes from one ``eigh``, a trace norm
+from one Hermitian SVD.  Inputs are validated up front: non-finite entries
+are rejected, matrices within ``HERMITICITY_TOL`` of Hermitian are
+symmetrized (farther ones rejected), and eigenvalues of nominally PSD
+matrices are clamped to zero only when they sit inside ``-PSD_TOL``.  A
+check on a stack runs once per matrix and reports the first offender, in the
+words the 2-D check uses.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -25,6 +29,15 @@ MAX_DENSE_DIM = 4096
 
 class CapacityError(ValueError):
     """An operation would materialize a dense matrix beyond ``MAX_DENSE_DIM``."""
+
+
+def as_integer(value, name: str) -> int:
+    """``value`` as an int; only integer types pass, never a float."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(
+            f"{name} must be an integer, got {type(value).__name__}") from None
 
 
 def as_complex_stack(m, name: str = "matrix") -> np.ndarray:
@@ -83,13 +96,6 @@ def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return symmetrized
 
 
-def is_diagonal(m: np.ndarray):
-    """True iff every nonzero entry of ``m`` sits on the main diagonal, as a
-    numpy bool; for a stack, one flag per matrix."""
-    return (np.count_nonzero(m, axis=(-2, -1))
-            == np.count_nonzero(np.diagonal(m, axis1=-2, axis2=-1), axis=-1))
-
-
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product a (x) b with a capacity guard on the result size.
 
@@ -114,7 +120,7 @@ def partial_trace(m, dims: tuple[int, int], traced: str) -> np.ndarray:
     convention (row index a*dim_b + b).
     """
     m = as_complex_matrix(m, "m")
-    dim_a, dim_b = int(dims[0]), int(dims[1])
+    dim_a, dim_b = as_integer(dims[0], "dim_a"), as_integer(dims[1], "dim_b")
     if dim_a < 1 or dim_b < 1:
         raise ValueError(f"dims must be positive, got {dims}")
     if m.shape != (dim_a * dim_b, dim_a * dim_b):
@@ -148,36 +154,16 @@ def matrix_sqrt_psd(m) -> np.ndarray:
 
 
 def sqrt_psd(m, name: str) -> np.ndarray:
-    """Hermitian square root of a PSD matrix, or of each matrix of a stack.
-
-    Exactly diagonal matrices take a direct elementwise path (bit-exact for
-    0/1 projectors, and cheap at large dimension); everything else goes
-    through the eigendecomposition, batched over the stack.  The Hermitian
+    """Hermitian square root of a PSD matrix, or of each matrix of a stack:
+    V diag(sqrt(vals)) V^dag from one ``eigh`` of the symmetrized input,
+    whose spectrum is clamped by ``clamp_psd_eigenvalues``.  The Hermitian
     and PSD checks run once per matrix and call it ``name``.
     """
     m = require_hermitian(as_complex_stack(m, name), name)
-    full = np.logical_not(is_diagonal(m))
-    if full.all():  # no copy of the stack, and no scatter into a zero one
-        vals, vecs = np.linalg.eigh(m)
-        del m  # free the symmetrized copy before the product makes two more
-        return _root_from_eigh(clamp_psd_eigenvalues(vals, name), vecs)
-    vals = np.diagonal(m, axis1=-2, axis2=-1).real.copy()
-    if full.any():
-        vals[full], vecs = np.linalg.eigh(m[full])
-    vals = clamp_psd_eigenvalues(vals, name)
-    root = np.zeros_like(m)
-    diag = np.arange(m.shape[-1])
-    root[..., diag, diag] = np.sqrt(vals)
-    if full.any():
-        root[full] = _root_from_eigh(vals[full], vecs)
-    return root
-
-
-def _root_from_eigh(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """V diag(sqrt(vals)) V^dag from a clamped spectrum and its eigenvectors
-    V, scaling ``vecs`` in place."""
+    vals, vecs = np.linalg.eigh(m)
+    del m  # free the symmetrized copy before the product makes two more
     adjoint = vecs.conj().swapaxes(-1, -2)
-    vecs *= np.sqrt(vals)[..., None, :]
+    vecs *= np.sqrt(clamp_psd_eigenvalues(vals, name))[..., None, :]
     return vecs @ adjoint
 
 

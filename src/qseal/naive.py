@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import states
-from .linalg import MAX_DENSE_DIM, CapacityError
+from .linalg import MAX_DENSE_DIM, CapacityError, as_integer
 from .states import Povm, PureState
 
 ZERO, ONE, PLUS = "zero", "one", "plus"
@@ -77,7 +77,7 @@ class ProductState:
     permutation: tuple
 
     def __post_init__(self):
-        q = states.as_integer(self.q, "q")
+        q = as_integer(self.q, "q")
         if q < 1:
             raise ValueError(f"q must be positive, got {self.q}")
         labels = tuple(self.labels)
@@ -92,7 +92,7 @@ class ProductState:
             raise ValueError(
                 "labels must be 2q zeros (message 1) or 2q ones (message 2) "
                 f"plus q plus-registers; got counts {counts}")
-        perm = tuple(states.as_integer(x, "permutation entry") for x in self.permutation)
+        perm = tuple(as_integer(x, "permutation entry") for x in self.permutation)
         if sorted(perm) != list(range(3 * q)):
             raise ValueError(f"permutation must be a bijection on 0..{3 * q - 1}")
         object.__setattr__(self, "q", q)
@@ -192,7 +192,7 @@ def repaired_state(state: ProductState, plus_outcomes) -> PureState:
     the repair replaces wrong-bit registers (1s for message 1, 0s for
     message 2) with fresh |+>.
     """
-    bits = tuple(states.as_integer(b, "outcome bit") for b in plus_outcomes)
+    bits = tuple(as_integer(b, "outcome bit") for b in plus_outcomes)
     if len(bits) != state.q or any(b not in (0, 1) for b in bits):
         raise ValueError(f"expected {state.q} outcome bits, got {plus_outcomes!r}")
     _require_dense_capacity(state.q)
@@ -221,7 +221,7 @@ class AttackResult:
 
 def mean_fidelity_exact(q: int) -> float:
     """E[(1/2)^k] with k ~ Binomial(q, 1/2): exactly (3/4)^q."""
-    q = states.as_integer(q, "q")
+    q = as_integer(q, "q")
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
     return 0.75 ** q
@@ -296,7 +296,7 @@ def simulate_qubitwise_attack(state: ProductState, trials: int,
     MT19937 raises ``ValueError`` before anything is drawn.  The mean is the
     histogram's exact rational value, correctly rounded.
     """
-    q, trials = state.q, states.as_integer(trials, "trials")
+    q, trials = state.q, as_integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if trials * q > MAX_ATTACK_BITS:

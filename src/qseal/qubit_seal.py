@@ -131,7 +131,7 @@ def p_dist_lower_numeric(p, phi: float = 0.0):
     """
     p = _require_p(p, low_open=False)
     psi_one = _ket(p, 1.0 - p, phi)
-    pure = linalg.hermitian_part(psi_one[..., :, None] * psi_one.conj()[..., None, :])
+    pure = psi_one[..., :, None] * psi_one.conj()[..., None, :]
     dephased = np.zeros(p.shape + (2, 2), dtype=np.complex128)
     dephased[..., [0, 1], [0, 1]] = np.stack([p, 1.0 - p], axis=-1)
     return helstrom_from_norm(linalg.trace_norm(dephased - pure))

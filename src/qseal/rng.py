@@ -14,6 +14,8 @@ import hashlib
 
 import numpy as np
 
+from .linalg import as_integer
+
 
 def derive_rng(master_seed: int, *labels: object) -> np.random.Generator:
     """Generator for the stream addressed by ``labels`` under ``master_seed``."""
@@ -21,4 +23,5 @@ def derive_rng(master_seed: int, *labels: object) -> np.random.Generator:
     labels = tuple(x.item() if isinstance(x, np.generic) else x for x in labels)
     digest = hashlib.sha256(repr(labels).encode("utf-8")).digest()
     words = [int.from_bytes(digest[k:k + 4], "big") for k in range(0, 32, 4)]
-    return np.random.default_rng(np.random.SeedSequence([int(master_seed)] + words))
+    seed = as_integer(master_seed, "master_seed")
+    return np.random.default_rng(np.random.SeedSequence([seed] + words))

@@ -75,11 +75,11 @@ class SealScheme:
     read_probabilities: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m_count = states.as_integer(self.n_messages, "n_messages")
+        m_count = linalg.as_integer(self.n_messages, "n_messages")
         if m_count < 2:
             raise ValueError(f"need at least 2 messages, got {m_count}")
-        dim_a = states.as_integer(self.dim_a, "dim_a")
-        dim_b = states.as_integer(self.dim_b, "dim_b")
+        dim_a = linalg.as_integer(self.dim_a, "dim_a")
+        dim_b = linalg.as_integer(self.dim_b, "dim_b")
         if dim_a < 1 or dim_b < 1:
             raise ValueError(f"dimensions must be positive, got {dim_a}, {dim_b}")
         try:
@@ -220,7 +220,7 @@ def p_nfp_upper_bound(p, n_messages: int):
     (1-p) ((1+p) - (1-p)/(M-1)), which cancels nothing near p = 1 and takes
     only + - * /: a float for a number, an array with the scalar call's bits
     per entry for an array."""
-    m_count = states.as_integer(n_messages, "n_messages")
+    m_count = linalg.as_integer(n_messages, "n_messages")
     if m_count < 2:
         raise ValueError(f"need at least 2 messages, got {n_messages}")
     p = np.asarray(p, dtype=np.float64)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import as_complex_matrix, as_complex_stack, is_diagonal, require_hermitian
+from .linalg import as_complex_matrix, as_complex_stack, require_hermitian
 
 UNIT_NORM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -56,19 +56,12 @@ def number_or_array(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def as_integer(value, name: str) -> int:
-    """``value`` as an int; only integer types pass, never a float."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(
-            f"{name} must be an integer, got {type(value).__name__}") from None
-
-
 def require_within(x, ok, name: str, interval: str) -> None:
     """Reject a number ``x`` unless ``ok``, or an array ``x`` unless every
     entry of the equally shaped ``ok`` holds, quoting its first offender
-    in C order.  Every interval check of the package raises this message."""
+    in C order.  This is the only code that raises "... must lie in ...";
+    other range checks, the CLI's grid, tolerance and M checks among them,
+    word their errors their own way."""
     value = linalg.first_offender(x, np.logical_not(ok))
     if value is not None:
         raise ValueError(f"{name} must lie in {interval}, got {np.asarray(value).item()!r}")
@@ -101,26 +94,15 @@ def require_identity_sum(elements) -> None:
             f" > {POVM_SUM_TOL:.1e}")
 
 
-def _check_psd(m: np.ndarray, name: str) -> None:
-    """Reject a matrix (or the first of a stack) with an eigenvalue below -PSD_TOL.
-
-    A diagonal matrix is checked entrywise; this keeps large 0/1 projectors
-    (dimension up to 4096) out of the dense eigensolver.
-    """
-    if m.ndim == 2 and is_diagonal(m):
-        linalg.clamp_psd_eigenvalues(m.diagonal().real, name)
-    else:
-        linalg.clamp_psd_eigenvalues(np.linalg.eigvalsh(m), name)
-
-
 def check_density(m) -> np.ndarray:
     """The symmetrized copy of a density matrix, or of each matrix of a
     stack (..., d, d).  Rejects non-finite entries, then the first matrix
-    that is not Hermitian, not of unit trace or not PSD."""
+    that is not Hermitian, not of unit trace or not PSD (one ``eigvalsh``
+    of the stack, diagonal matrices included)."""
     name = "density matrix"
     m = require_hermitian(as_complex_stack(m, name), name)
     require_unit_trace(np.trace(m, axis1=-2, axis2=-1).real)
-    _check_psd(m, name)
+    linalg.clamp_psd_eigenvalues(np.linalg.eigvalsh(m), name)
     return m
 
 
@@ -242,14 +224,14 @@ class Povm:
             if label in seen:
                 raise ValueError(f"duplicate POVM label {label!r}")
             seen.add(label)
-            m = require_hermitian(as_complex_matrix(matrix, f"element {label!r}"),
-                                  f"element {label!r}")
+            name = f"element {label!r}"
+            m = require_hermitian(as_complex_matrix(matrix, name), name)
             if dim is None:
                 dim = m.shape[0]
             elif m.shape[0] != dim:
                 raise ValueError(
                     f"element {label!r} has dimension {m.shape[0]}, expected {dim}")
-            _check_psd(m, f"element {label!r}")
+            linalg.clamp_psd_eigenvalues(np.linalg.eigvalsh(m), name)
             cooked.append((label, _freeze(m)))
         cooked.sort(key=lambda pair: _label_key(pair[0]))
         require_identity_sum([m for _, m in cooked])

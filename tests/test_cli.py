@@ -48,6 +48,11 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(seed=2 ** 64)
 
+    def test_float_seed_is_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            RunConfig(seed=1.5)
+        assert str(exc.value) == "seed must be an integer, got float"
+
 
 class TestFormatting:
     def test_cell_types(self):
@@ -107,6 +112,11 @@ class TestBoundsNfp:
                   for column in list(zip(*table.rows))[1:]]
         assert filled == [501, 667, 858]
         assert calls == [("cmd_bounds_fig2", (n,)) for n in filled]
+
+    def test_float_message_count_is_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            cmd_bounds_fig2(RunConfig(), [2.7])
+        assert str(exc.value) == "M must be an integer, got float"
 
     def test_default_message_counts(self, capsys):
         code, out, _ = run(capsys, "bounds", "nfp", "--grid", "101")
@@ -885,6 +895,23 @@ class TestOutputBytes:
         "simulate naive --q 11 --trials 200000": (
             0, "97c39aac1505c68ac31ac223780d11d2084e45191dee2ba21c79cbcf97a157a6",
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "seal eval --scheme diagonal.json": {
+            "SkylakeX": (
+                0, "30bc72fc0002c65831c594e0d04aaa3db2dd1ad8674e6663f96a3cf6b588a7d6",
+                "5f947646d5dd32046a303a638d6d4fafc67ad023d6fb0afd2355c1c3a8523fa8"),
+            "Haswell": (
+                0, "ddb5ef8aeb56a8346f5df660ef12e15425a4ab7ab97d44ff93439b6a35ef35f3",
+                "ad91b69f6791a1d1fb0f0a2bb1b0476f40152bf758b1bdba113249b855c6fbd6"),
+            "Sandybridge": (
+                0, "ddb83d8b81c9ac6de7e1ec510616bb1c169cfb1ce403f7706d654afbeb88ecd2",
+                "d5b1a68b1498fab0cb55960044c2c815a84bbaaec662b0c5b391a84085b4a3a0"),
+            "Nehalem": (
+                0, "8e1882b2a5faea104b256b4dbd5f7c5dd7785128ef227a584a409f7431f2f767",
+                "9c1770269b140628fe3e00ab202e72d34b31317fd0777d93be4b66dfd5b5d45a"),
+            "Katmai": (
+                0, "02feaef21652684c80badc6dd4cd6ab0a1891a9a658dc2b69648e0ce32fe1ca3",
+                "56f556d14be0db66f3b96071880581bca689b0398b2caa51b670ee5a273f6550"),
+        },
     }
 
     @pytest.fixture(scope="class")

@@ -411,10 +411,10 @@ class TestDenseOracle:
         active = sum(t > 0.0 for t in targets)
         assert 0 < active < count
         # every instance's share total once (an exact instance's is I, taken
-        # on the batched path with the rest) and every element of a generic
-        # instance once (its remainder's root is in closed form); the exact
-        # instances' elements are diagonal and take no decomposition
-        assert counts["eigh"] == count + active * n_outcomes
+        # on the batched path with the rest) and every element once, the
+        # exact instances' diagonal I and 0 included (a generic remainder's
+        # root is in closed form)
+        assert counts["eigh"] == count * (1 + n_outcomes)
         # rho's PSD check, once each; one QR draws each rho's basis
         assert counts["eigvalsh"] == count
         assert counts["qr"] == count

@@ -6,12 +6,14 @@ from qseal import linalg
 from qseal.linalg import (
     CapacityError,
     MAX_DENSE_DIM,
-    is_diagonal,
+    PSD_TOL,
     matrix_sqrt_psd,
     partial_trace,
+    sqrt_psd,
     tensor_product,
     trace_norm,
 )
+from qseal.states import Povm
 
 
 def two_by_two_abs_eigenvalue_sum(m):
@@ -115,6 +117,14 @@ class TestPartialTrace:
             reduced = partial_trace(rho, (2, 3), side)
             assert abs(np.trace(reduced) - 1.0) < 1e-12
 
+    def test_float_dims_are_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            partial_trace(np.eye(4) / 4, (2.9, 2), "A")
+        assert str(exc.value) == "dim_a must be an integer, got float"
+        with pytest.raises(ValueError) as exc:
+            partial_trace(np.eye(4) / 4, (2, 2.0), "B")
+        assert str(exc.value) == "dim_b must be an integer, got float"
+
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             partial_trace(np.eye(6), (2, 2), "A")
@@ -164,15 +174,6 @@ class TestMatrixSqrt:
         np.testing.assert_allclose(root, np.diag([1.0, 2.0]), atol=1e-11)
 
 
-    @pytest.mark.parametrize("m, root", [
-        (np.eye(3), np.eye(3)), (np.ones((3, 3)), np.ones((3, 3)) / np.sqrt(3.0))])
-    def test_python_bool_diagonal_flag(self, monkeypatch, m, root):
-        # numpy before 2.3 compares two count_nonzero results as Python ints
-        real = linalg.is_diagonal
-        monkeypatch.setattr(linalg, "is_diagonal", lambda x: bool(real(x)))
-        np.testing.assert_allclose(matrix_sqrt_psd(m), root, atol=1e-15)
-
-
 class TestChecksAtExtremeMagnitudes:
     def test_nan_spectrum_is_rejected(self):
         with pytest.raises(ValueError, match="negative eigenvalue nan"):
@@ -197,18 +198,51 @@ class TestChecksAtExtremeMagnitudes:
         assert np.array_equal(linalg.require_hermitian(m), (m + m.conj().T) / 2.0)
 
 
-class TestIsDiagonal:
-    def test_matrix_gives_numpy_bool(self):
-        for m, expect in ((np.eye(3), True), (np.zeros((2, 2)), True),
-                          (np.ones((3, 3)), False)):
-            flag = is_diagonal(m.astype(np.complex128))
-            assert type(flag) is np.bool_ and flag == expect
+def bits(m):
+    """The float64 bit patterns of a complex matrix, so that a comparison
+    also tells +0.0 from -0.0."""
+    return np.asarray(m, dtype=np.complex128).view(np.uint64)
 
-    def test_stack_gives_one_flag_per_matrix(self):
-        stack = np.stack([np.eye(2), np.ones((2, 2)), np.diag([0.0, 5.0])])
-        flags = is_diagonal(stack)
-        assert flags.dtype == np.bool_
-        assert flags.tolist() == [True, False, True]
+
+class TestDiagonalOnOnePath:
+    # a diagonal matrix takes the same eigh as any other, and its root is
+    # exactly the entrywise one while its entries stay within LAPACK's
+    # unscaled range (eigh rescales at 1e-150 and below, or 1e150 and above)
+    @pytest.mark.parametrize("kind", ["projector", "general"])
+    def test_root_is_the_entrywise_root(self, kind):
+        rng = np.random.default_rng(241)
+        for dim in range(1, 65):
+            if kind == "projector":
+                d = rng.integers(0, 2, size=dim).astype(np.float64)
+            else:
+                d = rng.uniform(0.0, 4.0, size=dim) * 10.0 ** rng.integers(-8, 9, size=dim)
+                d[rng.random(dim) < 0.25] = 0.0
+            assert np.array_equal(bits(sqrt_psd(np.diag(d), "m")), bits(np.diag(np.sqrt(d)))), dim
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 16, 64])
+    def test_stack_mixing_diagonal_and_dense(self, dim):
+        rng = np.random.default_rng(251 + dim)
+        diagonals = [rng.integers(0, 2, size=dim).astype(np.float64),
+                     rng.uniform(0.0, 3.0, size=dim)]
+        dense = [random_density_matrix(dim, rng).matrix for _ in range(2)]
+        stack = np.stack([np.diag(diagonals[0]), dense[0], np.diag(diagonals[1]), dense[1]])
+        roots = sqrt_psd(stack, "m")
+        for k, d in ((0, diagonals[0]), (2, diagonals[1])):
+            assert np.array_equal(bits(roots[k]), bits(np.diag(np.sqrt(d))))
+        for k, m in ((1, dense[0]), (3, dense[1])):
+            assert np.array_equal(bits(roots[k]), bits(sqrt_psd(m, "m")))
+
+    @pytest.mark.parametrize("low", [-PSD_TOL, -PSD_TOL / 2, -5e-324])
+    def test_povm_accepts_diagonal_roundoff(self, low):
+        povm = Povm((((1, 1), np.diag([1.0, low])), ((1, 2), np.diag([0.0, 1.0 - low]))))
+        assert povm.element((1, 1))[1, 1] == low
+
+    @pytest.mark.parametrize("low", [np.nextafter(-PSD_TOL, -1.0), -2e-10, -1.0])
+    def test_povm_rejects_diagonal_negative(self, low):
+        with pytest.raises(ValueError) as exc:
+            Povm((((1, 1), np.diag([1.0, 0.0])), ((1, 2), np.diag([low, 1.0 - low]))))
+        assert str(exc.value) == (
+            f"element (1, 2) has negative eigenvalue {low:.3e} beyond -{PSD_TOL:.1e}")
 
 
 class TestTraceNorm:

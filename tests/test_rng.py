@@ -27,3 +27,8 @@ class TestDeriveRng:
         assert draws("x", 3) != draws("x", 4)
         assert draws("x", 3) != draws("x", "3")
         assert draws("x", 3) != derive_rng(1, "x", 3).integers(0, 2 ** 62, size=4).tolist()
+
+    def test_float_seed_is_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            derive_rng(1.7, "x")
+        assert str(exc.value) == "master_seed must be an integer, got float"

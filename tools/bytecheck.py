@@ -14,20 +14,22 @@ rows the attack counts by column adds) and at q = 11 with 200,000 trials
 generator's buffered half-word), and ``seal eval`` on a second
 scheme: the seeded (M, dimA, dimB) = (4, 2, 8) entangled scheme of
 ``perfbench/schemes.py``, so that a scheme with more than two messages and
-entangled states is evaluated; and both bound sweeps at ``--grid 10001``,
+entangled states is evaluated, and on a third: a seeded (3, 2, 16) scheme
+whose merged readout holds an exact 0/1 diagonal F_1 beside a dense split
+of I - F_1 (``diagonal_readout``); and both bound sweeps at ``--grid 10001``,
 ``bounds nfp`` also at M = 2, 3, 7 and 1000, whose tables hold enough
 points for a last-bit change in a closed form (one square in about 1,200)
-to show.  Both trees read the same two scheme files, written by the
+to show.  Both trees read the same three scheme files, written by the
 working tree.  Each command's exit code, stdout (the CSV)
 and stderr (the summary) are compared, and one line is printed per command:
 ``same`` or ``differs``, the latter with its first differing line.  Each
-tree also writes the two scheme files with its own ``save_scheme``
+tree also writes the three scheme files with its own ``save_scheme``
 (``write_schemes`` in a subprocess, that tree's ``src/`` first), and one
 more such line is printed per file, named ``save_scheme FILE``.  The exit
 code is 1 when a command or file differs that no ``--expect`` names (an
 ``--expect`` value names every command it equals or is a word prefix of, so
 ``--expect "verify gentle"`` names both gentle commands and ``--expect
-save_scheme`` both files), else 0.  Nothing is fetched: REV must be in the local
+save_scheme`` all three files), else 0.  Nothing is fetched: REV must be in the local
 repository.
 
 Tier-1 pins the same command set: ``tests/test_cli.py`` ``TestOutputBytes``
@@ -53,6 +55,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = ["--seed", "7"]
 SCHEME = "family.json"
 ENTANGLED = "entangled.json"
+DIAGONAL = "diagonal.json"
 COMMANDS = (
     ["bounds", "dist"],
     ["bounds", "nfp"],
@@ -72,6 +75,7 @@ COMMANDS = (
     ["simulate", "naive", "--q", "12", "--trials", "20000"],
     ["simulate", "naive", "--q", "31", "--trials", "20000"],
     ["simulate", "naive", "--q", "11", "--trials", "200000"],
+    ["seal", "eval", "--scheme", DIAGONAL],
 )
 # Imports the qseal of the tree whose src/ is first on the path, and refuses
 # to run another copy of the package; then runs its CLI, or writes the
@@ -84,7 +88,7 @@ _WRITE = _GUARD + ("import pathlib, runpy\n"
                    "runpy.run_path(sys.argv[2])['write_schemes'](pathlib.Path(sys.argv[3]))\n")
 
 def write_schemes(workdir: Path) -> None:
-    """Write the two scheme files the ``seal eval`` commands read into
+    """Write the three scheme files the ``seal eval`` commands read into
     ``workdir``, with the qseal that is imported.  ``perfbench/schemes.py``
     is read, not imported, so nothing is written under perfbench/."""
     import numpy as np
@@ -102,6 +106,51 @@ def write_schemes(workdir: Path) -> None:
     save_scheme(SealScheme(a["M"], *dims, a["promised_p"],
                            tuple(PureState(v, dims) for v in a["states"]),
                            Povm(tuple(a["povm"]))), workdir / ENTANGLED)
+    save_scheme(diagonal_readout(np.random.default_rng(7)), workdir / DIAGONAL)
+
+
+def diagonal_readout(rng):
+    """A (M, dimA, dimB) = (3, 2, 16) scheme at promise 0.85 whose merged
+    readout F_1 is exactly diagonal, the projector on the first 8 basis
+    vectors (the sum of two 0/1 diagonal elements), while F_2 and F_3 split
+    I - F_1 densely: V diag(w) V^dag and V diag(1 - w) V^dag, V the 8-point
+    DFT on the last 8 basis vectors.  Message 1 lives on F_1's range and
+    messages 2 and 3 on the columns of V where their weight is at least 0.9.
+    Built elementwise, with no BLAS call, so the file has the same bytes on
+    every OpenBLAS core."""
+    import numpy as np
+    from qseal.seal import SealScheme
+    from qseal.states import Povm, PureState
+
+    dim_a, dim_b, half = 2, 16, 8
+    k = np.arange(half)
+    dft = np.exp(2j * np.pi * np.outer(k, k) / half) / np.sqrt(half)
+    weights = np.concatenate([rng.uniform(0.9, 1.0, 4), rng.uniform(0.0, 0.1, 4)])
+    split = rng.uniform(size=half)
+
+    def dense(w):  # V diag(w) V^dag on the last 8 basis vectors
+        out = np.zeros((dim_b, dim_b), dtype=np.complex128)
+        out[half:, half:] = np.einsum("ik,k,jk->ij", dft, w, dft.conj())
+        return out
+
+    def state(columns, rows):  # a random ket on C^2 (x) span of the columns
+        coeffs = rng.normal(size=(dim_a, 4)) + 1j * rng.normal(size=(dim_a, 4))
+        amps = np.zeros((dim_a, dim_b), dtype=np.complex128)
+        amps[:, rows] = np.einsum("ak,bk->ab", coeffs, columns)
+        amps = amps.ravel()
+        return PureState(amps / np.sqrt((np.abs(amps) ** 2).sum()), (dim_a, dim_b))
+
+    povm = Povm((
+        ((1, 1), np.diag([1.0] * 4 + [0.0] * 12)),
+        ((1, 2), np.diag([0.0] * 4 + [1.0] * 4 + [0.0] * 8)),
+        ((2, 1), dense(weights * split)),
+        ((2, 2), dense(weights * (1.0 - split))),
+        ((3, 1), dense(1.0 - weights)),
+    ))
+    return SealScheme(3, dim_a, dim_b, 0.85,
+                      (state(np.eye(half)[:, 2:6], slice(None, half)),
+                       state(dft[:, :4], slice(half, None)),
+                       state(dft[:, 4:], slice(half, None))), povm)
 
 
 def _env(tree: Path) -> dict:
@@ -179,7 +228,7 @@ def main(argv=None) -> int:
         _write(ROOT, workdir)
         differences = chain(
             ((f"save_scheme {name}", _file_difference(old_files / name, workdir / name))
-             for name in (SCHEME, ENTANGLED)),
+             for name in (SCHEME, ENTANGLED, DIAGONAL)),
             ((" ".join(argv_), _first_difference(_run(old_tree, argv_, workdir),
                                                  _run(ROOT, argv_, workdir)))
              for argv_ in COMMANDS))
