@@ -76,6 +76,7 @@ COMMANDS = (
     ["simulate", "naive", "--q", "31", "--trials", "20000"],
     ["simulate", "naive", "--q", "11", "--trials", "200000"],
     ["seal", "eval", "--scheme", DIAGONAL],
+    ["verify", "gentle", "--dim", "64", "--outcomes", "24", "--instances", "2"],
 )
 # Imports the qseal of the tree whose src/ is first on the path, and refuses
 # to run another copy of the package; then runs its CLI, or writes the
