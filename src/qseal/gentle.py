@@ -16,10 +16,12 @@ The sweep generates and verifies instances in chunks of stacked (n, d, d)
 arrays.  Each instance's random draws stay sequential; rho and the dominant
 projector come from one seeded Haar basis, so no decomposition sits between
 them and an instance depends on the seed alone.  Everything else runs
-batched over the chunk and its outcomes: one call checks every state, one
-checks and roots every POVM element, one trace-norm call takes every
-branch's norm, and each bound, which takes a number or an array, is one
-call on every epsilon.  The chunk size changes no draw and no bit.
+batched over the chunk and a block of its outcomes at a time: one call
+checks every state, one per block checks and roots the block's POVM
+elements, one trace-norm call per block takes its branches' norms, and
+each bound, which takes a number or an array, is one call on every
+epsilon.  Neither the chunk size nor the block size changes a draw or a
+bit.
 The dominant element is built on sqrt(I - w P) for a projector P, which is
 taken in closed form (``remainder_root``).  Every branch gap is Hermitian,
 as ``linalg.trace_norm`` requires; ``seal`` turns the unknown-outcome cap
@@ -43,9 +45,12 @@ MAX_OUTCOMES = 256
 # Most instances one sweep may draw; every CSV row is kept until rendering.
 MAX_INSTANCES = 100_000
 # Bytes of a chunk's stacked POVM elements, (n, outcomes, dim, dim) complex,
-# and so the number of instances batched at once (never fewer than one).  The
-# chunk's arrays add to the peak memory of every sweep, so it stays small:
-# four instances at dim 16 with 4 outcomes, one at dim 64 with 3 or more.
+# and so the number of instances batched at once (never fewer than one): four
+# at dim 16 with 4 outcomes, one at dim 64 with 3 or more.  Every temporary
+# of the sweep is taken a block of outcomes at a time, at most this many
+# bytes of matrices per block (never fewer than one outcome), so that only
+# the element stack and its roots grow with an instance: the benchmark's
+# 16 x 16 x 4 chunk is one block, one outcome of dim 64 is a block.
 _CHUNK_BYTES = 1 << 16
 
 
@@ -121,24 +126,36 @@ def _reports(rho: np.ndarray, elements: np.ndarray, roots: np.ndarray,
     rho (n, d, d), elements (n, outcomes, d, d) with their ``roots``, each
     dominant element's index and each instance's epsilon."""
     n, n_outcomes = elements.shape[:2]
-    # each Lueders branch, the dominant one replaced by its gap to rho, and
-    # the unknown-outcome gap last; one trace-norm call takes them all
-    gaps = np.empty((n, n_outcomes + 1) + rho.shape[1:], dtype=rho.dtype)
-    branches = gaps[:, :n_outcomes]
-    np.matmul(roots @ rho[:, None], roots, out=branches)
-    gaps[:, n_outcomes] = rho - sum(np.moveaxis(branches, 1, 0))  # in outcome order
-    kept = np.arange(n), dominant
-    branches[kept] = rho - branches[kept]
-    norms = linalg.trace_norm(gaps)
+    norms = np.empty((n, n_outcomes + 1))
+    probs = np.empty((n, n_outcomes))
+    summed = 0  # the branches, in outcome order
+    step = _chunk_size(rho.shape[-1], n)
+    for start in range(0, n_outcomes, step):
+        stop = min(start + step, n_outcomes)
+        last = stop == n_outcomes
+        # each Lueders branch of the block, the dominant one replaced by its
+        # gap to rho, and after the last block the unknown-outcome gap; one
+        # trace-norm call takes them all
+        gaps = np.empty((n, stop - start + last) + rho.shape[1:], dtype=rho.dtype)
+        branches = gaps[:, :stop - start]
+        np.matmul(roots[:, start:stop] @ rho[:, None], roots[:, start:stop], out=branches)
+        summed = sum(np.moveaxis(branches, 1, 0), summed)
+        if last:
+            gaps[:, -1] = rho - summed
+        mine = np.flatnonzero((start <= dominant) & (dominant < stop))
+        kept = mine, dominant[mine] - start
+        branches[kept] = rho[mine] - branches[kept]
+        norms[:, start:stop + last] = linalg.trace_norm(gaps)
+        # rho repeated, not broadcast: einsum sums a broadcast operand in
+        # another order, and the probabilities must keep their per-pair bits
+        probs[:, start:stop] = states.expectation(
+            elements[:, start:stop], np.repeat(rho[:, None], stop - start, axis=1))
     off = np.arange(n_outcomes) != dominant[:, None]
     # summed in outcome order, adding 0.0 for the dominant element
     off_norm_sum = sum(np.where(off, norms[:, :n_outcomes], 0.0).T)
-    # rho repeated, not broadcast: einsum sums a broadcast operand in
-    # another order, and the probabilities must keep their per-pair bits
-    probs = states.expectation(elements, np.repeat(rho[:, None], n_outcomes, axis=1))
     off_prob = sum(np.where(off, probs, 0.0).T)
     eps = np.asarray(epsilons, dtype=np.float64)
-    lhs_classic, b_classic = norms[kept], classic_bound(eps)
+    lhs_classic, b_classic = norms[np.arange(n), dominant], classic_bound(eps)
     lhs_unknown, b_unknown = norms[:, n_outcomes], unknown_outcome_bound(eps)
     columns = (eps, lhs_classic, b_classic, lhs_classic <= b_classic + tol,
                lhs_unknown, b_unknown, lhs_unknown <= b_unknown + tol,
@@ -217,11 +234,14 @@ def _draw(eps_target: float, shares: np.ndarray, rng: np.random.Generator) -> tu
 
     def grams(run: np.ndarray) -> None:
         # each outcome's normals, real part then imaginary part, in outcome
-        # order; the shares are g g^dag + I/10
-        normals = rng.normal(size=(len(run), 2, dim, dim))
-        g = normals[:, 0] + 1j * normals[:, 1]
-        np.matmul(g, g.conj().swapaxes(-1, -2), out=run)
-        run += 0.1 * np.eye(dim)
+        # order, a block at a time; the shares are g g^dag + I/10
+        step = _chunk_size(dim, 1)
+        for start in range(0, len(run), step):
+            block = run[start:start + step]
+            normals = rng.normal(size=(len(block), 2, dim, dim))
+            g = normals[:, 0] + 1j * normals[:, 1]
+            np.matmul(g, g.conj().swapaxes(-1, -2), out=block)
+            block += 0.1 * np.eye(dim)
 
     grams(shares[:dominant + 1])
     scale = rng.uniform(0.0, 0.1)  # keeps the dominant residue small
@@ -233,20 +253,24 @@ def _draw(eps_target: float, shares: np.ndarray, rng: np.random.Generator) -> tu
 def _stack(elements: np.ndarray, draws) -> tuple:
     """The targets of ``draws``, one ``_draw`` per instance of ``elements``,
     and their dominant indices and raw states, stacked.  Turns the shares
-    into the POVM elements in place, batched over the instances and their
-    outcomes (a zero target's zero remainder root leaves w P = I alone);
-    nothing else of the draws outlives this call."""
+    into the POVM elements in place, batched over the instances and a block
+    of their outcomes at a time (a zero target's zero remainder root leaves
+    w P = I alone); nothing else of the draws outlives this call."""
     targets, raw, dominant, weight, projectors = zip(*draws)
     raw, dominant, projectors = np.array(raw), np.array(dominant), np.array(projectors)
     weight = np.array(weight)[:, None, None]
     root = remainder_root(weight, projectors)
     # summed in outcome order, as one instance at a time
     inv_root_total = _inverse_sqrt_pd(sum(np.moveaxis(elements, 1, 0)))
-    pieces = ((root @ inv_root_total)[:, None] @ elements
-              @ inv_root_total[:, None] @ root[:, None])
-    mine = np.arange(len(dominant)), dominant
-    pieces[mine] = pieces[mine] + weight * projectors
-    elements[:] = linalg.hermitian_part(pieces)
+    left = (root @ inv_root_total)[:, None]
+    step = _chunk_size(elements.shape[-1], len(elements))
+    for start in range(0, elements.shape[1], step):
+        block = elements[:, start:start + step]
+        pieces = left @ block @ inv_root_total[:, None] @ root[:, None]
+        mine = np.flatnonzero((start <= dominant) & (dominant < start + step))
+        kept = mine, dominant[mine] - start
+        pieces[kept] = pieces[kept] + weight[mine] * projectors[mine]
+        block[:] = linalg.hermitian_part(pieces)
     return targets, dominant, raw
 
 
@@ -256,7 +280,8 @@ def _build(elements: np.ndarray, draws) -> tuple:
     d) and dominant indices.  ``states`` checks each matrix once."""
     targets, dominant, raw = _stack(elements, draws)
     rho = states.check_density(raw)
-    roots = states.povm_roots(elements, range(elements.shape[1]))
+    roots = states.povm_roots(elements, range(elements.shape[1]),
+                              _chunk_size(elements.shape[-1], len(elements)))
     # the instances keep read-only views of these, not copies
     rho.setflags(write=False)
     elements.setflags(write=False)
@@ -299,8 +324,12 @@ def random_epsilon_target(rng: np.random.Generator) -> float:
     return float(10.0 ** rng.uniform(-8.0, math.log10(0.45)))
 
 
-def _chunk_size(dim: int, n_outcomes: int) -> int:
-    return max(1, _CHUNK_BYTES // (16 * n_outcomes * dim * dim))
+def _chunk_size(dim: int, matrices: int) -> int:
+    """How many runs of ``matrices`` complex dim x dim matrices
+    ``_CHUNK_BYTES`` holds, at least one: the instances of a chunk, for
+    runs of one instance's outcomes, or the outcomes of a block, for runs of
+    one outcome of each of n instances."""
+    return max(1, _CHUNK_BYTES // (16 * matrices * dim * dim))
 
 
 def sweep_instances(dim: int, n_outcomes: int, instances: int,

@@ -40,19 +40,21 @@ from .states import Povm, PureState
 
 ZERO, ONE, PLUS = "zero", "one", "plus"
 
-# Bits drawn per chunk of the attack Monte Carlo (rounded down to a multiple
-# of 8 trials, so that a chunk takes an even number of 32-bit words).
-_CHUNK_DRAWS = 1 << 20
+# Bytes a chunk of the attack Monte Carlo holds: about rows * (q + 2) for its
+# q bits per trial, its per-trial counts and one mask, so that a chunk stays
+# in L2.  The rows are rounded down to a multiple of 8, so that a chunk takes
+# an even number of 32-bit words; at q <= 3 a 100,000-trial run is one chunk.
+_CHUNK_BYTES = 1 << 19
 # Largest trials * q the attack accepts: 2^32 fair bits, about 4 s (q = 1)
 # to 18 s (q = 1000) per message.
 MAX_ATTACK_BITS = 1 << 32
-# A chunk holds about _CHUNK_DRAWS / q trials.  From this q on, one row sum
-# of a chunk's bits and one bincount of the per-trial counts cost less than
-# q strided column adds and q count_nonzero passes: per 2^20-bit chunk the
-# sums take 0.89-0.94 vs 1.18-1.29 ms at q = 32, 0.13 vs 3.0 ms at
-# q = 1000 (median of 61 calls, one pinned CPU, numpy 2.4).  The counting
-# half alone would cross earlier (bincount 0.05-0.14 ms, count_nonzero
-# 0.10-0.13 ms at q = 12 to 31), but moves a 1.1 ms chunk by 0.08 ms at most.
+# From this q on, one row sum of a chunk's bits and one bincount of the
+# per-trial counts cost less than q strided column adds and q count_nonzero
+# passes: per 2^20-bit chunk the sums take 0.89-0.94 vs 1.18-1.29 ms at
+# q = 32, 0.13 vs 3.0 ms at q = 1000 (median of 61 calls, one pinned CPU,
+# numpy 2.4).  The counting half alone would cross earlier (bincount
+# 0.05-0.14 ms, count_nonzero 0.10-0.13 ms at q = 12 to 31), but moves a
+# 1.1 ms chunk by 0.08 ms at most.
 _ROW_SUM_FROM_Q = 32
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -282,15 +284,15 @@ def simulate_qubitwise_attack(state: ProductState, trials: int,
     fidelity with the original is (1/2)^k where k counts padding registers
     that collapsed onto the data bit.
 
-    Trials are drawn in chunks of ``rows`` trials, about ``_CHUNK_DRAWS``
-    bits, and only a (q+1)-bin histogram of the ones per trial is kept, so
-    memory does not depend on ``trials``; ``trials * q`` is capped at
-    ``MAX_ATTACK_BITS``.  Each chunk's bits come from whole 32-bit words
-    (``_fair_bits``), one byte per bit exactly as a bounded uint8 draw takes
-    them, and ``rows`` is a multiple of 8, so the chunks consume exactly
-    the bits one ``rng.integers(0, 2, (trials, q), dtype=np.uint8)`` draw
-    would and leave ``rng`` where it would: the result does not depend on
-    the chunk size.  A full chunk takes an even number of words, so from a
+    Trials are drawn in chunks of ``rows`` trials, about ``_CHUNK_BYTES`` of
+    bits, counts and mask, and only a (q+1)-bin histogram of the ones per
+    trial is kept, so memory does not depend on ``trials``; ``trials * q``
+    is capped at ``MAX_ATTACK_BITS``.  Each chunk's bits come from whole
+    32-bit words (``_fair_bits``), one byte per bit exactly as a bounded
+    uint8 draw takes them, and ``rows`` is a multiple of 8, so the chunks
+    consume exactly the bits one ``rng.integers(0, 2, (trials, q),
+    dtype=np.uint8)`` draw would and leave ``rng`` where it would: the
+    result does not depend on the chunk size.  A full chunk takes an even number of words, so from a
     fresh generator no chunk but the last finds a buffered half-word.
     ``rng`` needs a bit generator with numpy's buffered 32-bit half-word;
     MT19937 raises ``ValueError`` before anything is drawn.  The mean is the
@@ -302,7 +304,7 @@ def simulate_qubitwise_attack(state: ProductState, trials: int,
     if trials * q > MAX_ATTACK_BITS:
         raise ValueError(f"trials * q must be at most {MAX_ATTACK_BITS}, "
                          f"got {trials} * {q}")
-    rows = max(8, (_CHUNK_DRAWS // q) // 8 * 8)
+    rows = max(8, (_CHUNK_BYTES // (q + 2)) // 8 * 8)
     ones_histogram = np.zeros(q + 1, dtype=np.int64)
     remaining = trials
     while remaining:
@@ -311,14 +313,19 @@ def simulate_qubitwise_attack(state: ProductState, trials: int,
         if q < _ROW_SUM_FROM_Q:  # column adds: np.sum(axis=1) is slow on narrow rows
             ones = (np.add(bits[:, 0], bits[:, -1], dtype=np.min_scalar_type(q))
                     if q > 1 else bits[:, 0])
-            for column in bits.T[1:-1]:
-                ones += column
+            for k in range(1, q - 1):
+                ones += bits[:, k]
             with_ones = [np.count_nonzero(ones == j) for j in range(1, q + 1)]
             ones_histogram[1:] += with_ones
             ones_histogram[0] += size - sum(with_ones)  # trials with no ones
         else:
             ones = bits.sum(axis=1, dtype=np.min_scalar_type(q))
             ones_histogram += np.bincount(ones, minlength=q + 1)
+        # the words go before the next chunk is drawn and ``ones`` only when
+        # the next counts replace it, so the words' memory is a hole that the
+        # next words fill, not free space at the heap top that malloc may
+        # return to the system and the next chunk fault in again
+        del bits
         remaining -= size
     counts = ones_histogram.tolist()  # counts[j]: trials with j ones
     if state.message == 1:  # padding that read 0 passes for data

@@ -15,7 +15,6 @@ Batched code checks states with ``check_density`` and POVMs with
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,22 +105,27 @@ def check_density(m) -> np.ndarray:
     return m
 
 
-def povm_roots(elements: np.ndarray, labels) -> np.ndarray:
+def povm_roots(elements: np.ndarray, labels, step: int | None = None) -> np.ndarray:
     """sqrt(E) of every element of a POVM, (outcomes, d, d), or of each POVM
     of a stack, (..., outcomes, d, d), whose elements are labelled ``labels``.
 
     Each element gets the Hermitian and PSD checks ``Povm`` runs on it, in
     the same words, and one eigendecomposition serves them and its root;
-    then the elements must sum to the identity.  The whole stack is checked
-    and rooted at once; a stack that fails is walked label by label to name
-    its first offender.
+    then the elements must sum to the identity.  The stack is checked and
+    rooted ``step`` outcomes at a time (all at once by default); a block
+    that fails is walked label by label to name its first offender.
     """
-    try:
-        roots = linalg.sqrt_psd(elements, "element")
-    except ValueError:
-        for k, label in enumerate(labels):
-            linalg.sqrt_psd(elements[..., k, :, :], f"element {label!r}")
-        raise
+    n_outcomes = elements.shape[-3]
+    step = step or n_outcomes
+    roots = np.empty(elements.shape, dtype=np.complex128)
+    for start in range(0, n_outcomes, step):
+        block = (..., slice(start, start + step), slice(None), slice(None))
+        try:
+            linalg.sqrt_psd(elements[block], "element", roots[block])
+        except ValueError:
+            for k, label in enumerate(labels[start:start + step], start):
+                linalg.sqrt_psd(elements[..., k, :, :], f"element {label!r}")
+            raise
     require_identity_sum(list(np.moveaxis(elements, -3, 0)))
     return roots
 
@@ -151,7 +155,7 @@ class PureState:
                 f"state norm {norm!r} deviates from 1 by more than {UNIT_NORM_TOL:.1e}")
         if self.dims is not None:
             try:
-                dim_a, dim_b = map(operator.index, self.dims)
+                dim_a, dim_b = (linalg.as_integer(x, "dims") for x in self.dims)
             except (TypeError, ValueError):
                 raise ValueError(
                     f"dims must be a pair of integers, got {_one_line(self.dims)}") from None

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -393,6 +394,21 @@ class TestDenseOracle:
         assert (cells([(0.0, instance, verify_instance(instance))])
                 == cells([(0.0, dense, oracles.verify_instance(dense))]))
 
+    def test_blocks_split_an_instance(self, monkeypatch):
+        # two outcomes of a 5 x 5 instance per block: every instance is its
+        # own chunk, its 7 outcomes run in blocks 2, 2, 2, 1, and its normals
+        # are drawn two outcomes at a time
+        monkeypatch.setattr(gentle, "_CHUNK_BYTES", 2 * 16 * 5 * 5)
+        assert (gentle._chunk_size(5, 7), gentle._chunk_size(5, 1)) == (1, 2)
+        rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
+        swept = list(sweep_instances(5, 7, 30, rng))
+        batched = cells(swept)
+        assert batched == cells(oracles.sweep_instances(5, 7, 30, oracle_rng))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        dominants = {instance.dominant_label for _, instance, _ in swept}
+        targets = [target for target, _, _ in swept]
+        assert dominants == set(range(7)) and 0.0 in targets
+
     @pytest.mark.parametrize("budget", [1, 1 << 40])
     def test_chunk_size_changes_no_bit(self, monkeypatch, budget):
         rng = np.random.default_rng(211)
@@ -430,6 +446,18 @@ class TestDenseOracle:
         for bound in calls:
             assert [shape for caller, shape in bound if caller == "_reports"] == [
                 (size,), (size,), (1,)]
+
+    def test_largest_instance_memory_stays_small(self):
+        # the element stack and its roots are 32 MiB; whole-instance
+        # temporaries took the parent of the blocked sweep to 80.4 MiB
+        list(sweep_instances(2, 2, 1, np.random.default_rng(0)))
+        tracemalloc.start()
+        try:
+            list(sweep_instances(64, MAX_OUTCOMES, 1, np.random.default_rng(233)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 36 * 2 ** 20
 
     def test_random_instance_runs_no_branch_pass(self, monkeypatch):
         counts = count_decompositions(monkeypatch)

@@ -322,8 +322,8 @@ class TestStreamedAttack:
     @pytest.mark.parametrize("q", [1, 2, 3, 5, 7])
     @pytest.mark.parametrize("message", [1, 2])
     def test_chunk_edges_match_oracle(self, monkeypatch, q, message):
-        monkeypatch.setattr(naive, "_CHUNK_DRAWS", 64)
-        rows = max(8, (64 // q) // 8 * 8)
+        monkeypatch.setattr(naive, "_CHUNK_BYTES", 192)
+        rows = max(8, (192 // (q + 2)) // 8 * 8)
         state = identity_state(q, message)
         for trials in (1, rows - 1, rows, rows + 1, 3 * rows + 3, 5000):
             assert_matches_oracle(state, trials, 211 + trials)
@@ -374,32 +374,32 @@ class TestWordDraw:
     @pytest.mark.parametrize("q", [1, 2, 3, 5, 7])
     def test_generator_started_mid_word(self, monkeypatch, advance, q):
         # an odd advance leaves PCG64's upper half-word buffered
-        monkeypatch.setattr(naive, "_CHUNK_DRAWS", 36)
+        monkeypatch.setattr(naive, "_CHUNK_BYTES", 108)
         for trials in (1, 2, 3, 13, 101):
             assert_stream_matches_oracle(identity_state(q, 1 + trials % 2),
                                          trials, 233 + q, advance)
 
-    # (chunk bits, q) where rows rounded to a multiple of 4, not 8, would
+    # (chunk bytes, q) where rows rounded to a multiple of 4, not 8, would
     # give every chunk an odd word count
-    ODD_WORD_CHUNKS = [(36, 1), (36, 3), (36, 5), (36, 7), (68, 1), (68, 3),
-                       (68, 5), (100, 1), (100, 5), (100, 7)]
+    ODD_WORD_CHUNKS = [(108, 1), (108, 3), (108, 5), (108, 7), (156, 5), (204, 1),
+                       (204, 5), (204, 7), (300, 1), (300, 3)]
 
-    @pytest.mark.parametrize("chunk_draws,q", ODD_WORD_CHUNKS)
-    def test_odd_word_count_per_chunk(self, monkeypatch, chunk_draws, q):
+    @pytest.mark.parametrize("chunk_bytes,q", ODD_WORD_CHUNKS)
+    def test_odd_word_count_per_chunk(self, monkeypatch, chunk_bytes, q):
         # these row counts now end mid-chunk or in an odd-word last chunk
-        monkeypatch.setattr(naive, "_CHUNK_DRAWS", chunk_draws)
-        rows = max(4, (chunk_draws // q) // 4 * 4)
+        monkeypatch.setattr(naive, "_CHUNK_BYTES", chunk_bytes)
+        rows = max(4, (chunk_bytes // (q + 2)) // 4 * 4)
         assert rows * q // 4 % 2 == 1
         for trials in (rows, 2 * rows, 3 * rows + 1, 5 * rows + 3):
             for advance in (0, 1):
                 assert_stream_matches_oracle(identity_state(q, 2), trials,
                                              239 + trials, advance)
 
-    @pytest.mark.parametrize("chunk_draws,q", ODD_WORD_CHUNKS + [(naive._CHUNK_DRAWS, 11)])
-    def test_full_chunks_draw_even_word_counts(self, monkeypatch, chunk_draws, q):
+    @pytest.mark.parametrize("chunk_bytes,q", ODD_WORD_CHUNKS + [(naive._CHUNK_BYTES, 11)])
+    def test_full_chunks_draw_even_word_counts(self, monkeypatch, chunk_bytes, q):
         # so from a fresh generator no full chunk finds a buffered half-word
         # to prepend with a copy of its words
-        monkeypatch.setattr(naive, "_CHUNK_DRAWS", chunk_draws)
+        monkeypatch.setattr(naive, "_CHUNK_BYTES", chunk_bytes)
         calls, words = [], naive._words
 
         def spy(bit_generator, n):
@@ -407,7 +407,7 @@ class TestWordDraw:
             return words(bit_generator, n)
 
         monkeypatch.setattr(naive, "_words", spy)
-        rows = max(8, (chunk_draws // q) // 8 * 8)
+        rows = max(8, (chunk_bytes // (q + 2)) // 8 * 8)
         simulate_qubitwise_attack(identity_state(q, 1), 3 * rows + 1,
                                   np.random.default_rng(241))
         assert calls[:-1] == [(rows * q // 4, 0)] * 3 and calls[0][0] % 2 == 0
@@ -416,7 +416,7 @@ class TestWordDraw:
     @pytest.mark.parametrize("message", [1, 2])
     def test_counts_wider_than_a_byte(self, q, message):
         # from q = 256 on the per-trial ones no longer fit in uint8
-        rows = (naive._CHUNK_DRAWS // q) // 8 * 8
+        rows = (naive._CHUNK_BYTES // (q + 2)) // 8 * 8
         for trials in (1, 3, 2 * rows + 3):
             assert_stream_matches_oracle(identity_state(q, message), trials,
                                          241 + q, trials % 4)
@@ -437,7 +437,7 @@ class TestAttackBitCap:
     @pytest.mark.parametrize("q", [1, 3, 7])
     def test_accepts_trials_up_to_the_cap(self, monkeypatch, q):
         monkeypatch.setattr(naive, "MAX_ATTACK_BITS", 60)
-        monkeypatch.setattr(naive, "_CHUNK_DRAWS", 36)
+        monkeypatch.setattr(naive, "_CHUNK_BYTES", 108)
         assert_stream_matches_oracle(identity_state(q, 1), 60 // q, 257)
         with pytest.raises(ValueError):
             simulate_qubitwise_attack(identity_state(q, 1), 60 // q + 1,
@@ -445,7 +445,9 @@ class TestAttackBitCap:
 
 
 def test_chunk_memory_stays_small():
-    # the bounded uint8 draw and intp bincount this replaced peaked at 5.5 MiB
+    # the bounded uint8 draw and intp bincount this replaced peaked at 5.5 MiB,
+    # 2^20-bit chunks at 2.5 MiB; a 512 KiB chunk holds 2^17 trials' words,
+    # counts and mask, and the small objects take a few hundred bytes more
     state = identity_state(2, 1)
     simulate_qubitwise_attack(state, 5, np.random.default_rng(263))
     tracemalloc.start()
@@ -454,7 +456,7 @@ def test_chunk_memory_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    assert peak < 2 ** 19 + 2 ** 14
 
 
 BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
@@ -537,7 +539,7 @@ def assert_attack_matches_oracle(state, trials, streamed, reference):
 
 @pytest.mark.parametrize("q", [11, 12, naive._ROW_SUM_FROM_Q - 1, naive._ROW_SUM_FROM_Q])
 def test_counting_crossover_matches_oracle(monkeypatch, q):
-    monkeypatch.setattr(naive, "_CHUNK_DRAWS", 100 * q)
+    monkeypatch.setattr(naive, "_CHUNK_BYTES", 100 * (q + 2))  # 96 rows
     for trials in (1, 99, 100, 301):
         assert_attack_matches_oracle(identity_state(q, 1 + trials % 2), trials,
                                      *advanced_pair(np.random.PCG64, 281 + q, 1))
@@ -547,12 +549,12 @@ def test_counting_crossover_matches_oracle(monkeypatch, q):
 @given(q=st.integers(1, naive._ROW_SUM_FROM_Q + 4),
        trials=st.integers(1, 400),
        advance=st.integers(0, 3), message=st.sampled_from([1, 2]),
-       chunk_draws=st.sampled_from([36, 64, 100]),
+       chunk_bytes=st.sampled_from([108, 192, 300]),
        bit_generator=st.sampled_from(BIT_GENERATORS),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_attack_matches_oracle_on_every_bit_generator(
-        q, trials, advance, message, chunk_draws, bit_generator, seed):
+        q, trials, advance, message, chunk_bytes, bit_generator, seed):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(naive, "_CHUNK_DRAWS", chunk_draws)
+        patch.setattr(naive, "_CHUNK_BYTES", chunk_bytes)
         assert_attack_matches_oracle(identity_state(q, message), trials,
                                      *advanced_pair(bit_generator, seed, advance))

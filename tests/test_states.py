@@ -55,6 +55,15 @@ class TestPureState:
         with pytest.raises(ValueError):
             PureState(amps, (2, 2))
 
+    def test_split_dims_are_integers(self):
+        amps = np.zeros(6)
+        amps[0] = 1.0
+        assert PureState(amps, (np.int64(2), 3)).dims == (2, 3)
+        for dims in ((2.0, 3), (2, 3, 1), 6, ("2", 3)):
+            with pytest.raises(ValueError) as exc:
+                PureState(amps, dims)
+            assert str(exc.value) == f"dims must be a pair of integers, got {dims!r}"
+
     def test_amplitudes_read_only(self):
         state = PureState(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
