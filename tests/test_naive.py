@@ -379,14 +379,16 @@ class TestWordDraw:
             assert_stream_matches_oracle(identity_state(q, 1 + trials % 2),
                                          trials, 233 + q, advance)
 
-    # (chunk bytes, q) where rows rounded to a multiple of 4, not 8, would
-    # give every chunk an odd word count
-    ODD_WORD_CHUNKS = [(108, 1), (108, 3), (108, 5), (108, 7), (156, 5), (204, 1),
-                       (204, 5), (204, 7), (300, 1), (300, 3)]
+    # (chunk bits, q) where rows rounded to a multiple of 4, not 8, would
+    # give every chunk an odd word count; a budget of chunk_bits // q trials
+    # at q + 2 bytes each keeps the rows a chunk of chunk_bits bits had
+    ODD_WORD_CHUNKS = [(36, 1), (36, 3), (36, 5), (36, 7), (68, 1), (68, 3),
+                       (68, 5), (100, 1), (100, 5), (100, 7)]
 
-    @pytest.mark.parametrize("chunk_bytes,q", ODD_WORD_CHUNKS)
-    def test_odd_word_count_per_chunk(self, monkeypatch, chunk_bytes, q):
+    @pytest.mark.parametrize("chunk_bits,q", ODD_WORD_CHUNKS)
+    def test_odd_word_count_per_chunk(self, monkeypatch, chunk_bits, q):
         # these row counts now end mid-chunk or in an odd-word last chunk
+        chunk_bytes = chunk_bits // q * (q + 2)
         monkeypatch.setattr(naive, "_CHUNK_BYTES", chunk_bytes)
         rows = max(4, (chunk_bytes // (q + 2)) // 4 * 4)
         assert rows * q // 4 % 2 == 1
@@ -395,11 +397,13 @@ class TestWordDraw:
                 assert_stream_matches_oracle(identity_state(q, 2), trials,
                                              239 + trials, advance)
 
-    @pytest.mark.parametrize("chunk_bytes,q", ODD_WORD_CHUNKS + [(naive._CHUNK_BYTES, 11)])
-    def test_full_chunks_draw_even_word_counts(self, monkeypatch, chunk_bytes, q):
+    @pytest.mark.parametrize("chunk_bits,q", ODD_WORD_CHUNKS + [
+        pytest.param(None, 11, id="default-11")])
+    def test_full_chunks_draw_even_word_counts(self, monkeypatch, chunk_bits, q):
         # so from a fresh generator no full chunk finds a buffered half-word
-        # to prepend with a copy of its words
-        monkeypatch.setattr(naive, "_CHUNK_BYTES", chunk_bytes)
+        # to prepend with a copy of its words (None keeps the default budget)
+        if chunk_bits is not None:
+            monkeypatch.setattr(naive, "_CHUNK_BYTES", chunk_bits // q * (q + 2))
         calls, words = [], naive._words
 
         def spy(bit_generator, n):
@@ -407,7 +411,7 @@ class TestWordDraw:
             return words(bit_generator, n)
 
         monkeypatch.setattr(naive, "_words", spy)
-        rows = max(8, (chunk_bytes // (q + 2)) // 8 * 8)
+        rows = max(8, (naive._CHUNK_BYTES // (q + 2)) // 8 * 8)
         simulate_qubitwise_attack(identity_state(q, 1), 3 * rows + 1,
                                   np.random.default_rng(241))
         assert calls[:-1] == [(rows * q // 4, 0)] * 3 and calls[0][0] % 2 == 0
