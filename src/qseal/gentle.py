@@ -44,14 +44,6 @@ VIOLATION_TOL = 1e-9
 MAX_OUTCOMES = 256
 # Most instances one sweep may draw; every CSV row is kept until rendering.
 MAX_INSTANCES = 100_000
-# Bytes of a chunk's stacked POVM elements, (n, outcomes, dim, dim) complex,
-# and so the number of instances batched at once (never fewer than one): four
-# at dim 16 with 4 outcomes, one at dim 64 with 3 or more.  Every temporary
-# of the sweep is taken a block of outcomes at a time, at most this many
-# bytes of matrices per block (never fewer than one outcome), so that only
-# the element stack and its roots grow with an instance: the benchmark's
-# 16 x 16 x 4 chunk is one block, one outcome of dim 64 is a block.
-_CHUNK_BYTES = 1 << 16
 
 
 def classic_bound(epsilon):
@@ -114,9 +106,14 @@ def verify_instance(instance: GentleInstance) -> GentleReport:
     """Evaluate both disturbance inequalities and the branch-weight identities."""
     elements = np.stack([m for _, m in instance.povm.elements])[None]
     dominant = np.array([instance.povm.labels.index(instance.dominant_label)])
-    # its Povm checked the elements; this takes only their roots
-    return _reports(instance.rho.matrix[None], elements,
-                    linalg.sqrt_psd(elements, "element"), dominant,
+    # its Povm checked the elements; this takes only their roots, a block
+    # of outcomes at a time as the sweep does
+    roots = np.empty_like(elements)
+    step = _chunk_size(elements.shape[-1], 1)
+    for start in range(0, elements.shape[1], step):
+        block = np.s_[:, start:start + step]
+        linalg.sqrt_psd(elements[block], "element", roots[block])
+    return _reports(instance.rho.matrix[None], elements, roots, dominant,
                     [instance.epsilon], VIOLATION_TOL)[0]
 
 
@@ -326,10 +323,16 @@ def random_epsilon_target(rng: np.random.Generator) -> float:
 
 def _chunk_size(dim: int, matrices: int) -> int:
     """How many runs of ``matrices`` complex dim x dim matrices
-    ``_CHUNK_BYTES`` holds, at least one: the instances of a chunk, for
-    runs of one instance's outcomes, or the outcomes of a block, for runs of
-    one outcome of each of n instances."""
-    return max(1, _CHUNK_BYTES // (16 * matrices * dim * dim))
+    ``linalg._CHUNK_BYTES`` holds, at least one: the instances of a chunk,
+    for runs of one instance's outcomes, or the outcomes of a block, for
+    runs of one outcome of each of n instances.
+
+    The chunk is four instances at dim 16 with 4 outcomes, one at dim 64
+    with 3 or more.  Every temporary of the sweep is taken a block of
+    outcomes at a time, so that only the element stack and its roots grow
+    with an instance: the benchmark's 16 x 16 x 4 chunk is one block, one
+    outcome of dim 64 is a block."""
+    return max(1, linalg._CHUNK_BYTES // (16 * matrices * dim * dim))
 
 
 def sweep_instances(dim: int, n_outcomes: int, instances: int,

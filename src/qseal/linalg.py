@@ -25,6 +25,10 @@ HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
 # Hard cap on any dense dimension we are willing to materialize.
 MAX_DENSE_DIM = 4096
+# Bytes one batched step holds, never less than one item: the gentle sweep's
+# chunks of instances and blocks of outcomes, the messages the seal detection
+# kernel stacks, and the scheme reader's text window (in characters).
+_CHUNK_BYTES = 1 << 16
 
 
 class CapacityError(ValueError):

@@ -42,8 +42,10 @@ ZERO, ONE, PLUS = "zero", "one", "plus"
 
 # Bytes a chunk of the attack Monte Carlo holds: about rows * (q + 2) for its
 # q bits per trial, its per-trial counts and one mask, so that a chunk stays
-# in L2.  The rows are rounded down to a multiple of 8, so that a chunk takes
-# an even number of 32-bit words; at q <= 3 a 100,000-trial run is one chunk.
+# in L2; rows * (q + 10) from ``_ROW_SUM_FROM_Q`` on, where no mask is taken
+# but ``np.bincount`` copies the counts to 8-byte intp.  The rows are rounded
+# down to a multiple of 8, so that a chunk takes an even number of 32-bit
+# words; at q <= 3 a 100,000-trial run is one chunk.
 _CHUNK_BYTES = 1 << 19
 # Largest trials * q the attack accepts: 2^32 fair bits, about 4 s (q = 1)
 # to 18 s (q = 1000) per message.
@@ -285,9 +287,9 @@ def simulate_qubitwise_attack(state: ProductState, trials: int,
     that collapsed onto the data bit.
 
     Trials are drawn in chunks of ``rows`` trials, about ``_CHUNK_BYTES`` of
-    bits, counts and mask, and only a (q+1)-bin histogram of the ones per
-    trial is kept, so memory does not depend on ``trials``; ``trials * q``
-    is capped at ``MAX_ATTACK_BITS``.  Each chunk's bits come from whole
+    bits, counts and mask (or intp counts), and only a (q+1)-bin histogram
+    of the ones per trial is kept, so memory does not depend on ``trials``;
+    ``trials * q`` is capped at ``MAX_ATTACK_BITS``.  Each chunk's bits come from whole
     32-bit words (``_fair_bits``), one byte per bit exactly as a bounded
     uint8 draw takes them, and ``rows`` is a multiple of 8, so the chunks
     consume exactly the bits one ``rng.integers(0, 2, (trials, q),
@@ -304,7 +306,8 @@ def simulate_qubitwise_attack(state: ProductState, trials: int,
     if trials * q > MAX_ATTACK_BITS:
         raise ValueError(f"trials * q must be at most {MAX_ATTACK_BITS}, "
                          f"got {trials} * {q}")
-    rows = max(8, (_CHUNK_BYTES // (q + 2)) // 8 * 8)
+    per_trial = q + 2 if q < _ROW_SUM_FROM_Q else q + 10
+    rows = max(8, (_CHUNK_BYTES // per_trial) // 8 * 8)
     ones_histogram = np.zeros(q + 1, dtype=np.int64)
     remaining = trials
     while remaining:

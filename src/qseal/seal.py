@@ -35,6 +35,7 @@ a number or an array of levels, so a report makes one call of each.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -172,19 +173,29 @@ def _detection(amplitudes, roots: np.ndarray, dim_a: int) -> list:
     (reduced QR, W laid out D x (k+1)), ||W C W^dag||_1 = ||R C R^dag||_1,
     a min(D, k+1)-square Hermitian matrix.  W's squared column norms are the
     traces of the two density matrices; each must be 1 within ``TRACE_TOL``.
-    One message is handled at a time, in order.
+    The messages are stacked as many at a time as ``linalg._CHUNK_BYTES``
+    holds of their W (at least one), in order; each stacked call gives every
+    message the bits its own call would.
     """
     roots = roots.transpose(0, 2, 1)
-    signs = np.append(1.0, -np.ones(len(roots)))  # the diagonal of C
+    k = len(roots)
+    signs = np.append(1.0, -np.ones(k))  # the diagonal of C
+    step = max(1, linalg._CHUNK_BYTES // (16 * (k + 1) * len(amplitudes[0])))
     pairs = []
-    for psi in amplitudes:
-        w_t = np.vstack([psi, (psi.reshape(dim_a, -1) @ roots).reshape(len(roots), -1)])
+    for start in range(0, len(amplitudes), step):
+        psi = np.stack(amplitudes[start:start + step])
+        w_t = np.empty((len(psi), k + 1, psi.shape[1]), dtype=np.complex128)
+        w_t[:, 0] = psi
+        np.matmul(psi.reshape(len(psi), 1, dim_a, -1), roots,
+                  out=w_t[:, 1:].reshape(len(psi), k, dim_a, -1))
         norms = np.sum(np.abs(w_t) ** 2, axis=-1)
-        states.require_unit_trace(np.array([norms[0], norms[1:].sum()]))
-        p_nfp = 1.0 - np.sum(np.abs(w_t[1:] @ psi.conj()) ** 2)
-        r = np.linalg.qr(w_t.T, mode="r")
-        p_dist = states.helstrom_from_norm(linalg.trace_norm((r * signs) @ r.conj().T))
-        pairs.append((p_dist, clamp_probability(float(p_nfp))))
+        states.require_unit_trace(np.stack([norms[:, 0], norms[:, 1:].sum(axis=-1)], axis=-1))
+        overlaps = w_t[:, 1:] @ psi.conj()[..., None]
+        p_nfp = 1.0 - np.sum(np.abs(overlaps[..., 0]) ** 2, axis=-1)
+        r = np.linalg.qr(w_t.swapaxes(-1, -2), mode="r")
+        p_dist = states.helstrom_from_norm(
+            linalg.trace_norm((r * signs) @ r.conj().swapaxes(-1, -2)))
+        pairs.extend(zip(p_dist.tolist(), clamp_probability(p_nfp).tolist()))
     return pairs
 
 
@@ -415,34 +426,201 @@ def save_scheme(scheme: SealScheme, path) -> None:
         out.write("\n ]\n}\n")
 
 
+_KEYS = ("M", "dimA", "dimB", "promised_p", "states", "povm")
+_DECODER = json.JSONDecoder(object_hook=_convert_matrix)
+_WHITESPACE = re.compile(r"[ \t\n\r]*")  # what json skips between tokens
+# a "]" and a closing bracket with only whitespace between: the end of a
+# state's pair list, and a few characters before the end of a POVM entry
+# (a pattern that starts with one character is searched at memchr speed)
+_CLOSING = re.compile(r"\][ \t\n\r]*[]}]")
+# what may follow a number or a literal
+_DELIMITER = re.compile(r"[,\]} \t\n\r]")
+
+
+class _NotAnObject(Exception):
+    """The text is not one JSON object; the whole-text parse says why."""
+
+
+class _Window:
+    """The unread text of a scheme file, read ``linalg._CHUNK_BYTES``
+    characters at a time, from which JSON tokens and values are taken.
+
+    Before an array or object is decoded, the window is grown until it holds
+    the value's first "]" and closing bracket with only whitespace between
+    (and for an object the next "}"), which ends a state and a POVM entry of
+    a ``save_scheme`` file, so that ``json`` parses each of them once; a
+    value that still runs past the window grows it, as much again each
+    time, and is parsed again.  The closing pair is looked for from an
+    eighth short of the length of the value before, so that the entries of
+    an array, which are about equally long, are not searched through.
+    """
+
+    def __init__(self, file):
+        self.file, self.text, self.pos, self.eof = file, "", 0, False
+        self.last = 0  # the length of the last value decoded
+
+    def _grow(self) -> None:
+        unread = self.text[self.pos:]
+        size = max(linalg._CHUNK_BYTES, len(unread))
+        more = self.file.read(size)  # short only at the end of the file
+        self.text, self.pos, self.eof = unread + more, 0, len(more) < size
+
+    def peek(self) -> str:
+        """The next character after whitespace, '' at the end of the file."""
+        while True:
+            if self.pos < len(self.text) and self.text[self.pos] not in " \t\n\r":
+                return self.text[self.pos]
+            self.pos = _WHITESPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or self.eof:
+                return self.text[self.pos:self.pos + 1]
+            self._grow()
+
+    def take(self, allowed: str) -> str:
+        """Consume the next character after whitespace, one of ``allowed``."""
+        char = self.peek()
+        if not char or char not in allowed:
+            raise _NotAnObject
+        self.pos += 1
+        return char
+
+    def value(self):
+        """The next JSON value, decoded as ``json.loads`` decodes it, with
+        ``_convert_matrix`` turning each "matrix" list into an array."""
+        first = self.peek()
+        if first in ("[", "{"):
+            # offsets from pos, which a growth moves
+            resume, end = self.last - self.last // 8, -1
+            while not self.eof:
+                if end < 0:
+                    closing = _CLOSING.search(self.text, self.pos + resume)
+                    if closing:
+                        end = closing.end() - 1 - self.pos
+                    else:  # search on from the last "]", whose pair may go on
+                        resume = max(resume, self.text.rfind("]", self.pos) - self.pos)
+                # an object goes on to the next "}"
+                if end >= 0 and (first == "[" or self.text.find("}", self.pos + end) >= 0):
+                    break
+                self._grow()
+        elif first != '"':  # a number or a literal may go on past the window
+            while not (self.eof or _DELIMITER.search(self.text, self.pos)):
+                self._grow()
+        while True:
+            try:
+                value, end = _DECODER.raw_decode(self.text, self.pos)
+            except json.JSONDecodeError:
+                if self.eof:
+                    raise
+                self._grow()
+            else:
+                self.last, self.pos = end - self.pos, end
+                return value
+
+    def items(self, convert):
+        """``convert`` of each value of the array that comes next."""
+        self.take("[")
+        if self.peek() == "]":
+            self.pos += 1
+            return
+        while True:
+            yield convert(self.value())
+            if self.take(",]") == "]":
+                return
+
+
+def _state_pairs(value):
+    """A state as read: the flat floats ``_flat_floats`` makes of it, or the
+    decoded value when it is not a list of pairs."""
+    flat = _flat_floats(value)
+    return value if flat is None else flat
+
+
+def _members(window: _Window) -> dict:
+    """The members of the JSON object that is the whole text, decoded as
+    ``json.loads`` decodes them, the last of a repeated key winning.
+
+    A "states" or "povm" array is read one entry at a time: each state
+    through ``_state_pairs``, each POVM entry with its matrix made an array.
+    When ``M``, ``dimA``, ``dimB`` and ``promised_p`` come before "povm", an
+    integer ``dimB`` above the dense cap is refused before any POVM entry is
+    decoded.
+    """
+    members = {}
+    window.take("{")
+    if window.peek() == "}":
+        window.pos += 1
+    else:
+        while True:
+            key = window.value()
+            if not isinstance(key, str):  # json's object keys are strings
+                raise _NotAnObject
+            window.take(":")
+            if key in ("states", "povm") and window.peek() == "[":
+                if key == "povm" and "promised_p" in members:
+                    dims = [members.get(name) for name in ("M", "dimA", "dimB")]
+                    if _integers(dims):
+                        _require_dense(dims[2])
+                members[key] = list(window.items(
+                    _state_pairs if key == "states" else lambda entry: entry))
+            else:
+                members[key] = window.value()
+            if window.take(",}") == "}":
+                break
+    if window.peek():
+        raise _NotAnObject
+    return members
+
+
+def _integers(values) -> bool:
+    return all(isinstance(x, int) and not isinstance(x, bool) for x in values)
+
+
+def _require_dense(dim_b: int) -> None:
+    if dim_b > MAX_DENSE_DIM:
+        raise CapacityError(
+            f"scheme file: dimB {dim_b} is above the dense cap {MAX_DENSE_DIM}")
+
+
+def _not_json(path, exc: Exception) -> ValueError:
+    """The error of a scheme file that is not one JSON object: ``json``'s own
+    message for the whole text, its positions counted from the file's start."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as whole:
+        exc = whole
+    else:
+        if not isinstance(doc, dict):
+            return ValueError("scheme file: top level must be an object")
+    return ValueError(f"scheme file: not valid JSON ({exc})")
+
+
 def load_scheme(path) -> SealScheme:
     """Read and validate a scheme file ``save_scheme`` (or any JSON writer)
     wrote.
 
-    ``json`` parses the whole text, and ``_convert_matrix`` turns each POVM
-    matrix into an array as soon as its object closes, so the text plus one
-    matrix's pairs are held as Python objects; the states are converted
-    after parsing.  Any defect raises a one-line ``ValueError`` that starts
-    ``scheme file:`` (``CapacityError`` for a ``dimB`` above the dense cap),
-    or the one ``SealScheme`` raises.
+    The text is read through a ``_Window``: the top-level object and its
+    "states" and "povm" arrays are walked here, and ``json`` decodes every
+    value in them, so each state becomes a flat float array and each POVM
+    matrix an array as soon as it is read.  The file is held as those
+    arrays, the window and one entry's decoded value.  Any defect raises a
+    one-line ``ValueError`` that starts ``scheme file:`` (``CapacityError``
+    for a ``dimB`` above the dense cap), or the one ``SealScheme`` raises, as
+    a whole-text ``json.loads`` and the same checks would, with one
+    exception: a ``dimB`` above the cap that comes in the header (``M``,
+    ``dimA``, ``dimB`` and ``promised_p``) before "povm" is refused there,
+    even if a later member is broken.
     """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"),
-                         object_hook=_convert_matrix)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"scheme file: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ValueError("scheme file: top level must be an object")
-    for key in ("M", "dimA", "dimB", "promised_p", "states", "povm"):
+        with open(path, encoding="utf-8") as file:
+            doc = _members(_Window(file))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, _NotAnObject) as exc:
+        raise _not_json(path, exc) from None
+    for key in _KEYS:
         if key not in doc:
             raise ValueError(f"scheme file: missing key {key!r}")
     m_count, dim_a, dim_b = doc["M"], doc["dimA"], doc["dimB"]
-    if not all(isinstance(x, int) and not isinstance(x, bool)
-               for x in (m_count, dim_a, dim_b)):
+    if not _integers((m_count, dim_a, dim_b)):
         raise ValueError("scheme file: M, dimA, dimB must be integers")
-    if dim_b > MAX_DENSE_DIM:
-        raise CapacityError(
-            f"scheme file: dimB {dim_b} is above the dense cap {MAX_DENSE_DIM}")
+    _require_dense(dim_b)
     if (isinstance(doc["promised_p"], bool)
             or not isinstance(doc["promised_p"], (int, float))):
         raise ValueError("scheme file: promised_p must be a number")
@@ -464,9 +642,7 @@ def load_scheme(path) -> SealScheme:
         if not isinstance(entry, dict) or "label" not in entry or "matrix" not in entry:
             raise ValueError(f"scheme file: povm[{k}] needs 'label' and 'matrix'")
         label = entry["label"]
-        if (not isinstance(label, list) or len(label) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool)
-                           for x in label)):
+        if not isinstance(label, list) or len(label) != 2 or not _integers(label):
             raise ValueError(f"scheme file: povm[{k}].label must be an [i, j] pair")
         flat = _vector_from_pairs(entry["matrix"], dim_b * dim_b, f"povm[{k}].matrix")
         elements.append(((label[0], label[1]), flat.reshape(dim_b, dim_b)))

@@ -26,6 +26,11 @@
   cheat state and the seal read probabilities against it.
 * The scheme file as ``json`` writes it (``scheme_file_text``).  Tests
   require ``qseal.seal.save_scheme`` to write the same bytes.
+* The scheme file read as one text (``load_scheme``): ``json.loads`` of the
+  whole file, then the document's checks, with the pair reader above.
+  Tests require ``qseal.seal.load_scheme``, which reads a window of the
+  text at a time, to accept the same files with the same schemes and to
+  raise the same error on the rest.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -46,10 +52,12 @@ from qseal.gentle import (
     remainder_root,
     unknown_outcome_bound,
 )
-from qseal.seal import pairs_from_array
+from qseal.linalg import MAX_DENSE_DIM, CapacityError
+from qseal.seal import SealScheme, pairs_from_array
 from qseal.states import (
     DensityMatrix,
     Povm,
+    PureState,
     clamp_probability,
     expectation,
     require_identity_sum,
@@ -271,3 +279,55 @@ def scheme_file_text(scheme) -> str:
         ],
     }
     return json.dumps(doc, indent=1) + "\n"
+
+
+def load_scheme(path) -> SealScheme:
+    """A scheme file read as one text: ``json.loads`` of the whole file, then
+    the document's checks in order, each state and POVM matrix read by
+    ``vector_from_pairs``."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"scheme file: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError("scheme file: top level must be an object")
+    for key in ("M", "dimA", "dimB", "promised_p", "states", "povm"):
+        if key not in doc:
+            raise ValueError(f"scheme file: missing key {key!r}")
+    m_count, dim_a, dim_b = doc["M"], doc["dimA"], doc["dimB"]
+    if not all(isinstance(x, int) and not isinstance(x, bool)
+               for x in (m_count, dim_a, dim_b)):
+        raise ValueError("scheme file: M, dimA, dimB must be integers")
+    if dim_b > MAX_DENSE_DIM:
+        raise CapacityError(
+            f"scheme file: dimB {dim_b} is above the dense cap {MAX_DENSE_DIM}")
+    if (isinstance(doc["promised_p"], bool)
+            or not isinstance(doc["promised_p"], (int, float))):
+        raise ValueError("scheme file: promised_p must be a number")
+    try:
+        promised_p = float(doc["promised_p"])
+    except OverflowError:
+        raise ValueError("scheme file: promised_p is too large for a float") from None
+    if not isinstance(doc["states"], list) or len(doc["states"]) != m_count:
+        raise ValueError(f"scheme file: states must list {m_count} vectors")
+    joint = dim_a * dim_b
+    vectors = [
+        PureState(vector_from_pairs(entry, joint, f"states[{k}]"), (dim_a, dim_b))
+        for k, entry in enumerate(doc["states"])
+    ]
+    if not isinstance(doc["povm"], list) or not doc["povm"]:
+        raise ValueError("scheme file: povm must be a non-empty list")
+    elements = []
+    for k, entry in enumerate(doc["povm"]):
+        if not isinstance(entry, dict) or "label" not in entry or "matrix" not in entry:
+            raise ValueError(f"scheme file: povm[{k}] needs 'label' and 'matrix'")
+        label = entry["label"]
+        if (not isinstance(label, list) or len(label) != 2
+                or not all(isinstance(x, int) and not isinstance(x, bool)
+                           for x in label)):
+            raise ValueError(f"scheme file: povm[{k}].label must be an [i, j] pair")
+        matrix = vector_from_pairs(entry["matrix"], dim_b * dim_b, f"povm[{k}].matrix")
+        elements.append(((label[0], label[1]), matrix.reshape(dim_b, dim_b)))
+    return SealScheme(n_messages=m_count, dim_a=dim_a, dim_b=dim_b,
+                      promised_p=promised_p, joint_states=tuple(vectors),
+                      bob_povm=Povm(tuple(elements)))

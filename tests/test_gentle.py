@@ -16,7 +16,7 @@ from conftest import (
     random_unitary,
     with_offenders,
 )
-from qseal import gentle
+from qseal import gentle, linalg
 from qseal.cli import format_cell
 from qseal.gentle import (
     MAX_INSTANCES,
@@ -374,7 +374,7 @@ class TestDenseOracle:
 
     def test_zero_targets_inside_a_chunk(self, monkeypatch):
         # chunks of 4 mixing exact (diagonal) and generic instances
-        monkeypatch.setattr(gentle, "_CHUNK_BYTES", 4 * 16 * 3 * 5 * 5)
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 4 * 16 * 3 * 5 * 5)
         rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
         swept = list(sweep_instances(5, 3, 30, rng))
         batched = cells(swept)
@@ -398,7 +398,7 @@ class TestDenseOracle:
         # two outcomes of a 5 x 5 instance per block: every instance is its
         # own chunk, its 7 outcomes run in blocks 2, 2, 2, 1, and its normals
         # are drawn two outcomes at a time
-        monkeypatch.setattr(gentle, "_CHUNK_BYTES", 2 * 16 * 5 * 5)
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 2 * 16 * 5 * 5)
         assert (gentle._chunk_size(5, 7), gentle._chunk_size(5, 1)) == (1, 2)
         rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
         swept = list(sweep_instances(5, 7, 30, rng))
@@ -414,7 +414,7 @@ class TestDenseOracle:
         rng = np.random.default_rng(211)
         reference = cells(sweep_instances(8, 4, 21, rng))
         after = rng.bit_generator.state
-        monkeypatch.setattr(gentle, "_CHUNK_BYTES", budget)
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", budget)
         rng = np.random.default_rng(211)
         assert cells(sweep_instances(8, 4, 21, rng)) == reference
         assert rng.bit_generator.state == after
@@ -458,6 +458,25 @@ class TestDenseOracle:
         finally:
             tracemalloc.stop()
         assert peak < 36 * 2 ** 20
+
+    def test_caller_built_instance_memory_stays_small(self):
+        # verify_instance roots the elements a block at a time, as the sweep
+        # does; one root call on the whole stack took it to 64.1 MiB
+        instance = random_instance(64, MAX_OUTCOMES, 0.1, np.random.default_rng(239))
+        tracemalloc.start()
+        try:
+            verify_instance(instance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 36 * 2 ** 20
+
+    def test_caller_built_instance_blocks_change_no_bit(self, monkeypatch):
+        # 7 outcomes of a 5 x 5 instance, rooted in blocks 2, 2, 2, 1
+        instance = random_instance(5, 7, 0.05, np.random.default_rng(241))
+        whole = verify_instance(instance)
+        monkeypatch.setattr(linalg, "_CHUNK_BYTES", 2 * 16 * 5 * 5)
+        assert verify_instance(instance) == whole == oracles.verify_instance(instance)
 
     def test_random_instance_runs_no_branch_pass(self, monkeypatch):
         counts = count_decompositions(monkeypatch)

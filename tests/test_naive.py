@@ -420,7 +420,7 @@ class TestWordDraw:
     @pytest.mark.parametrize("message", [1, 2])
     def test_counts_wider_than_a_byte(self, q, message):
         # from q = 256 on the per-trial ones no longer fit in uint8
-        rows = (naive._CHUNK_BYTES // (q + 2)) // 8 * 8
+        rows = (naive._CHUNK_BYTES // (q + 10)) // 8 * 8
         for trials in (1, 3, 2 * rows + 3):
             assert_stream_matches_oracle(identity_state(q, message), trials,
                                          241 + q, trials % 4)
@@ -457,6 +457,20 @@ def test_chunk_memory_stays_small():
     tracemalloc.start()
     try:
         simulate_qubitwise_attack(state, 2 ** 21, np.random.default_rng(263))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 19 + 2 ** 14
+
+
+def test_row_sum_chunk_memory_stays_small():
+    # from q = 32 on, bincount copies each chunk's per-trial counts to intp;
+    # rows budgeted without those 8 bytes a trial peaked at 613,784 B
+    state = identity_state(40, 1)
+    simulate_qubitwise_attack(state, 5, np.random.default_rng(269))
+    tracemalloc.start()
+    try:
+        simulate_qubitwise_attack(state, 2 ** 16, np.random.default_rng(269))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -543,7 +557,9 @@ def assert_attack_matches_oracle(state, trials, streamed, reference):
 
 @pytest.mark.parametrize("q", [11, 12, naive._ROW_SUM_FROM_Q - 1, naive._ROW_SUM_FROM_Q])
 def test_counting_crossover_matches_oracle(monkeypatch, q):
-    monkeypatch.setattr(naive, "_CHUNK_BYTES", 100 * (q + 2))  # 96 rows
+    # 96 rows on both sides of the crossover
+    per_trial = q + 2 if q < naive._ROW_SUM_FROM_Q else q + 10
+    monkeypatch.setattr(naive, "_CHUNK_BYTES", 100 * per_trial)
     for trials in (1, 99, 100, 301):
         assert_attack_matches_oracle(identity_state(q, 1 + trials % 2), trials,
                                      *advanced_pair(np.random.PCG64, 281 + q, 1))
