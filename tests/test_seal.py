@@ -1090,27 +1090,33 @@ class TestStreamingLoader:
             assert got == want
             assert "\n" not in want[1]
 
-    @pytest.mark.parametrize("budget", [1 << 16, 4096])
+    @pytest.mark.parametrize("budget", [1 << 16, 4096, None])
     def test_decodes_each_value_of_a_saved_file_once(self, monkeypatch, tmp_path, budget):
         # povm entries of 1,024 pairs, about 64 KiB of text each, run past
-        # either window
+        # either window; None ends the first window just after the first
+        # POVM matrix's closing brackets, before its entry's "}"
         scheme = generated_scheme(4, 2, 32, np.random.default_rng(11))
         path = tmp_path / "scheme.json"
         save_scheme(scheme, path)
-        decoded, decoder = [], seal._DECODER
+        if budget is None:
+            text = path.read_text()
+            budget = seal._CLOSING.search(text, text.index('"matrix"')).end()
+            assert text[budget:].lstrip().startswith("}")
+        lengths, decoder = [], seal._DECODER
 
         class Counting:
             def raw_decode(self, text, pos):
+                lengths.append(None)  # a call that fails counts too
                 value, end = decoder.raw_decode(text, pos)
-                decoded.append(text[pos:end])
+                lengths[-1] = end - pos
                 return value, end
 
         monkeypatch.setattr(linalg, "_CHUNK_BYTES", budget)
         monkeypatch.setattr(seal, "_DECODER", Counting())
         assert_same_scheme(load_scheme(path), oracles.load_scheme(path))
         # six keys, four header values, the states and the POVM entries
-        assert len(decoded) == 6 + 4 + scheme.n_messages + len(scheme.bob_povm.elements)
-        assert max(map(len, decoded)) > budget
+        assert len(lengths) == 6 + 4 + scheme.n_messages + len(scheme.bob_povm.elements)
+        assert max(lengths) > 1 << 16
 
     CAP_ERROR = (CapacityError, "scheme file: dimB 5000 is above the dense cap 4096")
 
