@@ -15,11 +15,10 @@ Neither hope survives:
   at 1 - (3/4)^q per trial no matter what the permutation was.
   ``simulate_qubitwise_attack`` samples this in fixed-size chunks and keeps
   only a histogram, so its memory does not depend on the trial count.  It
-  takes 32-bit words straight from the bit generator's 64-bit output and
-  bit 7 of each byte, which is how numpy makes a fair uint8 bit, so the
-  stream is the one a (trials, q) draw of bits gives.  That needs numpy's
-  buffered 32-bit half-word (PCG64, PCG64DXSM, Philox, SFC64), so MT19937
-  is refused.
+  takes bit 7 of each byte of the bit generator's raw 64-bit outputs, which
+  is how numpy makes a fair uint8 bit, so from a generator on an output
+  boundary the stream is the one a (trials, q) draw of bits gives.  MT19937,
+  whose raw outputs are 32-bit, is refused.
 * Better: the two-outcome projector measurement {strings with more zeros
   than 3q/2, rest} reads the message with certainty and does not disturb
   either message state at all (``verify_nondisturbing``).
@@ -44,8 +43,8 @@ ZERO, ONE, PLUS = "zero", "one", "plus"
 # q bits per trial, its per-trial counts and one mask, so that a chunk stays
 # in L2; rows * (q + 10) from ``_ROW_SUM_FROM_Q`` on, where no mask is taken
 # but ``np.bincount`` copies the counts to 8-byte intp.  The rows are rounded
-# down to a multiple of 8, so that a chunk takes an even number of 32-bit
-# words; at q <= 3 a 100,000-trial run is one chunk.
+# down to a multiple of 8, so that a full chunk takes whole 64-bit outputs;
+# at q <= 3 a 100,000-trial run is one chunk.
 _CHUNK_BYTES = 1 << 19
 # Largest trials * q the attack accepts: 2^32 fair bits, about 4 s (q = 1)
 # to 18 s (q = 1000) per message.
@@ -84,19 +83,22 @@ class ProductState:
         q = as_integer(self.q, "q")
         if q < 1:
             raise ValueError(f"q must be positive, got {self.q}")
-        labels = tuple(self.labels)
+        try:
+            labels, perm = tuple(self.labels), tuple(self.permutation)
+        except TypeError:
+            raise ValueError("labels and permutation must be sequences") from None
         if len(labels) != 3 * q:
             raise ValueError(f"expected {3 * q} labels, got {len(labels)}")
-        bad = [lab for lab in labels if lab not in _AMPLITUDES]
+        bad = [lab for lab in labels if not (isinstance(lab, str) and lab in _AMPLITUDES)]
         if bad:
-            raise ValueError(f"unknown register labels {bad!r}")
+            raise ValueError(f"unknown register labels {states._one_line(bad)}")
         counts = {lab: labels.count(lab) for lab in (ZERO, ONE, PLUS)}
         if counts[PLUS] != q or counts[ZERO] * counts[ONE] != 0 \
                 or counts[ZERO] + counts[ONE] != 2 * q:
             raise ValueError(
                 "labels must be 2q zeros (message 1) or 2q ones (message 2) "
                 f"plus q plus-registers; got counts {counts}")
-        perm = tuple(as_integer(x, "permutation entry") for x in self.permutation)
+        perm = tuple(as_integer(x, "permutation entry") for x in perm)
         if sorted(perm) != list(range(3 * q)):
             raise ValueError(f"permutation must be a bijection on 0..{3 * q - 1}")
         object.__setattr__(self, "q", q)
@@ -109,15 +111,17 @@ class ProductState:
 
     @property
     def physical_labels(self) -> tuple:
-        out = [None] * len(self.labels)
-        for base, target in enumerate(self.permutation):
-            out[target] = self.labels[base]
-        return tuple(out)
+        return _placed(self.labels, self.permutation)
 
     @property
     def plus_positions(self) -> tuple:
         """Base indices of the padding registers."""
         return tuple(i for i, lab in enumerate(self.labels) if lab == PLUS)
+
+
+def _placed(labels, permutation) -> tuple:
+    """``labels`` in physical order: base register i goes to ``permutation[i]``."""
+    return tuple(labels[base] for base in np.argsort(permutation))  # argsort inverts it
 
 
 def _require_dense_capacity(q: int) -> int:
@@ -143,11 +147,9 @@ def dense_state(state: ProductState) -> PureState:
 
 def build_message_states(q: int, sigma_seed, tau_seed) -> tuple:
     """Both message states with independent uniformly random permutations."""
-    base_zero = (ZERO,) * (2 * q) + (PLUS,) * q
-    base_one = (ONE,) * (2 * q) + (PLUS,) * q
-    sigma = tuple(int(x) for x in np.random.default_rng(sigma_seed).permutation(3 * q))
-    tau = tuple(int(x) for x in np.random.default_rng(tau_seed).permutation(3 * q))
-    return (ProductState(q, base_zero, sigma), ProductState(q, base_one, tau))
+    return tuple(ProductState(q, (data,) * (2 * q) + (PLUS,) * q,
+                              np.random.default_rng(seed).permutation(3 * q))
+                 for data, seed in ((ZERO, sigma_seed), (ONE, tau_seed)))
 
 
 def majority_projector_povm(q: int) -> Povm:
@@ -200,16 +202,11 @@ def repaired_state(state: ProductState, plus_outcomes) -> PureState:
     if len(bits) != state.q or any(b not in (0, 1) for b in bits):
         raise ValueError(f"expected {state.q} outcome bits, got {plus_outcomes!r}")
     _require_dense_capacity(state.q)
+    repair = (ZERO, PLUS) if state.message == 1 else (PLUS, ONE)  # label by outcome bit
     repaired = list(state.labels)
     for rank, base in enumerate(state.plus_positions):
-        if state.message == 1:
-            repaired[base] = ZERO if bits[rank] == 0 else PLUS
-        else:
-            repaired[base] = PLUS if bits[rank] == 0 else ONE
-    physical = [None] * len(repaired)
-    for base, target in enumerate(state.permutation):
-        physical[target] = repaired[base]
-    return _dense_from_physical(physical)
+        repaired[base] = repair[bits[rank]]
+    return _dense_from_physical(_placed(repaired, state.permutation))
 
 
 @dataclass(frozen=True)
@@ -231,48 +228,15 @@ def mean_fidelity_exact(q: int) -> float:
     return 0.75 ** q
 
 
-def _words(bit_generator: np.random.BitGenerator, n: int) -> np.ndarray:
-    """The ``n`` words of ``integers(0, 2**32, n, dtype=np.uint32)``, as ``<u4``.
-
-    numpy makes each uint32 from half of a 64-bit output, low half first,
-    and keeps the unused high half in the bit generator's ``has_uint32`` /
-    ``uinteger`` buffer for the next call.  This takes the fresh words from
-    one ``random_raw`` call instead, one C call for the whole array, and
-    sets that buffer as numpy would: a buffered half-word is the first
-    word, and after fresh outputs ``has_uint32`` is the parity of the fresh
-    word count and ``uinteger`` the high half of the last output, even when
-    that half was used.  So the words and the final ``state`` match the
-    bounded draw's.  MT19937 has no such buffer and is refused.
-    """
-    state = bit_generator.state
-    if "has_uint32" not in state:
-        raise ValueError("the attack needs a bit generator with a buffered "
-                         "32-bit half-word (PCG64, PCG64DXSM, Philox, SFC64), "
-                         f"got {state['bit_generator']}")
-    words = np.full(min(n, state["has_uint32"]), state["uinteger"], dtype="<u4")
-    state["has_uint32"] -= words.size
-    fresh = n - words.size
-    if fresh:
-        raw = bit_generator.random_raw(-(-fresh // 2))
-        state = bit_generator.state
-        state["has_uint32"], state["uinteger"] = fresh % 2, int(raw[-1] >> 32)
-        drawn = raw.astype("<u8", copy=False).view("<u4")[:fresh]
-        words = np.concatenate((words, drawn)) if words.size else drawn
-    bit_generator.state = state
-    return words
-
-
 def _fair_bits(rng: np.random.Generator, count: int) -> np.ndarray:
-    """The ``count`` bits ``rng.integers(0, 2, count, dtype=np.uint8)`` draws.
+    """Bit 7 of the first ``count`` bytes of the next ceil(count / 8) raw outputs, as ``<u8``.
 
-    That bounded draw (Lemire's, which never rejects for a power-of-two
-    range) takes one byte of ``next_uint32`` per value, low byte first,
-    returns its bit 7 and drops the unused bytes of its last word.  Taking
-    bit 7 of each byte of the same words (``_words``, straight from the
-    bit generator's 64-bit output) yields the same bits without the
-    per-value work, and leaves the generator in the same state.
+    numpy's ``rng.integers(0, 2, count, dtype=np.uint8)`` takes bit 7 of one
+    byte per value from the same outputs, low byte first, so from a generator
+    on an output boundary these are that draw's bits without its per-value work.
     """
-    bits = _words(rng.bit_generator, -(-count // 4)).view(np.uint8)[:count]
+    raw = rng.bit_generator.random_raw(-(-count // 8))
+    bits = raw.astype("<u8", copy=False).view(np.uint8)[:count]
     bits >>= 7
     return bits
 
@@ -289,15 +253,13 @@ def simulate_qubitwise_attack(state: ProductState, trials: int,
     Trials are drawn in chunks of ``rows`` trials, about ``_CHUNK_BYTES`` of
     bits, counts and mask (or intp counts), and only a (q+1)-bin histogram
     of the ones per trial is kept, so memory does not depend on ``trials``;
-    ``trials * q`` is capped at ``MAX_ATTACK_BITS``.  Each chunk's bits come from whole
-    32-bit words (``_fair_bits``), one byte per bit exactly as a bounded
-    uint8 draw takes them, and ``rows`` is a multiple of 8, so the chunks
-    consume exactly the bits one ``rng.integers(0, 2, (trials, q),
-    dtype=np.uint8)`` draw would and leave ``rng`` where it would: the
-    result does not depend on the chunk size.  A full chunk takes an even number of words, so from a
-    fresh generator no chunk but the last finds a buffered half-word.
-    ``rng`` needs a bit generator with numpy's buffered 32-bit half-word;
-    MT19937 raises ``ValueError`` before anything is drawn.  The mean is the
+    ``trials * q`` is capped at ``MAX_ATTACK_BITS``.  ``rows`` is a multiple
+    of 8, so every full chunk takes whole raw 64-bit outputs (``_fair_bits``)
+    and a run takes ceil(trials * q / 8): the result does not depend on the
+    chunk size, and from a generator on an output boundary (each command's
+    messages get fresh ones) it is that of one ``rng.integers(0, 2, (trials,
+    q), dtype=np.uint8)`` draw.  MT19937, whose raw outputs are 32-bit,
+    raises ``ValueError`` before anything is drawn.  The mean is the
     histogram's exact rational value, correctly rounded.
     """
     q, trials = state.q, as_integer(trials, "trials")
@@ -306,6 +268,9 @@ def simulate_qubitwise_attack(state: ProductState, trials: int,
     if trials * q > MAX_ATTACK_BITS:
         raise ValueError(f"trials * q must be at most {MAX_ATTACK_BITS}, "
                          f"got {trials} * {q}")
+    if "has_uint32" not in rng.bit_generator.state:  # numpy's mark of 64-bit raw outputs
+        raise ValueError("the attack needs a bit generator with 64-bit raw outputs (PCG64, "
+                         f"PCG64DXSM, Philox, SFC64), got {type(rng.bit_generator).__name__}")
     per_trial = q + 2 if q < _ROW_SUM_FROM_Q else q + 10
     rows = max(8, (_CHUNK_BYTES // per_trial) // 8 * 8)
     ones_histogram = np.zeros(q + 1, dtype=np.int64)
@@ -324,9 +289,9 @@ def simulate_qubitwise_attack(state: ProductState, trials: int,
         else:
             ones = bits.sum(axis=1, dtype=np.min_scalar_type(q))
             ones_histogram += np.bincount(ones, minlength=q + 1)
-        # the words go before the next chunk is drawn and ``ones`` only when
-        # the next counts replace it, so the words' memory is a hole that the
-        # next words fill, not free space at the heap top that malloc may
+        # the bits go before the next chunk is drawn and ``ones`` only when
+        # the next counts replace it, so the bits' memory is a hole that the
+        # next bits fill, not free space at the heap top that malloc may
         # return to the system and the next chunk fault in again
         del bits
         remaining -= size

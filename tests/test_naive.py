@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import tracemalloc
@@ -68,10 +69,26 @@ class TestProductState:
             ProductState(q, (ZERO,) * 4 + (PLUS,) * 2, permutation)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("labels,permutation,message", [
+        ([["zero"], ["zero"], "plus"], (0, 1, 2),
+         "unknown register labels [['zero'], ['zero']]"),
+        (None, (0, 1, 2), "labels and permutation must be sequences"),
+        ((ZERO, ZERO, PLUS), None, "labels and permutation must be sequences"),
+        ([np.zeros((2, 2)), ZERO, PLUS], (0, 1, 2),
+         "unknown register labels [array([[0., 0.], [0., 0.]])]"),
+    ])
+    def test_malformed_inputs_are_one_line_errors(self, labels, permutation, message):
+        with pytest.raises(ValueError) as exc:
+            ProductState(1, labels, permutation)
+        assert str(exc.value) == message
+
     def test_physical_layout(self):
         state = ProductState(1, (ZERO, ZERO, PLUS), (2, 1, 0))
         assert state.physical_labels == (PLUS, ZERO, ZERO)
         assert state.plus_positions == (2,)
+        # a 3-cycle is not its own inverse: base register i lands on permutation[i]
+        state = ProductState(1, (ZERO, PLUS, ZERO), (1, 2, 0))
+        assert state.physical_labels == (ZERO, ZERO, PLUS)
 
 
 class TestDenseState:
@@ -349,39 +366,35 @@ class TestStreamedAttack:
 
 
 def assert_stream_matches_oracle(state, trials, seed, advance=0):
-    """From a generator advanced by ``advance`` uint32 draws, the attack's
-    histogram equals the all-at-once draw's, its mean is that histogram's
-    exact value, and it leaves its generator in the same state."""
-    streamed, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-    for rng in (streamed, reference):
-        rng.integers(0, 1 << 32, size=advance, dtype=np.uint32)
-    result = simulate_qubitwise_attack(state, trials, streamed)
-    _, _, histogram = all_at_once_attack(state, trials, reference)
-    assert result.zero_count_histogram == histogram
-    data_zeros = 2 * state.q if state.message == 1 else state.q  # at k = 0
-    exact = sum(Fraction(count, 2 ** abs(zeros - data_zeros))
-                for zeros, count in histogram.items()) / trials
-    assert result.mean_fidelity == float(exact)
-    assert streamed.bit_generator.state == reference.bit_generator.state
-    assert (streamed.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist()
-            == reference.integers(0, 1 << 32, size=3, dtype=np.uint32).tolist())
+    """``assert_attack_matches_oracle`` on two ``default_rng(seed)`` streams,
+    both ``advance`` raw 64-bit outputs in."""
+    assert_attack_matches_oracle(state, trials,
+                                 *advanced_pair(np.random.PCG64, seed, advance))
 
 
 class TestWordDraw:
-    """Whole-word draws take the bounded uint8 draw's bits at every edge."""
+    """Whole-output draws take the bounded uint8 draw's bits at every edge."""
 
     @pytest.mark.parametrize("advance", [1, 2, 3])
     @pytest.mark.parametrize("q", [1, 2, 3, 5, 7])
     def test_generator_started_mid_word(self, monkeypatch, advance, q):
-        # an odd advance leaves PCG64's upper half-word buffered
+        # an odd number of uint32 draws leaves PCG64's upper half-word
+        # buffered: the attack starts on the next whole output and leaves it
         monkeypatch.setattr(naive, "_CHUNK_BYTES", 108)
         for trials in (1, 2, 3, 13, 101):
-            assert_stream_matches_oracle(identity_state(q, 1 + trials % 2),
-                                         trials, 233 + q, advance)
+            streamed = np.random.default_rng(233 + q)
+            streamed.integers(0, 1 << 32, size=advance, dtype=np.uint32)
+            half_word = {key: streamed.bit_generator.state[key]
+                         for key in ("has_uint32", "uinteger")}
+            reference, _ = advanced_pair(np.random.PCG64, 233 + q, -(-advance // 2))
+            assert_attack_matches_oracle(identity_state(q, 1 + trials % 2), trials,
+                                         streamed, reference)
+            assert {key: streamed.bit_generator.state[key] for key in half_word} == half_word
 
     # (chunk bits, q) where rows rounded to a multiple of 4, not 8, would
-    # give every chunk an odd word count; a budget of chunk_bits // q trials
-    # at q + 2 bytes each keeps the rows a chunk of chunk_bits bits had
+    # give every chunk half an output too many, so the stream would depend on
+    # the chunk size; a budget of chunk_bits // q trials at q + 2 bytes each
+    # keeps the rows a chunk of chunk_bits bits had
     ODD_WORD_CHUNKS = [(36, 1), (36, 3), (36, 5), (36, 7), (68, 1), (68, 3),
                        (68, 5), (100, 1), (100, 5), (100, 7)]
 
@@ -400,21 +413,21 @@ class TestWordDraw:
     @pytest.mark.parametrize("chunk_bits,q", ODD_WORD_CHUNKS + [
         pytest.param(None, 11, id="default-11")])
     def test_full_chunks_draw_even_word_counts(self, monkeypatch, chunk_bits, q):
-        # so from a fresh generator no full chunk finds a buffered half-word
-        # to prepend with a copy of its words (None keeps the default budget)
+        # so every full chunk takes whole 64-bit outputs, 8 bits each
+        # (None keeps the default budget)
         if chunk_bits is not None:
             monkeypatch.setattr(naive, "_CHUNK_BYTES", chunk_bits // q * (q + 2))
-        calls, words = [], naive._words
+        calls, fair_bits = [], naive._fair_bits
 
-        def spy(bit_generator, n):
-            calls.append((n, bit_generator.state["has_uint32"]))
-            return words(bit_generator, n)
+        def spy(rng, count):
+            calls.append(count)
+            return fair_bits(rng, count)
 
-        monkeypatch.setattr(naive, "_words", spy)
+        monkeypatch.setattr(naive, "_fair_bits", spy)
         rows = max(8, (naive._CHUNK_BYTES // (q + 2)) // 8 * 8)
         simulate_qubitwise_attack(identity_state(q, 1), 3 * rows + 1,
                                   np.random.default_rng(241))
-        assert calls[:-1] == [(rows * q // 4, 0)] * 3 and calls[0][0] % 2 == 0
+        assert calls[:-1] == [rows * q] * 3 and calls[0] % 8 == 0
 
     @pytest.mark.parametrize("q", [255, 256, MAX_Q])
     @pytest.mark.parametrize("message", [1, 2])
@@ -492,33 +505,21 @@ def assert_same_state(a, b):
 
 
 def advanced_pair(bit_generator, seed, advance):
-    """Two generators on the same stream, both ``advance`` uint32 draws in."""
+    """Two generators on the same stream, both ``advance`` raw 64-bit outputs in."""
     pair = (np.random.Generator(bit_generator(seed)),
             np.random.Generator(bit_generator(seed)))
     for rng in pair:
-        rng.integers(0, 1 << 32, size=advance, dtype=np.uint32)
+        rng.bit_generator.random_raw(advance)
     return pair
 
 
-def assert_same_next_words(a, b):
-    assert_same_state(a.bit_generator.state, b.bit_generator.state)
-    assert (a.integers(0, 1 << 32, size=5, dtype=np.uint32).tolist()
-            == b.integers(0, 1 << 32, size=5, dtype=np.uint32).tolist())
+def assert_same_next_outputs(a, b):
+    assert (a.bit_generator.random_raw(5).tolist()
+            == b.bit_generator.random_raw(5).tolist())
 
 
 class TestRawWords:
-    """Words from the raw 64-bit output equal numpy's buffered uint32 draw."""
-
-    @pytest.mark.parametrize("advance", [0, 1, 2, 3])
-    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
-    def test_words_match_the_uint32_draw(self, bit_generator, advance):
-        for n in range(12):
-            raw, reference = advanced_pair(bit_generator, 269 + n, advance)
-            words = naive._words(raw.bit_generator, n)
-            assert words.dtype == np.dtype("<u4")
-            assert words.tolist() == reference.integers(
-                0, 1 << 32, size=n, dtype=np.uint32).tolist()
-            assert_same_next_words(raw, reference)
+    """Bits from whole raw 64-bit outputs equal numpy's bounded uint8 draw."""
 
     @pytest.mark.parametrize("advance", [0, 1, 2, 3])
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
@@ -528,7 +529,7 @@ class TestRawWords:
             bits = naive._fair_bits(raw, count)
             assert bits.tolist() == reference.integers(
                 0, 2, size=count, dtype=np.uint8).tolist()
-            assert_same_next_words(raw, reference)
+            assert_same_next_outputs(raw, reference)
 
     def test_mt19937_is_refused_before_drawing(self):
         rng = np.random.Generator(np.random.MT19937(277))
@@ -537,14 +538,17 @@ class TestRawWords:
         with pytest.raises(ValueError) as exc:
             simulate_qubitwise_attack(identity_state(2, 1), 10, rng)
         assert str(exc.value) == (
-            "the attack needs a bit generator with a buffered 32-bit "
-            "half-word (PCG64, PCG64DXSM, Philox, SFC64), got MT19937")
+            "the attack needs a bit generator with 64-bit raw outputs "
+            "(PCG64, PCG64DXSM, Philox, SFC64), got MT19937")
         assert_same_state(rng.bit_generator.state, before)
 
 
 def assert_attack_matches_oracle(state, trials, streamed, reference):
     """The attack on ``streamed`` gives the histogram and exact mean of the
-    all-at-once draw on ``reference`` and leaves the same generator state."""
+    all-at-once draw on ``reference``, and moves ``streamed`` by exactly
+    ceil(trials * q / 8) raw outputs."""
+    moved = copy.deepcopy(streamed)
+    moved.bit_generator.random_raw(-(-trials * state.q // 8))
     result = simulate_qubitwise_attack(state, trials, streamed)
     _, _, histogram = all_at_once_attack(state, trials, reference)
     assert result.zero_count_histogram == histogram
@@ -552,7 +556,7 @@ def assert_attack_matches_oracle(state, trials, streamed, reference):
     exact = sum(Fraction(count, 2 ** abs(zeros - data_zeros))
                 for zeros, count in histogram.items()) / trials
     assert result.mean_fidelity == float(exact)
-    assert_same_next_words(streamed, reference)
+    assert_same_next_outputs(streamed, moved)
 
 
 @pytest.mark.parametrize("q", [11, 12, naive._ROW_SUM_FROM_Q - 1, naive._ROW_SUM_FROM_Q])

@@ -12,8 +12,7 @@ dim 64 with 24 outcomes (one outcome per block, so that the sweep's
 temporaries run in 24 blocks per instance), ``simulate naive`` at q = 2, 3,
 12, 31, 40 and 1000 (12 to 31 are the widest rows the attack counts by
 column adds) and at q = 11 with 200,000 trials (five chunks of 40,328
-trials, the last one partial; the row count decides whether a chunk starts
-on the bit generator's buffered half-word), and ``seal eval`` on a second
+trials, the last one partial), and ``seal eval`` on a second
 scheme: the seeded (M, dimA, dimB) = (4, 2, 8) entangled scheme of
 ``perfbench/schemes.py``, so that a scheme with more than two messages and
 entangled states is evaluated, and on a third: a seeded (3, 2, 16) scheme
