@@ -931,6 +931,12 @@ class TestOutputBytes:
                 0, "75df7c96b24dd0cc8e390b55fa7c74de07d54251fc64f5866e48f3950ef1f228",
                 "1546517d7063d2abd755c9079d41e76c1eb9fc9c2514fca7230d5a9201a72525"),
         },
+        "simulate naive --q 1 --trials 1048583": (
+            0, "a529e33f0d00f2d4d2a9e9ab6270b01b059aad7be6ef49047fb94d75a2387989",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "simulate naive --q 2 --trials 393221": (
+            0, "53e4e4e86b79f5a913d0c1856b40bbf3bf3dfe27839222810fc40c756e0899ab",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     }
 
     @pytest.fixture(scope="class")

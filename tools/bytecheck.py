@@ -11,8 +11,10 @@ trace norm changes), ``verify gentle`` at the benchmark's shape and at
 dim 64 with 24 outcomes (one outcome per block, so that the sweep's
 temporaries run in 24 blocks per instance), ``simulate naive`` at q = 2, 3,
 12, 31, 40 and 1000 (12 to 31 are the widest rows the attack counts by
-column adds) and at q = 11 with 200,000 trials (five chunks of 40,328
-trials, the last one partial), and ``seal eval`` on a second
+column adds), at q = 11 with 200,000 trials (five chunks of 40,328
+trials, the last one partial), and at q = 1 with 1,048,583 and q = 2 with
+393,221 trials (six and three full default chunks, then a last chunk that
+ends part-way through a raw output), and ``seal eval`` on a second
 scheme: the seeded (M, dimA, dimB) = (4, 2, 8) entangled scheme of
 ``perfbench/schemes.py``, so that a scheme with more than two messages and
 entangled states is evaluated, and on a third: a seeded (3, 2, 16) scheme
@@ -78,6 +80,8 @@ COMMANDS = (
     ["simulate", "naive", "--q", "11", "--trials", "200000"],
     ["seal", "eval", "--scheme", DIAGONAL],
     ["verify", "gentle", "--dim", "64", "--outcomes", "24", "--instances", "2"],
+    ["simulate", "naive", "--q", "1", "--trials", "1048583"],
+    ["simulate", "naive", "--q", "2", "--trials", "393221"],
 )
 # Imports the qseal of the tree whose src/ is first on the path, and refuses
 # to run another copy of the package; then runs its CLI, or writes the
