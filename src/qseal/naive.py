@@ -14,11 +14,13 @@ Neither hope survives:
   (1/2)^k, for a mean of (3/4)^q.  Alice's detection probability is stuck
   at 1 - (3/4)^q per trial no matter what the permutation was.
   ``simulate_qubitwise_attack`` samples this in fixed-size chunks and keeps
-  only a histogram, so its memory does not depend on the trial count.  It
-  takes bit 7 of each byte of the bit generator's raw 64-bit outputs, which
-  is how numpy makes a fair uint8 bit, so from a generator on an output
-  boundary the stream is the one a (trials, q) draw of bits gives.  MT19937,
-  whose raw outputs are 32-bit, is refused.
+  only a histogram, so its memory does not depend on the trial count.  Its
+  fair bits are bit 7 of each byte of the bit generator's raw 64-bit
+  outputs, which is how numpy makes a fair uint8 bit, so from a generator
+  on an output boundary the stream is the one a (trials, q) draw of bits
+  gives.  A chunk is counted on q-byte lanes of the outputs for q <= 2, by
+  column adds below ``_ROW_SUM_FROM_Q`` and by a row sum from it on.
+  MT19937, whose raw outputs are 32-bit, is refused.
 * Better: the two-outcome projector measurement {strings with more zeros
   than 3q/2, rest} reads the message with certainty and does not disturb
   either message state at all (``verify_nondisturbing``).
@@ -39,12 +41,12 @@ from .states import Povm, PureState
 
 ZERO, ONE, PLUS = "zero", "one", "plus"
 
-# Bytes a chunk of the attack Monte Carlo holds: about rows * (q + 2) for its
-# q bits per trial, its per-trial counts and one mask, so that a chunk stays
-# in L2; rows * (q + 10) from ``_ROW_SUM_FROM_Q`` on, where no mask is taken
-# but ``np.bincount`` copies the counts to 8-byte intp.  The rows are rounded
-# down to a multiple of 8, so that a full chunk takes whole 64-bit outputs;
-# at q <= 3 a 100,000-trial run is one chunk.
+# Bytes a chunk of the attack Monte Carlo holds, so that it stays in L2:
+# about rows * (q + 2) for q bits per trial, per-trial counts and a mask (a
+# lane chunk, q <= 2, holds q + 1: its lanes and a mask); rows * (q + 10)
+# from ``_ROW_SUM_FROM_Q`` on, where no mask is taken but ``np.bincount``
+# copies the counts to 8-byte intp.  The rows are a multiple of 8, so that
+# a full chunk takes whole 64-bit outputs; q <= 3 runs 100,000 trials in one.
 _CHUNK_BYTES = 1 << 19
 # Largest trials * q the attack accepts: 2^32 fair bits, about 4 s (q = 1)
 # to 18 s (q = 1000) per message.
@@ -228,17 +230,21 @@ def mean_fidelity_exact(q: int) -> float:
     return 0.75 ** q
 
 
+def _raw_bytes(rng: np.random.Generator, count: int) -> np.ndarray:
+    """The first ``count`` bytes of the next ceil(count / 8) raw outputs, little-endian."""
+    return rng.bit_generator.random_raw(-(-count // 8)).astype(
+        "<u8", copy=False).view(np.uint8)[:count]
+
+
 def _fair_bits(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Bit 7 of the first ``count`` bytes of the next ceil(count / 8) raw outputs, as ``<u8``.
+    """Bit 7 of each of ``_raw_bytes(rng, count)``, as ``<u8``.
 
     numpy's ``rng.integers(0, 2, count, dtype=np.uint8)`` takes bit 7 of one
     byte per value from the same outputs, low byte first, so from a generator
     on an output boundary these are that draw's bits without its per-value work.
     """
-    raw = rng.bit_generator.random_raw(-(-count // 8))
-    bits = raw.astype("<u8", copy=False).view(np.uint8)[:count]
-    bits >>= 7
-    return bits
+    bits = _raw_bytes(rng, count)
+    return np.right_shift(bits, 7, out=bits)
 
 
 def simulate_qubitwise_attack(state: ProductState, trials: int,
@@ -250,17 +256,21 @@ def simulate_qubitwise_attack(state: ProductState, trials: int,
     fidelity with the original is (1/2)^k where k counts padding registers
     that collapsed onto the data bit.
 
-    Trials are drawn in chunks of ``rows`` trials, about ``_CHUNK_BYTES`` of
-    bits, counts and mask (or intp counts), and only a (q+1)-bin histogram
-    of the ones per trial is kept, so memory does not depend on ``trials``;
-    ``trials * q`` is capped at ``MAX_ATTACK_BITS``.  ``rows`` is a multiple
-    of 8, so every full chunk takes whole raw 64-bit outputs (``_fair_bits``)
-    and a run takes ceil(trials * q / 8): the result does not depend on the
-    chunk size, and from a generator on an output boundary (each command's
-    messages get fresh ones) it is that of one ``rng.integers(0, 2, (trials,
-    q), dtype=np.uint8)`` draw.  MT19937, whose raw outputs are 32-bit,
-    raises ``ValueError`` before anything is drawn.  The mean is the
-    histogram's exact rational value, correctly rounded.
+    Trials are drawn in chunks of ``rows`` trials, about ``_CHUNK_BYTES``,
+    and only a (q+1)-bin histogram of the ones per trial is kept, so memory
+    does not depend on ``trials``; ``trials * q`` is capped at
+    ``MAX_ATTACK_BITS``.  A chunk is counted on lanes for q <= 2 (each
+    trial is one q-byte lane of the raw outputs, and the lanes with any and
+    with every masked bit 7 set give the histogram), by q column adds of
+    ``_fair_bits`` below ``_ROW_SUM_FROM_Q``, and by a row sum from it on.
+    ``rows`` is a multiple of 8, so every full chunk takes whole raw 64-bit
+    outputs (``_raw_bytes``) and a run takes ceil(trials * q / 8): the
+    result does not depend on the chunk size, and from a generator on an
+    output boundary (each command's messages get fresh ones) it is that of
+    one ``rng.integers(0, 2, (trials, q), dtype=np.uint8)`` draw.  A
+    non-``Generator`` ``rng``, or MT19937 (32-bit raw outputs), raises
+    ``ValueError`` before anything is drawn.  The mean is the histogram's
+    exact rational value, correctly rounded.
     """
     q, trials = state.q, as_integer(trials, "trials")
     if trials < 1:
@@ -268,6 +278,8 @@ def simulate_qubitwise_attack(state: ProductState, trials: int,
     if trials * q > MAX_ATTACK_BITS:
         raise ValueError(f"trials * q must be at most {MAX_ATTACK_BITS}, "
                          f"got {trials} * {q}")
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy Generator, got {type(rng).__name__}")
     if "has_uint32" not in rng.bit_generator.state:  # numpy's mark of 64-bit raw outputs
         raise ValueError("the attack needs a bit generator with 64-bit raw outputs (PCG64, "
                          f"PCG64DXSM, Philox, SFC64), got {type(rng.bit_generator).__name__}")
@@ -277,22 +289,28 @@ def simulate_qubitwise_attack(state: ProductState, trials: int,
     remaining = trials
     while remaining:
         size = min(rows, remaining)
-        bits = _fair_bits(rng, size * q).reshape(size, q)
-        if q < _ROW_SUM_FROM_Q:  # column adds: np.sum(axis=1) is slow on narrow rows
-            ones = (np.add(bits[:, 0], bits[:, -1], dtype=np.min_scalar_type(q))
-                    if q > 1 else bits[:, 0])
+        if q <= 2:  # lanes: a trial's bits are the 0x80 or 0x8080 bits of its lane
+            mask = 0x8080 if q == 2 else 0x80
+            bits = _raw_bytes(rng, size * q).view(f"<u{q}")
+            bits &= mask
+            some = np.count_nonzero(bits)  # trials with a one
+            every = some if q == 1 else np.count_nonzero(bits == mask)  # all ones
+            np.add.at(ones_histogram, [0, 1, q], [size - some, some - every, every])
+        elif q < _ROW_SUM_FROM_Q:  # column adds: np.sum(axis=1) is slow on narrow rows
+            bits = _fair_bits(rng, size * q).reshape(size, q)
+            ones = np.add(bits[:, 0], bits[:, -1], dtype=np.min_scalar_type(q))
             for k in range(1, q - 1):
                 ones += bits[:, k]
             with_ones = [np.count_nonzero(ones == j) for j in range(1, q + 1)]
             ones_histogram[1:] += with_ones
             ones_histogram[0] += size - sum(with_ones)  # trials with no ones
         else:
+            bits = _fair_bits(rng, size * q).reshape(size, q)
             ones = bits.sum(axis=1, dtype=np.min_scalar_type(q))
             ones_histogram += np.bincount(ones, minlength=q + 1)
-        # the bits go before the next chunk is drawn and ``ones`` only when
-        # the next counts replace it, so the bits' memory is a hole that the
-        # next bits fill, not free space at the heap top that malloc may
-        # return to the system and the next chunk fault in again
+        # the bits go before the next draw (``ones`` when the next counts
+        # replace it), so their memory is a hole the next bits fill, not free
+        # space at the heap top that malloc may return and fault in again
         del bits
         remaining -= size
     counts = ones_histogram.tolist()  # counts[j]: trials with j ones
@@ -300,14 +318,8 @@ def simulate_qubitwise_attack(state: ProductState, trials: int,
         data_zeros, by_false_data = 2 * q, counts[::-1]
     else:  # padding that read 1 passes for data
         data_zeros, by_false_data = 0, counts
-    numerator = sum(count << (q - k) for k, count in enumerate(by_false_data))
-    mean = numerator / (trials << q)
+    mean = sum(count << (q - k) for k, count in enumerate(by_false_data)) / (trials << q)
     histogram = {data_zeros + q - j: counts[j]
                  for j in range(q, -1, -1) if counts[j]}
-    return AttackResult(
-        message=state.message,
-        trials=trials,
-        mean_fidelity=mean,
-        detection_probability=1.0 - mean,
-        zero_count_histogram=histogram,
-    )
+    return AttackResult(message=state.message, trials=trials, mean_fidelity=mean,
+                        detection_probability=1.0 - mean, zero_count_histogram=histogram)

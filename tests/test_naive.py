@@ -345,9 +345,15 @@ class TestStreamedAttack:
         for trials in (1, rows - 1, rows, rows + 1, 3 * rows + 3, 5000):
             assert_matches_oracle(state, trials, 211 + trials)
 
-    @pytest.mark.parametrize("message", [1, 2])
-    def test_several_default_chunks(self, message):
-        assert_matches_oracle(identity_state(1, message), 2 ** 20 + 3, 227)
+    # q = 2: three full lane chunks of 131,072 trials, then 5 trials that
+    # end part-way through a raw output
+    @pytest.mark.parametrize("q,trials,message", [
+        pytest.param(q, trials, message, id=f"{prefix}{message}")
+        for q, trials, prefix in ((1, 2 ** 20 + 3, ""),
+                                  (2, 3 * (naive._CHUNK_BYTES // 4) + 5, "q2-"))
+        for message in (1, 2)])
+    def test_several_default_chunks(self, q, trials, message):
+        assert_matches_oracle(identity_state(q, message), trials, 227)
 
     @pytest.mark.parametrize("message", [1, 2])
     def test_mean_is_the_correctly_rounded_histogram_value(self, message):
@@ -411,19 +417,21 @@ class TestWordDraw:
                                              239 + trials, advance)
 
     @pytest.mark.parametrize("chunk_bits,q", ODD_WORD_CHUNKS + [
+        (36, 2), (100, 2), pytest.param(None, 2, id="default-2"),
         pytest.param(None, 11, id="default-11")])
     def test_full_chunks_draw_even_word_counts(self, monkeypatch, chunk_bits, q):
-        # so every full chunk takes whole 64-bit outputs, 8 bits each
-        # (None keeps the default budget)
+        # so every full chunk takes whole 64-bit outputs, 8 bits each, on
+        # the lane path (q <= 2) and the bit paths alike (None keeps the
+        # default budget)
         if chunk_bits is not None:
             monkeypatch.setattr(naive, "_CHUNK_BYTES", chunk_bits // q * (q + 2))
-        calls, fair_bits = [], naive._fair_bits
+        calls, raw_bytes = [], naive._raw_bytes
 
         def spy(rng, count):
             calls.append(count)
-            return fair_bits(rng, count)
+            return raw_bytes(rng, count)
 
-        monkeypatch.setattr(naive, "_fair_bits", spy)
+        monkeypatch.setattr(naive, "_raw_bytes", spy)
         rows = max(8, (naive._CHUNK_BYTES // (q + 2)) // 8 * 8)
         simulate_qubitwise_attack(identity_state(q, 1), 3 * rows + 1,
                                   np.random.default_rng(241))
@@ -541,6 +549,16 @@ class TestRawWords:
             "the attack needs a bit generator with 64-bit raw outputs "
             "(PCG64, PCG64DXSM, Philox, SFC64), got MT19937")
         assert_same_state(rng.bit_generator.state, before)
+
+    @pytest.mark.parametrize("rng,name", [
+        pytest.param(np.random.RandomState(1), "RandomState", id="RandomState"),
+        pytest.param(np.random.PCG64(1), "PCG64", id="PCG64"),
+        pytest.param(None, "NoneType", id="None")])
+    def test_non_generator_is_a_one_line_error(self, rng, name):
+        # RandomState runs MT19937, which the attack refuses in a Generator too
+        with pytest.raises(ValueError) as exc:
+            simulate_qubitwise_attack(identity_state(2, 1), 10, rng)
+        assert str(exc.value) == f"rng must be a numpy Generator, got {name}"
 
 
 def assert_attack_matches_oracle(state, trials, streamed, reference):
