@@ -58,14 +58,27 @@ def test_record_schema_and_verdicts():
     assert tail["ratios"] == pytest.approx([0.5, 1.5, 0.45])
     assert tail["median_ratio"] == 0.5 and tail["tree_wins"] == 2
     assert tail["rev_quartiles"] == [0.025, 0.030, 0.035]
-    assert (tail["better"], tail["bound"], tail["verdict"]) == ("lower", 0.25, "better")
-    assert metrics["task_p50_s"]["verdict"] == "same"
+    # half the time in the median, but won in only two rounds of three
+    assert (tail["better"], tail["bound"], tail["verdict"]) == ("lower", 0.25, "within bound")
+    assert metrics["task_p50_s"]["verdict"] == "within bound"
     # 100 -> 70 tasks/s is 30% worse against a 25% bound
     assert metrics["tasks_per_s"]["median_ratio"] == pytest.approx(0.7)
     assert metrics["tasks_per_s"]["verdict"] == "worse"
     # 40 -> 41 MB is 2.5% worse against a 5% bound
     assert metrics["peak_rss_mb"]["verdict"] == "within bound"
     assert result["all_correct"] and BENCHRECORD.failing(result)
+
+
+@pytest.mark.parametrize("rev_tails,tree_tails,verdict", [
+    ([0.030, 0.031, 0.029], [0.020, 0.021, 0.019], "better"),
+    # every round won, but by less than the spread of REV's own rounds
+    ([0.020, 0.030, 0.040], [0.019, 0.029, 0.039], "within bound"),
+    ([0.030, 0.031, 0.029], [0.038, 0.039, 0.037], "worse"),
+])
+def test_better_needs_nine_wins_in_ten_and_more_than_the_spread(
+        rev_tails, tree_tails, verdict):
+    metrics = BENCHRECORD.summarize(rounds_of(rev_tails, tree_tails), END_TO_END)
+    assert metrics["task_tail_s"]["verdict"] == verdict
 
 
 @pytest.mark.parametrize("tree,fails", [

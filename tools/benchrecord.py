@@ -15,9 +15,11 @@ trees' samples of each end-to-end metric that ``BENCHMARK.json`` names, their
 medians and quartiles, the median of the per-round ratios (working tree over
 REV), the rounds the working tree won, and the metric's ``better`` and
 ``bound`` with a verdict: ``worse`` when the median ratio is worse than the
-bound allows, else ``better``, ``same`` or ``within bound``.  The exit code
-is 1 when a verdict is ``worse`` or a run's output checks failed, else 0.
-Nothing is fetched: REV must be in the local repository.
+bound allows; ``better`` when the working tree won at least nine rounds in
+ten and its median beats REV's by more than REV's interquartile range; else
+``within bound``.  The exit code is 1 when a verdict is ``worse`` or a run's
+output checks failed, else 0.  Nothing is fetched: REV must be in the local
+repository.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -62,22 +65,25 @@ def summarize(rounds: list, end_to_end: list) -> dict:
                    for side in SIDES}
         ratios = [tree / rev for rev, tree in zip(samples["rev"], samples["tree"])]
         ratio = statistics.median(ratios)
-        worsening = ratio - 1.0 if lower else 1.0 - ratio
-        if worsening > spec["bound"]:
+        wins = sum((t < r) if lower else (t > r)
+                   for r, t in zip(samples["rev"], samples["tree"]))
+        medians = {side: statistics.median(samples[side]) for side in SIDES}
+        quartiles = {side: _quartiles(samples[side]) for side in SIDES}
+        gain = medians["rev"] - medians["tree"] if lower else medians["tree"] - medians["rev"]
+        if (ratio - 1.0 if lower else 1.0 - ratio) > spec["bound"]:
             verdict = "worse"
-        elif ratio == 1.0:
-            verdict = "same"
+        elif wins >= 0.9 * len(rounds) and gain > quartiles["rev"][2] - quartiles["rev"][0]:
+            verdict = "better"
         else:
-            verdict = "better" if worsening < 0 else "within bound"
+            verdict = "within bound"
         metrics[name] = {
             "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
             **{f"{side}_samples": samples[side] for side in SIDES},
-            **{f"{side}_median": statistics.median(samples[side]) for side in SIDES},
-            **{f"{side}_quartiles": _quartiles(samples[side]) for side in SIDES},
+            **{f"{side}_median": medians[side] for side in SIDES},
+            **{f"{side}_quartiles": quartiles[side] for side in SIDES},
             "ratios": ratios,
             "median_ratio": ratio,
-            "tree_wins": sum((t < r) if lower else (t > r)
-                             for r, t in zip(samples["rev"], samples["tree"])),
+            "tree_wins": wins,
             "verdict": verdict,
         }
     return metrics
@@ -158,4 +164,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # a SIGTERM unwinds like Ctrl-C: subprocess.run kills the running benchmark
+    # and the temporary tree is removed
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     sys.exit(main())
