@@ -237,7 +237,7 @@ def _raw_bytes(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def _fair_bits(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Bit 7 of each of ``_raw_bytes(rng, count)``, as ``<u8``.
+    """Bit 7 of each byte of ``_raw_bytes(rng, count)``, as 0 or 1.
 
     numpy's ``rng.integers(0, 2, count, dtype=np.uint8)`` takes bit 7 of one
     byte per value from the same outputs, low byte first, so from a generator
