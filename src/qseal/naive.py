@@ -14,13 +14,12 @@ Neither hope survives:
   (1/2)^k, for a mean of (3/4)^q.  Alice's detection probability is stuck
   at 1 - (3/4)^q per trial no matter what the permutation was.
   ``simulate_qubitwise_attack`` samples this in fixed-size chunks and keeps
-  only a histogram, so its memory does not depend on the trial count.  Its
-  fair bits are bit 7 of each byte of the bit generator's raw 64-bit
-  outputs, which is how numpy makes a fair uint8 bit, so from a generator
-  on an output boundary the stream is the one a (trials, q) draw of bits
-  gives.  A chunk is counted on q-byte lanes of the outputs for q <= 2, by
-  column adds below ``_ROW_SUM_FROM_Q`` and by a row sum from it on.
-  MT19937, whose raw outputs are 32-bit, is refused.
+  only a histogram, so its memory does not depend on the trial count.  It
+  takes bit 7 of each byte of the bit generator's raw 64-bit outputs, which
+  is how numpy makes a fair uint8 bit, so from a generator on an output
+  boundary the stream is the one a (trials, q) draw of bits gives.  MT19937,
+  whose raw outputs are 32-bit, is refused.  A chunk is counted on q-byte
+  lanes for q <= 2, by column adds up to ``_ROW_SUM_FROM_Q``, then by row sums.
 * Better: the two-outcome projector measurement {strings with more zeros
   than 3q/2, rest} reads the message with certainty and does not disturb
   either message state at all (``verify_nondisturbing``).
@@ -259,18 +258,16 @@ def simulate_qubitwise_attack(state: ProductState, trials: int,
     Trials are drawn in chunks of ``rows`` trials, about ``_CHUNK_BYTES``,
     and only a (q+1)-bin histogram of the ones per trial is kept, so memory
     does not depend on ``trials``; ``trials * q`` is capped at
-    ``MAX_ATTACK_BITS``.  A chunk is counted on lanes for q <= 2 (each
-    trial is one q-byte lane of the raw outputs, and the lanes with any and
-    with every masked bit 7 set give the histogram), by q column adds of
-    ``_fair_bits`` below ``_ROW_SUM_FROM_Q``, and by a row sum from it on.
-    ``rows`` is a multiple of 8, so every full chunk takes whole raw 64-bit
-    outputs (``_raw_bytes``) and a run takes ceil(trials * q / 8): the
-    result does not depend on the chunk size, and from a generator on an
-    output boundary (each command's messages get fresh ones) it is that of
-    one ``rng.integers(0, 2, (trials, q), dtype=np.uint8)`` draw.  A
-    non-``Generator`` ``rng``, or MT19937 (32-bit raw outputs), raises
-    ``ValueError`` before anything is drawn.  The mean is the histogram's
-    exact rational value, correctly rounded.
+    ``MAX_ATTACK_BITS``.  A chunk is counted on q-byte lanes of the raw
+    outputs for q <= 2, by column adds of ``_fair_bits`` below
+    ``_ROW_SUM_FROM_Q`` and by a row sum from it on.  ``rows`` is a multiple
+    of 8, so every full chunk takes whole raw 64-bit outputs and a run takes
+    ceil(trials * q / 8): the result does not depend on the chunk size, and
+    from a generator on an output boundary (each command's messages get
+    fresh ones) it is that of one ``rng.integers(0, 2, (trials, q),
+    dtype=np.uint8)`` draw.  A non-``Generator`` ``rng``, or MT19937 (32-bit
+    raw outputs), raises ``ValueError`` before anything is drawn.  The mean
+    is the histogram's exact rational value, correctly rounded.
     """
     q, trials = state.q, as_integer(trials, "trials")
     if trials < 1:
@@ -294,7 +291,7 @@ def simulate_qubitwise_attack(state: ProductState, trials: int,
             bits = _raw_bytes(rng, size * q).view(f"<u{q}")
             bits &= mask
             some = np.count_nonzero(bits)  # trials with a one
-            every = some if q == 1 else np.count_nonzero(bits == mask)  # all ones
+            every = np.count_nonzero(bits == mask)  # trials with all ones
             np.add.at(ones_histogram, [0, 1, q], [size - some, some - every, every])
         elif q < _ROW_SUM_FROM_Q:  # column adds: np.sum(axis=1) is slow on narrow rows
             bits = _fair_bits(rng, size * q).reshape(size, q)
@@ -318,8 +315,14 @@ def simulate_qubitwise_attack(state: ProductState, trials: int,
         data_zeros, by_false_data = 2 * q, counts[::-1]
     else:  # padding that read 1 passes for data
         data_zeros, by_false_data = 0, counts
-    mean = sum(count << (q - k) for k, count in enumerate(by_false_data)) / (trials << q)
+    numerator = sum(count << (q - k) for k, count in enumerate(by_false_data))
+    mean = numerator / (trials << q)
     histogram = {data_zeros + q - j: counts[j]
                  for j in range(q, -1, -1) if counts[j]}
-    return AttackResult(message=state.message, trials=trials, mean_fidelity=mean,
-                        detection_probability=1.0 - mean, zero_count_histogram=histogram)
+    return AttackResult(
+        message=state.message,
+        trials=trials,
+        mean_fidelity=mean,
+        detection_probability=1.0 - mean,
+        zero_count_histogram=histogram,
+    )

@@ -58,21 +58,36 @@ def test_record_schema_and_verdicts():
     assert tail["ratios"] == pytest.approx([0.5, 1.5, 0.45])
     assert tail["median_ratio"] == 0.5 and tail["tree_wins"] == 2
     assert tail["rev_quartiles"] == [0.025, 0.030, 0.035]
-    # half the time in the median, but won in only two rounds of three
-    assert (tail["better"], tail["bound"], tail["verdict"]) == ("lower", 0.25, "within bound")
+    # half the time in the median, but won in only two rounds of three, and
+    # REV's rounds spread wider than the bound
+    assert (tail["better"], tail["bound"], tail["verdict"]) == ("lower", 0.25, "unresolved")
+    # the same in every round: no noise and no move
     assert metrics["task_p50_s"]["verdict"] == "within bound"
     # 100 -> 70 tasks/s is 30% worse against a 25% bound
     assert metrics["tasks_per_s"]["median_ratio"] == pytest.approx(0.7)
     assert metrics["tasks_per_s"]["verdict"] == "worse"
-    # 40 -> 41 MB is 2.5% worse against a 5% bound
+    # 40 -> 41 MB in every round is 2.5% worse against a 5% bound
     assert metrics["peak_rss_mb"]["verdict"] == "within bound"
     assert result["all_correct"] and BENCHRECORD.failing(result)
 
 
 @pytest.mark.parametrize("rev_tails,tree_tails,verdict", [
-    ([0.030, 0.031, 0.029], [0.020, 0.021, 0.019], "better"),
+    ([0.030, 0.031, 0.029] * 3 + [0.030], [0.020, 0.021, 0.019] * 3 + [0.020], "better"),
+    # eight wins in ten
+    ([0.030, 0.031, 0.029] * 3 + [0.030], [0.020, 0.035, 0.019] * 2 + [0.020] * 4,
+     "within bound"),
+    # three wins in three: too few rounds to tell nine in ten
+    ([0.030, 0.031, 0.029], [0.020, 0.021, 0.019], "within bound"),
     # every round won, but by less than the spread of REV's own rounds
-    ([0.020, 0.030, 0.040], [0.019, 0.029, 0.039], "within bound"),
+    ([0.027, 0.030, 0.033] * 3 + [0.030], [0.026, 0.029, 0.032] * 3 + [0.029],
+     "unresolved"),
+    # the tree's rounds spread wider than the 2% gap
+    ([0.030, 0.031, 0.029], [0.033, 0.026, 0.046], "unresolved"),
+    # a gap wider than the spread, won in two rounds of three, but REV's
+    # rounds spread wider than the bound
+    ([0.020, 0.030, 0.050], [0.030, 0.012, 0.010], "unresolved"),
+    # a 10% slowdown in every round, wider than the spread, within the bound
+    ([0.030, 0.031, 0.029], [0.033, 0.034, 0.032], "within bound"),
     ([0.030, 0.031, 0.029], [0.038, 0.039, 0.037], "worse"),
 ])
 def test_better_needs_nine_wins_in_ten_and_more_than_the_spread(
@@ -105,11 +120,11 @@ def test_main_alternates_the_trees_and_writes_the_record(monkeypatch, tmp_path):
     monkeypatch.setattr(BENCHRECORD, "_archive", lambda rev, into: None)
     monkeypatch.setattr(BENCHRECORD, "_benchmark", fake_benchmark)
     code = BENCHRECORD.main(["HEAD", "--workload", "naive_protocol", "--rounds", "3",
-                             "--seconds", "2", "--seed", "5", "--label", "canned"])
+                             "--seconds", "2", "--label", "canned"])
     assert code == 0
-    assert calls == [("rev", "naive_protocol", 5, 2.0), ("tree", "naive_protocol", 5, 2.0),
-                     ("tree", "naive_protocol", 6, 2.0), ("rev", "naive_protocol", 6, 2.0),
-                     ("rev", "naive_protocol", 7, 2.0), ("tree", "naive_protocol", 7, 2.0)]
+    assert calls == [("rev", "naive_protocol", 1, 2.0), ("tree", "naive_protocol", 1, 2.0),
+                     ("tree", "naive_protocol", 2, 2.0), ("rev", "naive_protocol", 2, 2.0),
+                     ("rev", "naive_protocol", 3, 2.0), ("tree", "naive_protocol", 3, 2.0)]
     result = json.loads((tmp_path / "BENCH_canned.json").read_text())
-    assert result["seeds"] == [5, 6, 7]
+    assert result["seeds"] == [1, 2, 3]
     assert result["metrics"]["task_tail_s"]["tree_wins"] == 3

@@ -1,25 +1,31 @@
 """Record paired benchmark runs of a git revision and the working tree.
 
     python3 tools/benchrecord.py REV --workload W [--rounds N] [--seconds S]
-                                 [--seed K] [--label L]
+                                 [--label L]
 
 REV is put in a temporary directory with ``git archive`` (as
-``tools/bytecheck.py`` does).  Each round runs ``perfbench/run.py --workload
-W --seed K+i --seconds S --trace 0`` once in each tree, each run a fresh
-process with ``OPENBLAS_NUM_THREADS=1`` and its own tree as working
-directory; the tree that runs first alternates from round to round.  The
-last stdout line of every run (its ``correct``, ``attempted``, ``failed`` and
-end-to-end metrics) and its environment line are kept, and
+``tools/bytecheck.py`` does).  Round i, counted from 1, runs
+``perfbench/run.py --workload W --seed i --seconds S --trace 0`` once in
+each tree, each run a fresh process with ``OPENBLAS_NUM_THREADS=1`` and
+its own tree as working directory; the tree that runs first alternates from
+round to round.  The last stdout line of every run (its ``correct``,
+``attempted``, ``failed`` and end-to-end metrics) and its environment line
+are kept, and
 ``BENCH_<label>.json`` is written at the root of the working tree with both
 trees' samples of each end-to-end metric that ``BENCHMARK.json`` names, their
 medians and quartiles, the median of the per-round ratios (working tree over
 REV), the rounds the working tree won, and the metric's ``better`` and
 ``bound`` with a verdict: ``worse`` when the median ratio is worse than the
-bound allows; ``better`` when the working tree won at least nine rounds in
-ten and its median beats REV's by more than REV's interquartile range; else
-``within bound``.  The exit code is 1 when a verdict is ``worse`` or a run's
-output checks failed, else 0.  Nothing is fetched: REV must be in the local
-repository.
+bound allows; ``better`` when there were at least ten rounds, the working
+tree won at least nine in ten and its median beats REV's by more than REV's
+interquartile range; ``unresolved`` when the gap between the medians is
+narrower than the spread (the wider of the two trees' interquartile
+ranges), or the spread is wider than the bound, so the rounds cannot tell a
+move from noise; else ``within bound``, a move wider than the spread and
+inside the bound.  The exit code is 1 when a verdict is ``worse`` or a
+run's output checks failed, else 0: an ``unresolved`` metric is no failure,
+but no measured no-change either.  Nothing is fetched: REV must be in the
+local repository.
 """
 
 from __future__ import annotations
@@ -70,10 +76,14 @@ def summarize(rounds: list, end_to_end: list) -> dict:
         medians = {side: statistics.median(samples[side]) for side in SIDES}
         quartiles = {side: _quartiles(samples[side]) for side in SIDES}
         gain = medians["rev"] - medians["tree"] if lower else medians["tree"] - medians["rev"]
+        rev_spread = quartiles["rev"][2] - quartiles["rev"][0]
+        spread = max(high - low for low, _, high in quartiles.values())
         if (ratio - 1.0 if lower else 1.0 - ratio) > spec["bound"]:
             verdict = "worse"
-        elif wins >= 0.9 * len(rounds) and gain > quartiles["rev"][2] - quartiles["rev"][0]:
+        elif len(rounds) >= 10 and wins >= 0.9 * len(rounds) and gain > rev_spread:
             verdict = "better"
+        elif abs(gain) < spread or spread > spec["bound"] * medians["rev"]:
+            verdict = "unresolved"
         else:
             verdict = "within bound"
         metrics[name] = {
@@ -130,13 +140,12 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--seconds", type=float, default=35.0)
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first round")
     parser.add_argument("--label", help="names BENCH_<label>.json (default: the workload)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    seeds = [args.seed + i for i in range(args.rounds)]
+    seeds = list(range(1, args.rounds + 1))
     rounds = []
     with tempfile.TemporaryDirectory(prefix="benchrecord-") as tmp:
         trees = {"rev": Path(tmp), "tree": ROOT}
