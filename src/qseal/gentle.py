@@ -18,10 +18,9 @@ projector come from one seeded Haar basis, so no decomposition sits between
 them and an instance depends on the seed alone.  Everything else runs
 batched over the chunk and a block of its outcomes at a time: one call
 checks every state, one per block checks and roots the block's POVM
-elements, one trace-norm call per block takes its branches' norms, and
-each bound, which takes a number or an array, is one call on every
-epsilon.  Neither the chunk size nor the block size changes a draw or a
-bit.
+elements just before one trace-norm call takes its branches' norms (as in
+``verify_instance``), and each bound is one call on every epsilon.
+Neither the chunk size nor the block size changes a draw or a bit.
 The dominant element is built on sqrt(I - w P) for a projector P, which is
 taken in closed form (``remainder_root``).  Every branch gap is Hermitian,
 as ``linalg.trace_norm`` requires; ``seal`` turns the unknown-outcome cap
@@ -106,22 +105,16 @@ def verify_instance(instance: GentleInstance) -> GentleReport:
     """Evaluate both disturbance inequalities and the branch-weight identities."""
     elements = np.stack([m for _, m in instance.povm.elements])[None]
     dominant = np.array([instance.povm.labels.index(instance.dominant_label)])
-    # its Povm checked the elements; this takes only their roots, a block
-    # of outcomes at a time as the sweep does
-    roots = np.empty_like(elements)
-    step = _chunk_size(elements.shape[-1], 1)
-    for start in range(0, elements.shape[1], step):
-        block = np.s_[:, start:start + step]
-        linalg.sqrt_psd(elements[block], "element", roots[block])
-    return _reports(instance.rho.matrix[None], elements, roots, dominant,
+    return _reports(instance.rho.matrix[None], elements, dominant,
                     [instance.epsilon], VIOLATION_TOL)[0]
 
 
-def _reports(rho: np.ndarray, elements: np.ndarray, roots: np.ndarray,
-             dominant: np.ndarray, epsilons, tol: float) -> list:
+def _reports(rho: np.ndarray, elements: np.ndarray, dominant: np.ndarray,
+             epsilons, tol: float) -> list:
     """GentleReports of n instances from their outcomes' branches, batched:
-    rho (n, d, d), elements (n, outcomes, d, d) with their ``roots``, each
-    dominant element's index and each instance's epsilon."""
+    rho (n, d, d), elements (n, outcomes, d, d), each dominant element's
+    index and each instance's epsilon.  ``states._element_roots`` checks and
+    roots each block of outcomes just before its branches."""
     n, n_outcomes = elements.shape[:2]
     norms = np.empty((n, n_outcomes + 1))
     probs = np.empty((n, n_outcomes))
@@ -130,12 +123,13 @@ def _reports(rho: np.ndarray, elements: np.ndarray, roots: np.ndarray,
     for start in range(0, n_outcomes, step):
         stop = min(start + step, n_outcomes)
         last = stop == n_outcomes
+        roots = states._element_roots(elements[:, start:stop], range(start, stop))
         # each Lueders branch of the block, the dominant one replaced by its
         # gap to rho, and after the last block the unknown-outcome gap; one
         # trace-norm call takes them all
         gaps = np.empty((n, stop - start + last) + rho.shape[1:], dtype=rho.dtype)
         branches = gaps[:, :stop - start]
-        np.matmul(roots[:, start:stop] @ rho[:, None], roots[:, start:stop], out=branches)
+        np.matmul(roots @ rho[:, None], roots, out=branches)
         summed = sum(np.moveaxis(branches, 1, 0), summed)
         if last:
             gaps[:, -1] = rho - summed
@@ -164,7 +158,7 @@ def _random_density(dim: int, rng: np.random.Generator) -> tuple:
     """rho = sum_k w_k q_k q_k^dag over the first ``rank`` columns of a seeded
     Haar basis q: pure half the time, else of random rank, with equal
     weights (exactly degenerate) or Dirichlet weights sorted descending.
-    Returns the unchecked rho (``_build`` checks it), w and q."""
+    Returns the unchecked rho, w and q."""
     rank = 1 if rng.random() < 0.5 else int(rng.integers(1, dim + 1))
     if rng.random() < 0.25:
         weights = np.full(rank, 1.0 / rank)
@@ -271,30 +265,14 @@ def _stack(elements: np.ndarray, draws) -> tuple:
     return targets, dominant, raw
 
 
-def _build(elements: np.ndarray, draws) -> tuple:
-    """The targets of ``draws`` (as ``_stack`` takes them), their checked
-    instances, symmetrized states (n, d, d), element roots (n, outcomes, d,
-    d) and dominant indices.  ``states`` checks each matrix once."""
-    targets, dominant, raw = _stack(elements, draws)
-    rho = states.check_density(raw)
-    roots = states.povm_roots(elements, range(elements.shape[1]),
-                              _chunk_size(elements.shape[-1], len(elements)))
-    # the instances keep read-only views of these, not copies
-    rho.setflags(write=False)
-    elements.setflags(write=False)
-    epsilons = _epsilons(elements[np.arange(len(rho)), dominant], rho)
-    instances = [
-        states._adopt(GentleInstance,
-                      rho=states._adopt(DensityMatrix, matrix=rho[i]),
-                      povm=states._adopt(Povm, elements=tuple(enumerate(elements[i]))),
-                      dominant_label=int(dominant[i]), epsilon=float(epsilons[i]))
-        for i in range(len(rho))]
-    bad = (np.array(targets) > 0.0) & (epsilons > 2.0 * np.array(targets) + 1e-12)
+def _require_realized(targets, epsilons) -> None:
+    """Reject a realized epsilon above twice its nonzero target: a construction bug."""
+    targets, epsilons = np.array(targets), np.asarray(epsilons)
+    bad = (targets > 0.0) & (epsilons > 2.0 * targets + 1e-12)
     if bad.any():
         i = int(np.argmax(bad))
-        raise RuntimeError(f"construction bug: realized epsilon {instances[i].epsilon}"
-                           f" > 2 * {targets[i]}")
-    return targets, instances, rho, roots, dominant
+        raise RuntimeError(f"construction bug: realized epsilon {float(epsilons[i])}"
+                           f" > 2 * {float(targets[i])}")
 
 
 def random_instance(dim: int, n_outcomes: int, epsilon_target: float,
@@ -305,13 +283,19 @@ def random_instance(dim: int, n_outcomes: int, epsilon_target: float,
     a projector carrying most of rho's support and delta ~ epsilon_target;
     what remains of the identity is split among the other outcomes through a
     random PSD convex combination.  ``epsilon_target = 0`` yields the exact
-    limiting instance: dominant element I, all other elements zero.
+    limiting instance: dominant element I, all other elements zero.  The
+    instance is built through ``DensityMatrix``, ``Povm`` and
+    ``GentleInstance``, which check it.
     """
     dim, n_outcomes = _require_shape(dim, n_outcomes)
     eps_target = float(epsilon_target)
     states.require_within(epsilon_target, 0.0 <= eps_target < 1.0, "epsilon_target", "[0, 1)")
     elements = np.empty((1, n_outcomes, dim, dim), dtype=np.complex128)
-    return _build(elements, [_draw(eps_target, elements[0], rng)])[1][0]
+    _, dominant, raw = _stack(elements, [_draw(eps_target, elements[0], rng)])
+    instance = GentleInstance(DensityMatrix(raw[0]), Povm(tuple(enumerate(elements[0]))),
+                              int(dominant[0]))
+    _require_realized([eps_target], [instance.epsilon])
+    return instance
 
 
 def random_epsilon_target(rng: np.random.Generator) -> float:
@@ -329,8 +313,8 @@ def _chunk_size(dim: int, matrices: int) -> int:
 
     The chunk is four instances at dim 16 with 4 outcomes, one at dim 64
     with 3 or more.  Every temporary of the sweep is taken a block of
-    outcomes at a time, so that only the element stack and its roots grow
-    with an instance: the benchmark's 16 x 16 x 4 chunk is one block, one
+    outcomes at a time, so that only the element stack grows with an
+    instance: the benchmark's 16 x 16 x 4 chunk is one block, one
     outcome of dim 64 is a block."""
     return max(1, linalg._CHUNK_BYTES // (16 * matrices * dim * dim))
 
@@ -358,9 +342,23 @@ def _sweep_chunk(dim: int, n_outcomes: int, n: int, rng: np.random.Generator,
     # next chunk is built
     elements = np.empty((n, n_outcomes, dim, dim), dtype=np.complex128)
     # each target is drawn just before the rest of its instance's draws, and
-    # the draws go to ``_build`` without being kept here
-    targets, built, rho, roots, dominant = _build(elements, (
+    # the draws go to ``_stack`` without being kept here
+    targets, dominant, raw = _stack(elements, (
         _draw(random_epsilon_target(rng), shares, rng) for shares in elements))
-    reports = _reports(rho, elements, roots, dominant,
-                       [instance.epsilon for instance in built], tol)
-    return list(zip(targets, built, reports))
+    # each matrix is checked once, in the constructors' order: the states,
+    # each element as ``_reports`` roots it, then the identity sums
+    rho = states.check_density(raw)
+    # the instances keep read-only views of these, not copies
+    rho.setflags(write=False)
+    elements.setflags(write=False)
+    epsilons = _epsilons(elements[np.arange(n), dominant], rho)
+    reports = _reports(rho, elements, dominant, epsilons, tol)
+    states.require_identity_sum(list(np.moveaxis(elements, 1, 0)))
+    _require_realized(targets, epsilons)
+    instances = [
+        states._adopt(GentleInstance,
+                      rho=states._adopt(DensityMatrix, matrix=rho[i]),
+                      povm=states._adopt(Povm, elements=tuple(enumerate(elements[i]))),
+                      dominant_label=int(dominant[i]), epsilon=float(epsilons[i]))
+        for i in range(n)]
+    return list(zip(targets, instances, reports))

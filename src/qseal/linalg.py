@@ -157,19 +157,18 @@ def matrix_sqrt_psd(m) -> np.ndarray:
     return sqrt_psd(m, "m")
 
 
-def sqrt_psd(m, name: str, out: np.ndarray | None = None) -> np.ndarray:
+def sqrt_psd(m, name: str) -> np.ndarray:
     """Hermitian square root of a PSD matrix, or of each matrix of a stack:
     V diag(sqrt(vals)) V^dag from one ``eigh`` of the symmetrized input,
     whose spectrum is clamped by ``clamp_psd_eigenvalues``.  The Hermitian
-    and PSD checks run once per matrix and call it ``name``.  The roots are
-    written into ``out`` when it is given (complex, shaped as ``m``).
+    and PSD checks run once per matrix and call it ``name``.
     """
     m = require_hermitian(as_complex_stack(m, name), name)
     vals, vecs = np.linalg.eigh(m)
     del m  # free the symmetrized copy before the product makes two more
     adjoint = vecs.conj().swapaxes(-1, -2)
     vecs *= np.sqrt(clamp_psd_eigenvalues(vals, name))[..., None, :]
-    return np.matmul(vecs, adjoint, out=out)
+    return vecs @ adjoint
 
 
 def trace_norm(m):

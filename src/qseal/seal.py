@@ -582,9 +582,11 @@ def _require_dense(dim_b: int) -> None:
 
 def _not_json(path, exc: Exception) -> ValueError:
     """The error of a scheme file that is not one JSON object: ``json``'s own
-    message for the whole text, its positions counted from the file's start."""
+    message for the whole text, its positions counted from the file's start,
+    holding each matrix as an array and none of the values ``exc`` saw."""
+    exc.__traceback__ = None
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_hook=_convert_matrix)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as whole:
         exc = whole
     else:

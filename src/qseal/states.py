@@ -9,8 +9,9 @@ Conventions
   Labels are either plain ints or (i, j) int pairs, and elements are kept in
   canonical lexicographic label order so every iteration is deterministic.
 
-Batched code checks states with ``check_density`` and POVMs with
-``povm_roots``, so each rule is written out only here.
+Batched code checks states with ``check_density``, POVM elements with
+``_element_roots`` and whole POVMs with ``povm_roots``, so each rule is
+written out only here.
 """
 
 from __future__ import annotations
@@ -105,27 +106,25 @@ def check_density(m) -> np.ndarray:
     return m
 
 
-def povm_roots(elements: np.ndarray, labels, step: int | None = None) -> np.ndarray:
-    """sqrt(E) of every element of a POVM, (outcomes, d, d), or of each POVM
-    of a stack, (..., outcomes, d, d), whose elements are labelled ``labels``.
+def _element_roots(elements: np.ndarray, labels) -> np.ndarray:
+    """sqrt(E) of each element of a stack (..., outcomes, d, d) whose
+    outcomes are labelled ``labels``.  Each element gets the Hermitian and
+    PSD checks ``Povm`` runs on it, in the same words, and one
+    eigendecomposition serves them and its root; a stack that fails is
+    walked label by label to name its first offender."""
+    try:
+        return linalg.sqrt_psd(elements, "element")
+    except ValueError:
+        for k, label in enumerate(labels):
+            linalg.sqrt_psd(elements[..., k, :, :], f"element {label!r}")
+        raise
 
-    Each element gets the Hermitian and PSD checks ``Povm`` runs on it, in
-    the same words, and one eigendecomposition serves them and its root;
-    then the elements must sum to the identity.  The stack is checked and
-    rooted ``step`` outcomes at a time (all at once by default); a block
-    that fails is walked label by label to name its first offender.
-    """
-    n_outcomes = elements.shape[-3]
-    step = step or n_outcomes
-    roots = np.empty(elements.shape, dtype=np.complex128)
-    for start in range(0, n_outcomes, step):
-        block = (..., slice(start, start + step), slice(None), slice(None))
-        try:
-            linalg.sqrt_psd(elements[block], "element", roots[block])
-        except ValueError:
-            for k, label in enumerate(labels[start:start + step], start):
-                linalg.sqrt_psd(elements[..., k, :, :], f"element {label!r}")
-            raise
+
+def povm_roots(elements: np.ndarray, labels) -> np.ndarray:
+    """sqrt(E) of every element of a POVM, (outcomes, d, d), or of each POVM
+    of a stack, (..., outcomes, d, d), from ``_element_roots``; then the
+    elements must sum to the identity."""
+    roots = _element_roots(elements, labels)
     require_identity_sum(list(np.moveaxis(elements, -3, 0)))
     return roots
 

@@ -86,6 +86,10 @@ def test_record_schema_and_verdicts():
     # a gap wider than the spread, won in two rounds of three, but REV's
     # rounds spread wider than the bound
     ([0.020, 0.030, 0.050], [0.030, 0.012, 0.010], "unresolved"),
+    # a gap wider than both trees' spreads, but the per-round ratios
+    # (0.82-1.07) spread wider than the median ratio's 2.5% from 1: the
+    # gentle_sweep task_p50_s rounds of BENCH_naive_lanes_gentle_sweep.json
+    ([0.0797, 0.0975, 0.0955], [0.0777, 0.0802, 0.1019], "unresolved"),
     # a 10% slowdown in every round, wider than the spread, within the bound
     ([0.030, 0.031, 0.029], [0.033, 0.034, 0.032], "within bound"),
     ([0.030, 0.031, 0.029], [0.038, 0.039, 0.037], "worse"),
@@ -94,6 +98,31 @@ def test_better_needs_nine_wins_in_ten_and_more_than_the_spread(
         rev_tails, tree_tails, verdict):
     metrics = BENCHRECORD.summarize(rounds_of(rev_tails, tree_tails), END_TO_END)
     assert metrics["task_tail_s"]["verdict"] == verdict
+
+
+def committed(name):
+    """The verdicts of a committed record, and those ``summarize`` gives its
+    stored runs now."""
+    record = json.loads((ROOT / name).read_text())
+    rounds = [{"rev": rev, "tree": tree}
+              for rev, tree in zip(record["runs"]["rev"], record["runs"]["tree"])]
+    return ({name: m["verdict"] for name, m in record["metrics"].items()},
+            {name: m["verdict"] for name, m in
+             BENCHRECORD.summarize(rounds, END_TO_END).items()})
+
+
+def test_noise_on_unchanged_code_reads_unresolved():
+    # three rounds of a workload that ran no changed code
+    stored, now = committed("BENCH_naive_lanes_gentle_sweep.json")
+    assert [stored[name] for name in ("task_p50_s", "tasks_per_s", "peak_rss_mb")] == [
+        "within bound"] * 3
+    assert set(now.values()) == {"unresolved"}
+
+
+def test_ten_round_record_keeps_its_verdicts():
+    stored, now = committed("BENCH_naive_lanes.json")
+    assert now == stored
+    assert list(now.values()).count("better") == 2
 
 
 @pytest.mark.parametrize("tree,fails", [

@@ -448,8 +448,9 @@ class TestDenseOracle:
                 (size,), (size,), (1,)]
 
     def test_largest_instance_memory_stays_small(self):
-        # the element stack and its roots are 32 MiB; whole-instance
-        # temporaries took the parent of the blocked sweep to 80.4 MiB
+        # the element stack is 16 MiB; whole-instance temporaries took the
+        # parent of the blocked sweep to 80.4 MiB, and a whole stack of
+        # element roots beside it to 32.7 MiB
         list(sweep_instances(2, 2, 1, np.random.default_rng(0)))
         tracemalloc.start()
         try:
@@ -457,11 +458,12 @@ class TestDenseOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 36 * 2 ** 20
+        assert peak < 20 * 2 ** 20
 
     def test_caller_built_instance_memory_stays_small(self):
-        # verify_instance roots the elements a block at a time, as the sweep
-        # does; one root call on the whole stack took it to 64.1 MiB
+        # verify_instance roots the elements a block at a time on the
+        # sweep's path; one root call on the whole stack took it to 64.1
+        # MiB, and a whole stack of roots filled a block at a time to 32.6
         instance = random_instance(64, MAX_OUTCOMES, 0.1, np.random.default_rng(239))
         tracemalloc.start()
         try:
@@ -469,7 +471,7 @@ class TestDenseOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 36 * 2 ** 20
+        assert peak < 20 * 2 ** 20
 
     def test_caller_built_instance_blocks_change_no_bit(self, monkeypatch):
         # 7 outcomes of a 5 x 5 instance, rooted in blocks 2, 2, 2, 1
@@ -481,9 +483,9 @@ class TestDenseOracle:
     def test_random_instance_runs_no_branch_pass(self, monkeypatch):
         counts = count_decompositions(monkeypatch)
         random_instance(6, 3, 0.1, np.random.default_rng(229))
-        # the share total and the three elements, rho's PSD check; one QR
-        # draws rho's basis
-        assert counts == {"eigh": 4, "eigvalsh": 1, "svd": 0, "qr": 1}
+        # the share total; the PSD checks of DensityMatrix and of Povm's
+        # three elements, which take no roots; one QR draws rho's basis
+        assert counts == {"eigh": 1, "eigvalsh": 4, "svd": 0, "qr": 1}
 
 
 def both_reports(instance):

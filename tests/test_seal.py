@@ -893,6 +893,24 @@ class TestSchemeIo:
         assert load_peak < 1.25 * path.stat().st_size
         assert loaded.bob_povm.labels == scheme.bob_povm.labels
 
+    def test_broken_file_error_holds_little_beside_the_file(self, tmp_path):
+        # the file above without its last "}": the error rereads the whole
+        # text; 3.45x when the arrays read before the error stayed alive and
+        # the reread held every pair as Python objects
+        scheme = generated_scheme(8, 1, 64, np.random.default_rng(7))
+        path = tmp_path / "scheme.json"
+        save_scheme(scheme, path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[:text.rindex("}")], encoding="utf-8")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^scheme file: not valid JSON \(Expecting"):
+                load_scheme(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * path.stat().st_size  # 2.00x
+
     def test_save_writes_the_json_bytes_for_the_benchmark_pool(self, tmp_path):
         for k, scheme in enumerate(perfbench_pool(seed=7)):
             path = tmp_path / f"scheme_{k:02d}.json"

@@ -329,9 +329,9 @@ class TestBatchedChecks:
 
     def test_valid_chunk_passes(self):
         raw, elements, dominant, built = valid_chunk()
-        rho, roots = check_chunk(raw, elements)
+        rho, _ = check_chunk(raw, elements)
         assert np.array_equal(rho, raw)
-        reports = gentle._reports(rho, elements, roots, dominant,
+        reports = gentle._reports(rho, elements, dominant,
                                   [b.epsilon for b in built], gentle.VIOLATION_TOL)
         for b, batched in zip(built, reports):
             report = oracles.verify_instance(b)

@@ -20,9 +20,10 @@ bound allows; ``better`` when there were at least ten rounds, the working
 tree won at least nine in ten and its median beats REV's by more than REV's
 interquartile range; ``unresolved`` when the gap between the medians is
 narrower than the spread (the wider of the two trees' interquartile
-ranges), or the spread is wider than the bound, so the rounds cannot tell a
-move from noise; else ``within bound``, a move wider than the spread and
-inside the bound.  The exit code is 1 when a verdict is ``worse`` or a
+ranges), the spread is wider than the bound, or the median ratio is closer
+to 1 than the interquartile range of the per-round ratios, so the rounds
+cannot tell a move from noise; else ``within bound``, a move wider than the
+spread and inside the bound.  The exit code is 1 when a verdict is ``worse`` or a
 run's output checks failed, else 0: an ``unresolved`` metric is no failure,
 but no measured no-change either.  Nothing is fetched: REV must be in the
 local repository.
@@ -70,7 +71,7 @@ def summarize(rounds: list, end_to_end: list) -> dict:
         samples = {side: [pair[side]["metrics"][name]["value"] for pair in rounds]
                    for side in SIDES}
         ratios = [tree / rev for rev, tree in zip(samples["rev"], samples["tree"])]
-        ratio = statistics.median(ratios)
+        ratio, ratio_quartiles = statistics.median(ratios), _quartiles(ratios)
         wins = sum((t < r) if lower else (t > r)
                    for r, t in zip(samples["rev"], samples["tree"]))
         medians = {side: statistics.median(samples[side]) for side in SIDES}
@@ -82,7 +83,8 @@ def summarize(rounds: list, end_to_end: list) -> dict:
             verdict = "worse"
         elif len(rounds) >= 10 and wins >= 0.9 * len(rounds) and gain > rev_spread:
             verdict = "better"
-        elif abs(gain) < spread or spread > spec["bound"] * medians["rev"]:
+        elif (abs(gain) < spread or spread > spec["bound"] * medians["rev"]
+              or abs(ratio - 1.0) < ratio_quartiles[2] - ratio_quartiles[0]):
             verdict = "unresolved"
         else:
             verdict = "within bound"
