@@ -86,13 +86,13 @@ def test_record_schema_and_verdicts():
     # a gap wider than the spread, won in two rounds of three, but REV's
     # rounds spread wider than the bound
     ([0.020, 0.030, 0.050], [0.030, 0.012, 0.010], "unresolved"),
+    # a 10% slowdown in every round, wider than the spread, within the bound
+    ([0.030, 0.031, 0.029], [0.033, 0.034, 0.032], "within bound"),
+    ([0.030, 0.031, 0.029], [0.038, 0.039, 0.037], "worse"),
     # a gap wider than both trees' spreads, but the per-round ratios
     # (0.82-1.07) spread wider than the median ratio's 2.5% from 1: the
     # gentle_sweep task_p50_s rounds of BENCH_naive_lanes_gentle_sweep.json
     ([0.0797, 0.0975, 0.0955], [0.0777, 0.0802, 0.1019], "unresolved"),
-    # a 10% slowdown in every round, wider than the spread, within the bound
-    ([0.030, 0.031, 0.029], [0.033, 0.034, 0.032], "within bound"),
-    ([0.030, 0.031, 0.029], [0.038, 0.039, 0.037], "worse"),
 ])
 def test_better_needs_nine_wins_in_ten_and_more_than_the_spread(
         rev_tails, tree_tails, verdict):
