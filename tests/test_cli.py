@@ -937,6 +937,10 @@ class TestOutputBytes:
         "simulate naive --q 2 --trials 393221": (
             0, "53e4e4e86b79f5a913d0c1856b40bbf3bf3dfe27839222810fc40c756e0899ab",
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        # the family file written compactly reads as the indented one does
+        "seal eval --scheme family_compact.json": (
+            0, "65674572ca51dd7e68ae6779644f6a492fba5ea2b7d3649b26f89c4acf5672c3",
+            "33009df3ce70e25b2ee4d8a4355854c0dda7fc7587792779b15fb2c8e51a6a20"),
     }
 
     @pytest.fixture(scope="class")

@@ -19,20 +19,23 @@ scheme: the seeded (M, dimA, dimB) = (4, 2, 8) entangled scheme of
 ``perfbench/schemes.py``, so that a scheme with more than two messages and
 entangled states is evaluated, and on a third: a seeded (3, 2, 16) scheme
 whose merged readout holds an exact 0/1 diagonal F_1 beside a dense split
-of I - F_1 (``diagonal_readout``); and both bound sweeps at ``--grid 10001``,
+of I - F_1 (``diagonal_readout``), and on the qubit family's file written
+compactly (``json.dumps`` of its document: no indent, every number right
+before a delimiter), which must give the indented file's bytes; and both
+bound sweeps at ``--grid 10001``,
 ``bounds nfp`` also at M = 2, 3, 7 and 1000, whose tables hold enough
 points for a last-bit change in a closed form (one square in about 1,200)
-to show.  Both trees read the same three scheme files, written by the
+to show.  Both trees read the same four scheme files, written by the
 working tree.  Each command's exit code, stdout (the CSV)
 and stderr (the summary) are compared, and one line is printed per command:
 ``same`` or ``differs``, the latter with its first differing line.  Each
-tree also writes the three scheme files with its own ``save_scheme``
+tree also writes the four scheme files with its own ``save_scheme``
 (``write_schemes`` in a subprocess, that tree's ``src/`` first), and one
 more such line is printed per file, named ``save_scheme FILE``.  The exit
 code is 1 when a command or file differs that no ``--expect`` names (an
 ``--expect`` value names every command it equals or is a word prefix of, so
 ``--expect "verify gentle"`` names both gentle commands and ``--expect
-save_scheme`` all three files), else 0.  Nothing is fetched: REV must be in the local
+save_scheme`` all four files), else 0.  Nothing is fetched: REV must be in the local
 repository.
 
 Tier-1 pins the same command set: ``tests/test_cli.py`` ``TestOutputBytes``
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import json
 import os
 import subprocess
 import sys
@@ -57,6 +61,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = ["--seed", "7"]
 SCHEME = "family.json"
+COMPACT = "family_compact.json"
 ENTANGLED = "entangled.json"
 DIAGONAL = "diagonal.json"
 COMMANDS = (
@@ -82,6 +87,7 @@ COMMANDS = (
     ["verify", "gentle", "--dim", "64", "--outcomes", "24", "--instances", "2"],
     ["simulate", "naive", "--q", "1", "--trials", "1048583"],
     ["simulate", "naive", "--q", "2", "--trials", "393221"],
+    ["seal", "eval", "--scheme", COMPACT],
 )
 # Imports the qseal of the tree whose src/ is first on the path, and refuses
 # to run another copy of the package; then runs its CLI, or writes the
@@ -94,15 +100,20 @@ _WRITE = _GUARD + ("import pathlib, runpy\n"
                    "runpy.run_path(sys.argv[2])['write_schemes'](pathlib.Path(sys.argv[3]))\n")
 
 def write_schemes(workdir: Path) -> None:
-    """Write the three scheme files the ``seal eval`` commands read into
-    ``workdir``, with the qseal that is imported.  ``perfbench/schemes.py``
-    is read, not imported, so nothing is written under perfbench/."""
+    """Write the four scheme files the ``seal eval`` commands read into
+    ``workdir``, with the qseal that is imported; the compact one is the
+    family file's document as ``json.dumps`` writes it.
+    ``perfbench/schemes.py`` is read, not imported, so nothing is written
+    under perfbench/."""
     import numpy as np
     from qseal.qubit_seal import QubitSealFamily
     from qseal.seal import SealScheme, save_scheme
     from qseal.states import Povm, PureState
 
     save_scheme(QubitSealFamily(0.75).scheme(), workdir / SCHEME)
+    (workdir / COMPACT).write_text(
+        json.dumps(json.loads((workdir / SCHEME).read_text(encoding="utf-8"))),
+        encoding="utf-8")
     schemes_py = ROOT / "perfbench" / "schemes.py"
     schemes = types.ModuleType("schemes")
     exec(compile(schemes_py.read_text(encoding="utf-8"), str(schemes_py), "exec"),
@@ -234,7 +245,7 @@ def main(argv=None) -> int:
         _write(ROOT, workdir)
         differences = chain(
             ((f"save_scheme {name}", _file_difference(old_files / name, workdir / name))
-             for name in (SCHEME, ENTANGLED, DIAGONAL)),
+             for name in (SCHEME, ENTANGLED, DIAGONAL, COMPACT)),
             ((" ".join(argv_), _first_difference(_run(old_tree, argv_, workdir),
                                                  _run(ROOT, argv_, workdir)))
              for argv_ in COMMANDS))
