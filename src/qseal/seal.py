@@ -61,9 +61,11 @@ class SealScheme:
     """M joint states plus Bob's pair-labelled POVM and the promise level.
 
     ``merged_roots[m - 1]`` is sqrt(F_m) of the merged POVM F_m = sum_j E_(m,j)
-    (zero if no label reads m), whose elements get the checks of a ``Povm``
-    in the same words (``states.povm_roots``).  ``read_probabilities[m - 1]``
-    is ``promise_probability(self, m)``, taken once to check the promise.
+    (zero if no label reads m), whose elements get the element checks of a
+    ``Povm`` in the same words (``states._element_roots``); their sum is the
+    one ``bob_povm`` checked, so it is not checked again.
+    ``read_probabilities[m - 1]`` is ``promise_probability(self, m)``, taken
+    once to check the promise.
     """
 
     n_messages: int
@@ -120,7 +122,8 @@ class SealScheme:
         merged = states.merged_elements(self.bob_povm)
         zero = np.zeros((dim_b, dim_b), dtype=np.complex128)
         messages = range(1, m_count + 1)
-        roots = states.povm_roots(np.stack([merged.get(m, zero) for m in messages]), messages)
+        roots = states._element_roots(
+            np.stack([merged.get(m, zero) for m in messages]), messages)
         roots.setflags(write=False)
         vars(self).update(n_messages=m_count, dim_a=dim_a, dim_b=dim_b, promised_p=p,
                           joint_states=joint_states, merged_roots=roots)
@@ -446,13 +449,14 @@ class _Window:
     characters at a time, from which JSON tokens and values are taken.
 
     Before an array or object is decoded, the window is grown until it holds
-    the value's first "]" and closing bracket with only whitespace between
-    (and for an object the next "}"), which ends a state and a POVM entry of
-    a ``save_scheme`` file, so that ``json`` parses each of them once; a
-    value that still runs past the window grows it, as much again each
-    time, and is parsed again.  The closing pair is looked for from an
-    eighth short of the length of the value before, so that the entries of
-    an array, which are about equally long, are not searched through.
+    a "]" and a closing bracket with only whitespace between, looked for from
+    an eighth short of the length of the value before (and for an object a
+    "}" after it).  That ends a state and a POVM entry of a ``save_scheme``
+    file, and the entries of an array are about equally long, so ``json``
+    parses each of them once and the search skips most of their text.  A
+    number or a literal must be followed in the window by a delimiter.  A
+    value that fails either way grows the window, as much again each time,
+    and is parsed again.
     """
 
     def __init__(self, file):
@@ -488,21 +492,11 @@ class _Window:
         ``_convert_matrix`` turning each "matrix" list into an array."""
         first = self.peek()
         if first in ("[", "{"):
-            # offsets from pos, which a growth moves
-            resume, end = self.last - self.last // 8, -1
+            skip = self.last - self.last // 8
             while not self.eof:
-                if end < 0:
-                    closing = _CLOSING.search(self.text, self.pos + resume)
-                    if closing:
-                        end = closing.end() - 1 - self.pos
-                    else:  # search on from the last "]", whose pair may go on
-                        resume = max(resume, self.text.rfind("]", self.pos) - self.pos)
-                # an object goes on to the next "}"
-                if end >= 0 and (first == "[" or self.text.find("}", self.pos + end) >= 0):
+                closing = _CLOSING.search(self.text, self.pos + skip)
+                if closing and (first == "[" or self.text.find("}", closing.end() - 1) >= 0):
                     break
-                self._grow()
-        elif first != '"':  # a number or a literal may go on past the window
-            while not (self.eof or _DELIMITER.search(self.text, self.pos)):
                 self._grow()
         while True:
             try:
@@ -510,39 +504,23 @@ class _Window:
             except json.JSONDecodeError:
                 if self.eof:
                     raise
-                self._grow()
             else:
-                self.last, self.pos = end - self.pos, end
-                return value
-
-    def items(self, convert):
-        """``convert`` of each value of the array that comes next."""
-        self.take("[")
-        if self.peek() == "]":
-            self.pos += 1
-            return
-        while True:
-            yield convert(self.value())
-            if self.take(",]") == "]":
-                return
-
-
-def _state_pairs(value):
-    """A state as read: the flat floats ``_flat_floats`` makes of it, or the
-    decoded value when it is not a list of pairs."""
-    flat = _flat_floats(value)
-    return value if flat is None else flat
+                if self.eof or first in ('"', "[", "{") or _DELIMITER.match(self.text, end):
+                    self.last, self.pos = end - self.pos, end
+                    return value
+            self._grow()
 
 
 def _members(window: _Window) -> dict:
     """The members of the JSON object that is the whole text, decoded as
     ``json.loads`` decodes them, the last of a repeated key winning.
 
-    A "states" or "povm" array is read one entry at a time: each state
-    through ``_state_pairs``, each POVM entry with its matrix made an array.
-    When ``M``, ``dimA``, ``dimB`` and ``promised_p`` come before "povm", an
-    integer ``dimB`` above the dense cap is refused before any POVM entry is
-    decoded.
+    An array member is read one entry at a time, and an entry that is a
+    list of [re, im] pairs becomes the flat floats ``_flat_floats`` makes of
+    it, so each state is held as an array as soon as it is read (each POVM
+    matrix is one already).  When ``M``, ``dimA``, ``dimB`` and
+    ``promised_p`` come before a "povm" array, an integer ``dimB`` above the
+    dense cap is refused before any of its entries is decoded.
     """
     members = {}
     window.take("{")
@@ -554,15 +532,25 @@ def _members(window: _Window) -> dict:
             if not isinstance(key, str):  # json's object keys are strings
                 raise _NotAnObject
             window.take(":")
-            if key in ("states", "povm") and window.peek() == "[":
+            if window.peek() != "[":
+                members[key] = window.value()
+            else:
                 if key == "povm" and "promised_p" in members:
                     dims = [members.get(name) for name in ("M", "dimA", "dimB")]
                     if _integers(dims):
                         _require_dense(dims[2])
-                members[key] = list(window.items(
-                    _state_pairs if key == "states" else lambda entry: entry))
-            else:
-                members[key] = window.value()
+                window.pos += 1
+                entries = []
+                if window.peek() == "]":
+                    window.pos += 1
+                else:
+                    while True:
+                        entry = window.value()
+                        flat = _flat_floats(entry)
+                        entries.append(entry if flat is None else flat)
+                        if window.take(",]") == "]":
+                            break
+                members[key] = entries
             if window.take(",}") == "}":
                 break
     if window.peek():

@@ -10,8 +10,8 @@ Conventions
   canonical lexicographic label order so every iteration is deterministic.
 
 Batched code checks states with ``check_density``, POVM elements with
-``_element_roots`` and whole POVMs with ``povm_roots``, so each rule is
-written out only here.
+``_element_roots`` and their sums with ``require_identity_sum``, so each
+rule is written out only here.
 """
 
 from __future__ import annotations
@@ -118,15 +118,6 @@ def _element_roots(elements: np.ndarray, labels) -> np.ndarray:
         for k, label in enumerate(labels):
             linalg.sqrt_psd(elements[..., k, :, :], f"element {label!r}")
         raise
-
-
-def povm_roots(elements: np.ndarray, labels) -> np.ndarray:
-    """sqrt(E) of every element of a POVM, (outcomes, d, d), or of each POVM
-    of a stack, (..., outcomes, d, d), from ``_element_roots``; then the
-    elements must sum to the identity."""
-    roots = _element_roots(elements, labels)
-    require_identity_sum(list(np.moveaxis(elements, -3, 0)))
-    return roots
 
 
 @dataclass(frozen=True)

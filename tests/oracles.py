@@ -11,10 +11,11 @@
   the Hermitian trace norm (``linalg.trace_norm``, cross-checked against the
   general SVD in ``test_linalg``).  Tests compare the batched sweep against
   it cell by cell.
-* The POVM element checks and roots taken one label at a time
-  (``povm_roots``), as ``qseal.states.povm_roots`` took them before it
-  checked a whole stack in one call.  Tests require the one-call version to
-  return the same bits or raise the same message.
+* The POVM element checks and roots taken one label at a time, then the
+  identity-sum check (``povm_roots``).  Tests require the one-call
+  ``qseal.states._element_roots``, followed by ``require_identity_sum``
+  where the sum is checked, to return the same bits or raise the same
+  message.
 * The scheme loader's [re, im] pair reader written one pair at a time
   (``vector_from_pairs``).  Tests require the vectorized reader in
   ``qseal.seal`` to return the same bits or raise the same message.

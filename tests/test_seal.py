@@ -1108,14 +1108,27 @@ class TestStreamingLoader:
             assert got == want
             assert "\n" not in want[1]
 
-    @pytest.mark.parametrize("budget", [1 << 16, 4096, None])
-    def test_decodes_each_value_of_a_saved_file_once(self, monkeypatch, tmp_path, budget):
-        # povm entries of 1,024 pairs, about 64 KiB of text each, run past
-        # either window; None ends the first window just after the first
-        # POVM matrix's closing brackets, before its entry's "}"
+    # (budget, layout): the saved file, and its document as json.dumps
+    # writes it with the default separators and with no spaces
+    DECODE_CASES = [pytest.param(budget, "saved", id=str(budget))
+                    for budget in (1 << 16, 4096, None)] + [
+        pytest.param(budget, layout, id=f"{budget}-{layout}")
+        for layout in ("dumps", "compact") for budget in (1 << 16, 4096, None)]
+
+    @pytest.mark.parametrize("budget,layout", DECODE_CASES)
+    def test_decodes_each_value_of_a_saved_file_once(self, monkeypatch, tmp_path, budget,
+                                                      layout):
+        # povm entries of 1,024 pairs, about 64 KiB of text each as saved
+        # (45 KiB without the indent), run past either window (the 4096 one);
+        # None ends the first window just after the first POVM matrix's
+        # closing brackets, before its entry's "}"
         scheme = generated_scheme(4, 2, 32, np.random.default_rng(11))
         path = tmp_path / "scheme.json"
         save_scheme(scheme, path)
+        if layout != "saved":
+            doc = json.loads(path.read_text())
+            path.write_text(json.dumps(doc) if layout == "dumps"
+                            else json.dumps(doc, separators=(",", ":")))
         if budget is None:
             text = path.read_text()
             budget = seal._CLOSING.search(text, text.index('"matrix"')).end()
@@ -1134,7 +1147,24 @@ class TestStreamingLoader:
         assert_same_scheme(load_scheme(path), oracles.load_scheme(path))
         # six keys, four header values, the states and the POVM entries
         assert len(lengths) == 6 + 4 + scheme.n_messages + len(scheme.bob_povm.elements)
-        assert max(lengths) > 1 << 16
+        assert max(lengths) > (1 << 16 if layout == "saved" else 4096)
+
+    @pytest.mark.parametrize("layout", ["saved", "compact"])
+    def test_reads_the_family_file_through_every_small_window(self, monkeypatch, tmp_path,
+                                                              layout):
+        # windows that end inside a number ("0." of "promised_p": 0.75 or of
+        # an amplitude 0.8660254037844386) or right after it, with and
+        # without whitespace before its delimiter
+        path = tmp_path / "family.json"
+        save_scheme(QubitSealFamily(0.75).scheme(), path)
+        if layout == "compact":
+            path.write_text(json.dumps(json.loads(path.read_text())))
+        want = oracles.load_scheme(path)
+        for budget in range(1, 65):
+            monkeypatch.setattr(linalg, "_CHUNK_BYTES", budget)
+            got = load_outcome(load_scheme, path)
+            assert isinstance(got, SealScheme), (budget, got)
+            assert_same_scheme(got, want)
 
     CAP_ERROR = (CapacityError, "scheme file: dimB 5000 is above the dense cap 4096")
 

@@ -9,11 +9,12 @@ from qseal.states import (
     DensityMatrix,
     Povm,
     PureState,
+    _element_roots,
     check_density,
     coarse_grain,
     densify,
     helstrom_probability,
-    povm_roots,
+    require_identity_sum,
 )
 
 
@@ -308,7 +309,9 @@ def valid_chunk(dim=3, n_outcomes=3, n=4):
 def check_chunk(raw, elements) -> tuple:
     """The batched checks the gentle sweep runs on a chunk, in its order."""
     rho = check_density(raw)
-    return rho, povm_roots(elements, range(elements.shape[1]))
+    roots = _element_roots(elements, range(elements.shape[1]))
+    require_identity_sum(list(np.moveaxis(elements, 1, 0)))
+    return rho, roots
 
 
 def chunk_error(raw, elements) -> str:
@@ -324,8 +327,9 @@ def constructor_error(make) -> str:
 
 
 class TestBatchedChecks:
-    """One bad matrix in an otherwise valid chunk: ``check_density`` and
-    ``povm_roots`` raise what the per-object constructor raises for it."""
+    """One bad matrix in an otherwise valid chunk: ``check_density``,
+    ``_element_roots`` and ``require_identity_sum`` raise what the per-object
+    constructor raises for it."""
 
     def test_valid_chunk_passes(self):
         raw, elements, dominant, built = valid_chunk()
@@ -380,7 +384,7 @@ class TestBatchedChecks:
         raw, elements, _, _ = valid_chunk(n=5)
         elements[3] = 0.0
         elements[3, 1] = np.eye(3)  # an exact instance: diagonal elements
-        assert np.array_equal(povm_roots(elements, range(3)),
+        assert np.array_equal(_element_roots(elements, range(3)),
                               oracles.povm_roots(elements, range(3)))
 
     # (fault, instance, outcome) cells of a 4-instance, 3-outcome chunk, and
