@@ -588,10 +588,10 @@ def load_scheme(path) -> SealScheme:
     wrote.
 
     The text is read through a ``_Window``: the top-level object and its
-    "states" and "povm" arrays are walked here, and ``json`` decodes every
-    value in them, so each state becomes a flat float array and each POVM
-    matrix an array as soon as it is read.  The file is held as those
-    arrays, the window and one entry's decoded value.  Any defect raises a
+    arrays are walked here (``_members``), and ``json`` decodes every value
+    in them, so each state becomes a flat float array and each POVM matrix
+    an array as soon as it is read.  The file is held as those arrays, the
+    window and one entry's decoded value.  Any defect raises a
     one-line ``ValueError`` that starts ``scheme file:`` (``CapacityError``
     for a ``dimB`` above the dense cap), or the one ``SealScheme`` raises, as
     a whole-text ``json.loads`` and the same checks would, with one

@@ -1110,18 +1110,18 @@ class TestStreamingLoader:
 
     # (budget, layout): the saved file, and its document as json.dumps
     # writes it with the default separators and with no spaces
-    DECODE_CASES = [pytest.param(budget, "saved", id=str(budget))
-                    for budget in (1 << 16, 4096, None)] + [
-        pytest.param(budget, layout, id=f"{budget}-{layout}")
-        for layout in ("dumps", "compact") for budget in (1 << 16, 4096, None)]
+    DECODE_CASES = [
+        pytest.param(budget, layout,
+                     id=str(budget) if layout == "saved" else f"{budget}-{layout}")
+        for layout in ("saved", "dumps", "compact") for budget in (1 << 16, 4096, None)]
 
     @pytest.mark.parametrize("budget,layout", DECODE_CASES)
     def test_decodes_each_value_of_a_saved_file_once(self, monkeypatch, tmp_path, budget,
                                                       layout):
         # povm entries of 1,024 pairs, about 64 KiB of text each as saved
-        # (45 KiB without the indent), run past either window (the 4096 one);
-        # None ends the first window just after the first POVM matrix's
-        # closing brackets, before its entry's "}"
+        # and 45 KiB without the indent, run past the 4096 window, and the
+        # saved ones past either; None ends the first window just after the
+        # first POVM matrix's closing brackets, before its entry's "}"
         scheme = generated_scheme(4, 2, 32, np.random.default_rng(11))
         path = tmp_path / "scheme.json"
         save_scheme(scheme, path)
@@ -1153,8 +1153,8 @@ class TestStreamingLoader:
     def test_reads_the_family_file_through_every_small_window(self, monkeypatch, tmp_path,
                                                               layout):
         # windows that end inside a number ("0." of "promised_p": 0.75 or of
-        # an amplitude 0.8660254037844386) or right after it, with and
-        # without whitespace before its delimiter
+        # an amplitude 0.8660254037844386) or right after it, before the
+        # comma, bracket or whitespace that ends it
         path = tmp_path / "family.json"
         save_scheme(QubitSealFamily(0.75).scheme(), path)
         if layout == "compact":

@@ -20,9 +20,9 @@ scheme: the seeded (M, dimA, dimB) = (4, 2, 8) entangled scheme of
 entangled states is evaluated, and on a third: a seeded (3, 2, 16) scheme
 whose merged readout holds an exact 0/1 diagonal F_1 beside a dense split
 of I - F_1 (``diagonal_readout``), and on the qubit family's file written
-compactly (``json.dumps`` of its document: no indent, every number right
-before a delimiter), which must give the indented file's bytes; and both
-bound sweeps at ``--grid 10001``,
+compactly (``json.dumps`` of its document, on one line with no indent),
+whose output must equal the indented file's; and both bound sweeps at
+``--grid 10001``,
 ``bounds nfp`` also at M = 2, 3, 7 and 1000, whose tables hold enough
 points for a last-bit change in a closed form (one square in about 1,200)
 to show.  Both trees read the same four scheme files, written by the
