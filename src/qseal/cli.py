@@ -35,6 +35,7 @@ from . import gentle, naive, qubit_seal, seal, states
 from .linalg import as_integer
 from .rng import derive_rng
 
+# Relative slack below p = 1/M under which a bounds nfp cell still fills.
 _POPULATE_TOL = 1e-12
 # Largest --grid accepted; bounds the sweep's arrays and its Python loop.
 MAX_GRID_POINTS = 100_001
@@ -139,7 +140,7 @@ def cmd_bounds_fig2(config: RunConfig, m_list=None, grid: int = DEFAULT_GRID) ->
     cells = np.full((grid, 1 + len(ms)), None)  # Python floats, None for a blank
     cells[:, 0] = ps
     for column, m in enumerate(ms, 1):
-        filled = ps >= 1.0 / m - _POPULATE_TOL
+        filled = ps * m >= 1.0 - _POPULATE_TOL
         cells[filled, column] = seal.p_nfp_upper_bound(seal.clamp_promise(ps[filled], m), m)
     return CsvTable(["p"] + [f"p_nfp_upper_M{m}" for m in ms], cells.tolist())
 

@@ -119,7 +119,7 @@ def _reports(rho: np.ndarray, elements: np.ndarray, dominant: np.ndarray,
     norms = np.empty((n, n_outcomes + 1))
     probs = np.empty((n, n_outcomes))
     summed = 0  # the branches, in outcome order
-    step = _chunk_size(rho.shape[-1], n)
+    step = linalg.items_per_step(elements[:, 0].nbytes)
     for start in range(0, n_outcomes, step):
         stop = min(start + step, n_outcomes)
         last = stop == n_outcomes
@@ -226,7 +226,7 @@ def _draw(eps_target: float, shares: np.ndarray, rng: np.random.Generator) -> tu
     def grams(run: np.ndarray) -> None:
         # each outcome's normals, real part then imaginary part, in outcome
         # order, a block at a time; the shares are g g^dag + I/10
-        step = _chunk_size(dim, 1)
+        step = linalg.items_per_step(shares[0].nbytes)
         for start in range(0, len(run), step):
             block = run[start:start + step]
             normals = rng.normal(size=(len(block), 2, dim, dim))
@@ -254,7 +254,7 @@ def _stack(elements: np.ndarray, draws) -> tuple:
     # summed in outcome order, as one instance at a time
     inv_root_total = _inverse_sqrt_pd(sum(np.moveaxis(elements, 1, 0)))
     left = (root @ inv_root_total)[:, None]
-    step = _chunk_size(elements.shape[-1], len(elements))
+    step = linalg.items_per_step(elements[:, 0].nbytes)
     for start in range(0, elements.shape[1], step):
         block = elements[:, start:start + step]
         pieces = left @ block @ inv_root_total[:, None] @ root[:, None]
@@ -305,20 +305,6 @@ def random_epsilon_target(rng: np.random.Generator) -> float:
     return float(10.0 ** rng.uniform(-8.0, math.log10(0.45)))
 
 
-def _chunk_size(dim: int, matrices: int) -> int:
-    """How many runs of ``matrices`` complex dim x dim matrices
-    ``linalg._CHUNK_BYTES`` holds, at least one: the instances of a chunk,
-    for runs of one instance's outcomes, or the outcomes of a block, for
-    runs of one outcome of each of n instances.
-
-    The chunk is four instances at dim 16 with 4 outcomes, one at dim 64
-    with 3 or more.  Every temporary of the sweep is taken a block of
-    outcomes at a time, so that only the element stack grows with an
-    instance: the benchmark's 16 x 16 x 4 chunk is one block, one
-    outcome of dim 64 is a block."""
-    return max(1, linalg._CHUNK_BYTES // (16 * matrices * dim * dim))
-
-
 def sweep_instances(dim: int, n_outcomes: int, instances: int,
                     rng: np.random.Generator, tol: float = VIOLATION_TOL):
     """Yield (epsilon_target, instance, report) for a randomized sweep.
@@ -331,7 +317,7 @@ def sweep_instances(dim: int, n_outcomes: int, instances: int,
     instances = linalg.as_integer(instances, "instances")
     states.require_within(instances, 0 <= instances <= MAX_INSTANCES, "instances",
                           f"0 to {MAX_INSTANCES}")
-    size = _chunk_size(dim, n_outcomes)
+    size = linalg.items_per_step(16 * n_outcomes * dim * dim)  # one instance's elements
     for start in range(0, instances, size):
         yield from _sweep_chunk(dim, n_outcomes, min(size, instances - start), rng, tol)
 

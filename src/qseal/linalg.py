@@ -31,6 +31,12 @@ MAX_DENSE_DIM = 4096
 _CHUNK_BYTES = 1 << 16
 
 
+def items_per_step(item_bytes: int) -> int:
+    """How many items of ``item_bytes`` bytes one batched step holds
+    (``_CHUNK_BYTES``), at least one."""
+    return max(1, _CHUNK_BYTES // item_bytes)
+
+
 class CapacityError(ValueError):
     """An operation would materialize a dense matrix beyond ``MAX_DENSE_DIM``."""
 
@@ -98,6 +104,14 @@ def require_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} is not Hermitian: max |m - m^dag| = {defect:.3e}"
                          f" > {HERMITICITY_TOL:.1e}")
     return symmetrized
+
+
+def require_psd(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """The copy ``require_hermitian`` returns, checked PSD by one ``eigvalsh``
+    of the matrix or stack and ``clamp_psd_eigenvalues``."""
+    m = require_hermitian(m, name)
+    clamp_psd_eigenvalues(np.linalg.eigvalsh(m), name)
+    return m
 
 
 def tensor_product(a, b) -> np.ndarray:

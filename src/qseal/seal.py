@@ -22,10 +22,11 @@ built.  Alice gets two handles on the cheat:
 Both metrics, and the promise ||v_m||^2, depend only on the M+1 vectors psi_m
 and v_i = (I (x) sqrt(F_i)) psi_m, the columns of W, so they are read off W
 and the R factor of its QR decomposition; no operator on H_A (x) H_B is
-built.  One W is built at a time, one message after another.  Only Bob's
-dim_b x dim_b matrices are dense, which is why ``load_scheme`` caps dim_b,
-not the joint dimension.  ``coarse_cheat_state`` builds the returned state
-densely, as the tests' reference.
+built.  The messages' W are stacked, in order, as many to a step as the
+64 KiB batch budget ``linalg._CHUNK_BYTES`` holds, at least one.  Only
+Bob's dim_b x dim_b matrices are dense, which is why ``load_scheme`` caps
+dim_b, not the joint dimension.  ``coarse_cheat_state`` builds the
+returned state densely, as the tests' reference.
 
 ``DetectionReport`` averages the per-message values under a uniform prior
 over m; ``per_message`` holds them for any other weighting.  Both caps take
@@ -176,14 +177,14 @@ def _detection(amplitudes, roots: np.ndarray, dim_a: int) -> list:
     (reduced QR, W laid out D x (k+1)), ||W C W^dag||_1 = ||R C R^dag||_1,
     a min(D, k+1)-square Hermitian matrix.  W's squared column norms are the
     traces of the two density matrices; each must be 1 within ``TRACE_TOL``.
-    The messages are stacked as many at a time as ``linalg._CHUNK_BYTES``
-    holds of their W (at least one), in order; each stacked call gives every
-    message the bits its own call would.
+    The messages are stacked, in order, as many at a time as
+    ``linalg.items_per_step`` gives for one message's W; each stacked call
+    gives every message the bits its own call would.
     """
     roots = roots.transpose(0, 2, 1)
     k = len(roots)
     signs = np.append(1.0, -np.ones(k))  # the diagonal of C
-    step = max(1, linalg._CHUNK_BYTES // (16 * (k + 1) * len(amplitudes[0])))
+    step = linalg.items_per_step((k + 1) * amplitudes[0].nbytes)
     pairs = []
     for start in range(0, len(amplitudes), step):
         psi = np.stack(amplitudes[start:start + step])

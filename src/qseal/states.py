@@ -10,8 +10,8 @@ Conventions
   canonical lexicographic label order so every iteration is deterministic.
 
 Batched code checks states with ``check_density``, POVM elements with
-``_element_roots`` and their sums with ``require_identity_sum``, so each
-rule is written out only here.
+``_element_roots`` and their sums with ``require_identity_sum``, as the
+constructors do; the Hermitian-PSD rule itself is ``linalg.require_psd``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import as_complex_matrix, as_complex_stack, require_hermitian
+from .linalg import as_complex_matrix, as_complex_stack
 
 UNIT_NORM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -97,26 +97,25 @@ def require_identity_sum(elements) -> None:
 def check_density(m) -> np.ndarray:
     """The symmetrized copy of a density matrix, or of each matrix of a
     stack (..., d, d).  Rejects non-finite entries, then the first matrix
-    that is not Hermitian, not of unit trace or not PSD (one ``eigvalsh``
-    of the stack, diagonal matrices included)."""
+    that is not Hermitian or not PSD (``linalg.require_psd``), then the
+    first that is not of unit trace."""
     name = "density matrix"
-    m = require_hermitian(as_complex_stack(m, name), name)
+    m = linalg.require_psd(as_complex_stack(m, name), name)
     require_unit_trace(np.trace(m, axis1=-2, axis2=-1).real)
-    linalg.clamp_psd_eigenvalues(np.linalg.eigvalsh(m), name)
     return m
 
 
-def _element_roots(elements: np.ndarray, labels) -> np.ndarray:
-    """sqrt(E) of each element of a stack (..., outcomes, d, d) whose
-    outcomes are labelled ``labels``.  Each element gets the Hermitian and
-    PSD checks ``Povm`` runs on it, in the same words, and one
-    eigendecomposition serves them and its root; a stack that fails is
-    walked label by label to name its first offender."""
+def _element_roots(elements: np.ndarray, labels, rule=linalg.sqrt_psd) -> np.ndarray:
+    """``rule(elements, "element")`` on a stack (..., outcomes, d, d) whose
+    outcomes are labelled ``labels``: by default sqrt(E) of each element,
+    whose one eigendecomposition serves its Hermitian and PSD checks and
+    its root.  A stack that fails is walked label by label, so that the
+    error names its first offender in the words ``Povm`` uses."""
     try:
-        return linalg.sqrt_psd(elements, "element")
+        return rule(elements, "element")
     except ValueError:
         for k, label in enumerate(labels):
-            linalg.sqrt_psd(elements[..., k, :, :], f"element {label!r}")
+            rule(elements[..., k, :, :], f"element {label!r}")
         raise
 
 
@@ -210,26 +209,24 @@ class Povm:
             raise ValueError("POVM elements must be (label, matrix) pairs")
         if not raw:
             raise ValueError("POVM needs at least one element")
-        seen = set()
-        cooked = []
-        dim = None
+        found = {}  # canonical label -> matrix, in input order
         for label, matrix in raw:
             label = canonical_label(label)
-            if label in seen:
+            if label in found:
                 raise ValueError(f"duplicate POVM label {label!r}")
-            seen.add(label)
             name = f"element {label!r}"
-            m = require_hermitian(as_complex_matrix(matrix, name), name)
-            if dim is None:
-                dim = m.shape[0]
-            elif m.shape[0] != dim:
-                raise ValueError(
-                    f"element {label!r} has dimension {m.shape[0]}, expected {dim}")
-            linalg.clamp_psd_eigenvalues(np.linalg.eigvalsh(m), name)
-            cooked.append((label, _freeze(m)))
-        cooked.sort(key=lambda pair: _label_key(pair[0]))
-        require_identity_sum([m for _, m in cooked])
-        object.__setattr__(self, "elements", tuple(cooked))
+            m = linalg.require_square(as_complex_matrix(matrix, name), name)
+            dim = len(next(iter(found.values()), m))  # the first element's
+            if len(m) != dim:
+                raise ValueError(f"element {label!r} has dimension {len(m)}, expected {dim}")
+            found[label] = m
+        labels = list(found)
+        order = sorted(range(len(labels)), key=lambda k: _label_key(labels[k]))
+        # checked in input order, so that the first offender is named
+        stack = _element_roots(np.stack([*found.values()]), labels, linalg.require_psd)[order]
+        stack.setflags(write=False)
+        require_identity_sum(list(stack))
+        object.__setattr__(self, "elements", tuple(zip([labels[k] for k in order], stack)))
 
     @property
     def dim(self) -> int:

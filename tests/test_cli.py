@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import dataclasses
 import hashlib
@@ -143,6 +144,12 @@ class TestBoundsNfp:
                     assert 0.0 <= float(cell) <= 1.0
                 else:
                     assert cell == "", (p, m)
+
+    def test_huge_message_count_blanks_zero(self, capsys):
+        # an absolute 1e-12 margin under 1/M filled p = 0 once M > 1e12
+        code, out, _ = run(capsys, "bounds", "nfp", "--M", str(2 ** 53), "--grid", "2")
+        assert code == 0
+        assert parse_csv(out)[1] == [["0", ""], ["1", "0"]]
 
     def test_quarter_point_for_four_messages(self, capsys):
         code, out, _ = run(capsys, "bounds", "nfp", "--grid", "5", "--M", "4")
@@ -410,6 +417,26 @@ class TestSealEval:
         _, rows = parse_csv(out)
         assert len(rows) == 4
 
+    def test_bound_violation_exits_one_and_keeps_the_rows(self, capsys, monkeypatch,
+                                                          tmp_path, family_file):
+        honest = seal.evaluate_scheme
+
+        def inflated(scheme):  # message 1 fails its rank-one test for sure
+            report = honest(scheme)
+            first = dataclasses.replace(report.per_message[0], p_nfp_numeric=1.0)
+            return dataclasses.replace(report, per_message=(first, *report.per_message[1:]))
+
+        monkeypatch.setattr(seal, "evaluate_scheme", inflated)
+        target = tmp_path / "eval.csv"
+        code, out, err = run(capsys, "seal", "eval", "--scheme", str(family_file),
+                             "--out", str(target))
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert lines[0] == f"wrote {target} (3 rows)"
+        assert lines[-1] == "bound violation detected (see rows)"
+        header, rows = parse_csv(target.read_text())
+        assert float(dict(zip(header, rows[0]))["p_nfp_numeric"]) == 1.0
+
     def test_rejects_broken_file(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{]")
@@ -535,6 +562,8 @@ class TestSealEval:
                         "element (1, 1) contains non-finite entries"),
         "duplicate label": (lambda d: d["povm"][1].__setitem__("label", [1, 1]),
                             "duplicate POVM label (1, 1)"),
+        "empty povm": (lambda d: d.__setitem__("povm", []),
+                       "scheme file: povm must be a non-empty list"),
         "float M": (lambda d: d.__setitem__("M", 2.0),
                     "scheme file: M, dimA, dimB must be integers"),
         "negative dimB": (lambda d: d.__setitem__("dimB", -2),
@@ -765,6 +794,16 @@ class TestParser:
         assert hashlib.sha256(out.encode()).hexdigest() == self.HELP_SHA256[command], out
 
 
+def bundled_openblas(symbol: str):
+    """``symbol`` of numpy's bundled OpenBLAS, or None without that library."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas64_*.so"))
+    try:
+        return getattr(ctypes.CDLL(str(libs[0])), symbol)
+    except (IndexError, OSError, AttributeError):
+        return None
+
+
 def openblas_core() -> str:
     """The name of the kernel core numpy's bundled OpenBLAS picked at run
     time (which ``OPENBLAS_CORETYPE`` overrides), or "unknown" without that
@@ -772,14 +811,31 @@ def openblas_core() -> str:
 
     The build string names the core OpenBLAS was configured for, which need
     not be the one that runs."""
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
-                  .glob("libscipy_openblas64_*.so"))
-    try:
-        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
-    except (IndexError, OSError, AttributeError):
+    corename = bundled_openblas("scipy_openblas_get_corename64_")
+    if corename is None:
         return "unknown"
-    corename.restype = ctypes.c_char_p
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
     return corename().decode()
+
+
+@contextlib.contextmanager
+def one_openblas_thread():
+    """Run the block with numpy's bundled OpenBLAS on one thread, then give
+    it back its thread count; without that library, run it as it is.  Some
+    cores' last digits follow the thread count."""
+    get = bundled_openblas("scipy_openblas_get_num_threads64_")
+    put = bundled_openblas("scipy_openblas_set_num_threads64_")
+    if get is None or put is None:
+        yield
+        return
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
 
 
 def numeric_build() -> str:
@@ -797,7 +853,9 @@ class TestOutputBytes:
     # 0.3.31; a deliberate change to a command's bytes updates its row here.
     # The rows whose last digits follow the OpenBLAS kernels hold one digest
     # per core that ``openblas_core`` names (Zen runs the Haswell core, and
-    # OPENBLAS_CORETYPE=Prescott the Katmai core); any other core fails them
+    # OPENBLAS_CORETYPE=Prescott the Katmai core); any other core fails them.
+    # Every command runs on one OpenBLAS thread, whatever the host's count:
+    # the Haswell core's --dim 64 gentle digits follow the thread count
     OUTPUT_SHA256 = {
         "bounds dist": (
             0, "b5dd925217bac941d67c6f17c5761f1814bab0a3faec067ae06c47f82ed0f07b",
@@ -912,15 +970,13 @@ class TestOutputBytes:
                 0, "02feaef21652684c80badc6dd4cd6ab0a1891a9a658dc2b69648e0ce32fe1ca3",
                 "56f556d14be0db66f3b96071880581bca689b0398b2caa51b670ee5a273f6550"),
         },
-        # the Haswell core's digest holds at two OpenBLAS threads; at one
-        # thread its stdout has sha256 993e33a880db1099efaa924bc223e2f6...
         "verify gentle --dim 64 --outcomes 24 --instances 2": {
             "SkylakeX": (
                 0, "d3c991fbcc27913b2cacb15e900ddee2e8d8d51611c7451b0a992ffd0889e595",
                 "22f9c72f7e815ec5f671fdbd305e19a149013e1c1cec58840674016701ff22fe"),
             "Haswell": (
-                0, "216b7275f4832ebc3a346d689a0a914388cad5c9d0edb89a5ce98d1077d4c7a8",
-                "bfb7b0eb31ce5afafc816f56680a453d4e6766ca1010974d014a945517248cb8"),
+                0, "993e33a880db1099efaa924bc223e2f61042bac4e60d62c3df7bb885892517db",
+                "a1e2f9610554ecbc17bc3e8c71c5b908638901f84996941908045d3e44df8947"),
             "Sandybridge": (
                 0, "aabb9a3e0c2d197dee01e72ac8fb13073cfc7171b6a0a22dbaaf4e926e6013e1",
                 "cc11deb9cb5f0219fb90f7dfa6230162cfa9f479029b7fbf206e2ece529d5123"),
@@ -952,7 +1008,8 @@ class TestOutputBytes:
     @pytest.mark.parametrize("argv", BYTECHECK.COMMANDS, ids=" ".join)
     def test_output_bytes_are_unchanged(self, capsys, monkeypatch, workdir, argv):
         monkeypatch.chdir(workdir)
-        code, out, err = run_to_exit(capsys, *argv, *BYTECHECK.SEED)
+        with one_openblas_thread():
+            code, out, err = run_to_exit(capsys, *argv, *BYTECHECK.SEED)
         digests = (code, hashlib.sha256(out.encode()).hexdigest(),
                    hashlib.sha256(err.encode()).hexdigest())
         command = " ".join(argv)

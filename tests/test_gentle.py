@@ -108,6 +108,11 @@ class TestVerifyInstance:
         assert report.bound_unknown == pytest.approx(np.sqrt(2.0) + 0.5, abs=1e-13)
         assert report.satisfied_classic and report.satisfied_unknown
 
+    def test_state_and_povm_dimensions_must_match(self):
+        with pytest.raises(ValueError) as exc:
+            GentleInstance(plus_state(), Povm(((0, np.eye(3)),)), 0)
+        assert str(exc.value) == "dimension mismatch: state 2, POVM 3"
+
     def test_numpy_label_is_stored_canonical(self):
         numpy_label = GentleInstance(plus_state(), standard_basis_povm(), np.int64(0))
         assert type(numpy_label.dominant_label) is int
@@ -361,7 +366,7 @@ class TestDenseOracle:
 
     @pytest.mark.parametrize("dim,n_outcomes", ORACLE_SHAPES)
     def test_sweep_matches_oracle(self, dim, n_outcomes):
-        size = gentle._chunk_size(dim, n_outcomes)
+        size = linalg.items_per_step(16 * n_outcomes * dim * dim)
         count = 2 if dim == 64 else 11
         assert size == 1 or count % size  # a partial last chunk
         for seed in (0, 1, 2):
@@ -399,7 +404,8 @@ class TestDenseOracle:
         # own chunk, its 7 outcomes run in blocks 2, 2, 2, 1, and its normals
         # are drawn two outcomes at a time
         monkeypatch.setattr(linalg, "_CHUNK_BYTES", 2 * 16 * 5 * 5)
-        assert (gentle._chunk_size(5, 7), gentle._chunk_size(5, 1)) == (1, 2)
+        assert linalg.items_per_step(16 * 7 * 5 * 5) == 1  # one instance a chunk
+        assert linalg.items_per_step(16 * 5 * 5) == 2  # two outcomes a block
         rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
         swept = list(sweep_instances(5, 7, 30, rng))
         batched = cells(swept)
@@ -440,7 +446,7 @@ class TestDenseOracle:
     def test_each_chunk_calls_each_bound_once(self, monkeypatch):
         calls = (count_calls(monkeypatch, gentle, "classic_bound"),
                  count_calls(monkeypatch, gentle, "unknown_outcome_bound"))
-        size = gentle._chunk_size(8, 4)
+        size = linalg.items_per_step(16 * 4 * 8 * 8)
         list(sweep_instances(8, 4, 2 * size + 1, np.random.default_rng(5)))
         # one call of each bound per chunk, on all of the chunk's epsilons
         for bound in calls:

@@ -138,6 +138,14 @@ class TestSchemeValidation:
         assert str(exc.value) == ("promise violated for message 3: read probability"
                                   " 0.0 < promised_p 0.5")
 
+    def test_povm_dimension_must_match_dim_b(self):
+        psi1 = PureState(np.array([1.0, 0.0]), (1, 2))
+        psi2 = PureState(np.array([0.0, 1.0]), (1, 2))
+        povm = Povm((((1, 1), np.diag([1.0, 0.0, 0.0])), ((2, 1), np.diag([0.0, 1.0, 1.0]))))
+        with pytest.raises(ValueError) as exc:
+            SealScheme(2, 1, 2, 0.9, (psi1, psi2), povm)
+        assert str(exc.value) == "POVM dimension 3 != dim_b 2"
+
     def test_state_dims_must_match_scheme(self):
         psi1 = PureState(np.array([1.0, 0.0]))
         psi2 = PureState(np.array([0.0, 1.0]))

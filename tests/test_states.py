@@ -94,6 +94,11 @@ class TestDensityMatrix:
         rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]))
         assert rho.dim == 2
 
+    def test_spectrum_is_checked_before_trace(self):
+        # one defect of each kind: the PSD check runs with the Hermitian one
+        with pytest.raises(ValueError, match="negative eigenvalue -2.000e-01"):
+            DensityMatrix(np.diag([1.5, -0.2]))
+
     def test_rejects_stack(self):
         # check_density takes a stack; a DensityMatrix holds one matrix
         with pytest.raises(ValueError, match="must be 2-D"):
@@ -134,6 +139,23 @@ class TestPovm:
     def test_rejects_mismatched_dims(self):
         with pytest.raises(ValueError):
             Povm(((1, np.eye(2)), (2, np.zeros((3, 3)))))
+
+    def test_shape_defects_come_before_spectrum_defects(self):
+        # element 0's Hermitian defect is found with the others' spectra,
+        # after every element's label, type, shape and dimension checks
+        skew = np.array([[0.5, 0.1], [0.0, 0.5]])
+        with pytest.raises(ValueError, match="^element 1 has dimension 3, expected 2$"):
+            Povm(((0, skew), (1, np.eye(3))))
+
+    def test_elements_are_views_of_one_frozen_stack(self):
+        given = [np.eye(2) / 2.0, np.diag([0.5, 0.0]), np.diag([0.0, 0.5])]
+        povm = Povm(((2, given[0]), (0, given[1]), (1, given[2])))
+        stack = povm.elements[0][1].base
+        assert povm.labels == (0, 1, 2) and not stack.flags.writeable
+        assert all(matrix.base is stack for _, matrix in povm.elements)
+        assert np.array_equal(stack, [given[1], given[2], given[0]])
+        given[1][0, 0] = 7.0  # the caller's arrays are not aliased
+        assert povm.element(0)[0, 0] == 0.5
 
     def test_rejects_bool_labels(self):
         with pytest.raises(ValueError):
